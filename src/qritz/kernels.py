@@ -146,42 +146,25 @@ def svd(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, s, Vh.conj().T
 
 
-def _right_singulars(G: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (descending) and matching right singular vectors.
-
-    ``mode="full-svd"`` uses the standard SVD; ``mode="cross-product"`` forms
-    G^H G and solves the Hermitian eigenproblem, which squares the condition
-    number and halves the attainable digits for small singular values.
-    """
-    if mode == "full-svd":
-        try:
-            _, s, Vh = np.linalg.svd(G, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"SVD failed: {exc}") from exc
-        return s, Vh.conj().T
-    if mode == "cross-product":
-        H = G.conj().T @ G
-        H = 0.5 * (H + H.conj().T)
-        try:
-            w, W = np.linalg.eigh(H)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"Hermitian eigensolve failed: {exc}") from exc
-        s = np.sqrt(np.clip(w[::-1], 0.0, None))
-        return s, W[:, ::-1]
-    raise ValueError(f"unknown mode {mode!r}; expected 'full-svd' or 'cross-product'")
+def _right_singulars(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (descending) and matching right singular vectors of ``G``."""
+    try:
+        _, s, Vh = np.linalg.svd(G, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD failed: {exc}") from exc
+    return s, Vh.conj().T
 
 
-def smallest_right_singular(G, mode: str = "full-svd") -> tuple[float, np.ndarray]:
+def smallest_right_singular(G) -> tuple[float, np.ndarray]:
     """Smallest singular value of a tall matrix and its right singular vector.
 
-    ``||G v|| = sigma_min`` within ``1e-12 * ||G||`` for the full SVD and
-    within ``1e-7 * ||G||`` for the cross-product route; ``v`` is unit norm.
+    ``||G v|| = sigma_min`` within ``1e-12 * ||G||``; ``v`` is unit norm.
     """
     G = as_matrix(G, "G")
     n, m = G.shape
     if n < m:
         raise ValueError(f"expected n >= m, got {G.shape}")
-    s, V = _right_singulars(G, mode)
+    s, V = _right_singulars(G)
     v = V[:, -1]
     return float(s[-1]), v / np.linalg.norm(v)
 

@@ -32,6 +32,32 @@ def _detect_hpd(M: np.ndarray, m0: float) -> bool:
     return bool(w[0] > HPD_TOL * m0)
 
 
+@dataclass(frozen=True)
+class BasisImage:
+    """The image ``W = [MQ, DQ, KQ]`` of an n x m basis ``Q`` and the R factor of ``W = U R``.
+
+    Every residual in span{Q} is a product with ``W``:
+    ``P(lam) Q c = W [lam^2 c; lam c; c]``.  ``U`` has orthonormal columns, so
+    ``R [lam^2 I; lam I; I]`` (``R`` is ``k x 3m``, ``k = min(n, 3m)``) has the
+    singular values and right singular vectors of ``P(lam) Q``; ``U`` is
+    never formed.
+    """
+
+    basis: np.ndarray
+    W: np.ndarray
+    R: np.ndarray
+
+    def residual_norm(self, lam: complex, c: np.ndarray) -> float:
+        """``||P(lam) Q c||``, computed as ``||W [lam^2 c; lam c; c]||``."""
+        return float(np.linalg.norm(self.W @ np.concatenate([lam * lam * c, lam * c, c])))
+
+    def reduced(self, lam: complex) -> np.ndarray:
+        """``R [lam^2 I; lam I; I]``, which has the singular values of ``P(lam) Q``."""
+        m = self.basis.shape[1]
+        R = self.R
+        return lam * (lam * R[:, :m] + R[:, m : 2 * m]) + R[:, 2 * m :]
+
+
 class QuadraticPencil:
     """The triple (M, D, K) with cached exact spectral norms.
 
@@ -43,6 +69,9 @@ class QuadraticPencil:
             (smallest eigenvalue of the Hermitian part above ``HPD_TOL * m0``).
             The solve/projection paths warn, but still work, when this is
             False and M is merely nonsingular.
+
+    The pencil also memoizes the ``BasisImage`` of the last basis passed to
+    ``image``; the memo never changes a result, only whether it is recomputed.
     """
 
     def __init__(self, M, D, K):
@@ -63,6 +92,7 @@ class QuadraticPencil:
         self.d0 = spectral_norm(D)
         self.k0 = spectral_norm(K)
         self.hermitian_pd = _detect_hpd(M, self.m0)
+        self._image: BasisImage | None = None
 
     def __repr__(self):
         return (
@@ -79,6 +109,22 @@ class QuadraticPencil:
         """Natural residual scale ``|lam|^2 m0 + |lam| d0 + k0``."""
         a = abs(lam)
         return a * a * self.m0 + a * self.d0 + self.k0
+
+    def image(self, Q: np.ndarray) -> BasisImage:
+        """The ``BasisImage`` of the n x m matrix ``Q``, memoized for the last basis.
+
+        The memo is keyed on exact equality with a private copy of ``Q``, so a
+        basis mutated in place or a different basis is recomputed.  A hit and
+        a miss return the same bits.  The memo is one attribute assigned
+        whole, so concurrent callers at worst recompute it.
+        """
+        memo = self._image
+        if memo is not None and memo.basis.shape == Q.shape and np.array_equal(memo.basis, Q):
+            return memo
+        W = np.hstack([self.M @ Q, self.D @ Q, self.K @ Q])
+        memo = BasisImage(basis=Q.copy(), W=W, R=np.linalg.qr(W, mode="r"))
+        self._image = memo
+        return memo
 
 
 @dataclass(frozen=True)

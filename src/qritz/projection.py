@@ -94,8 +94,9 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
             IndefiniteMass,
             stacklevel=2,
         )
-    Qh = Q.conj().T
-    inner = QuadraticPencil(Qh @ p.M @ Q, Qh @ p.D @ Q, Qh @ p.K @ Q)
+    # One m x 3m product against the basis image: Q^H [MQ, DQ, KQ].
+    C = Q.conj().T @ p.image(Q).W
+    inner = QuadraticPencil(C[:, :m], C[:, m : 2 * m], C[:, 2 * m :])
     if p.hermitian_pd and not inner.hermitian_pd:
         # Definiteness is inherited exactly; only catastrophic rounding on a
         # nearly singular M could trip this.
@@ -119,16 +120,15 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
         )
     inner_pairs = solve_full(pp.pencil)
     flags = clustered_flags([ep.value for ep in inner_pairs], CLUSTER_TOL)
+    image = p.image(pp.basis)
     out = []
     for ep, flag in zip(inner_pairs, flags):
-        vector = pp.basis @ ep.vector
-        _, rn = qep_residual(p, ep.value, vector)
         out.append(
             RitzPair(
                 value=ep.value,
                 coeff=ep.vector,
-                vector=vector,
-                residual_norm=rn,
+                vector=pp.basis @ ep.vector,
+                residual_norm=image.residual_norm(ep.value, ep.vector),
                 clustered=flag,
             )
         )

@@ -5,6 +5,12 @@ minimizes ``||(mu^2 M + mu D + K) Q z||`` over unit vectors, i.e. the right
 singular vector of the tall matrix ``(mu^2 M + mu D + K) Q`` belonging to its
 smallest singular value.  Unlike the Ritz vector, this minimizer is immune to
 clustered Ritz values: it converges whenever the search space does.
+
+The tall matrix is never formed.  With the basis image ``W = [MQ, DQ, KQ] = U R``
+of ``pencil.BasisImage``, ``(mu^2 M + mu D + K) Q = U R [mu^2 I; mu I; I]`` and
+``U`` has orthonormal columns, so the SVD of the small ``R [mu^2 I; mu I; I]``
+has the same singular values and right singular vectors.  The image costs
+O(n^2 m) once per basis; each value ``mu`` then costs O(m^3).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .angles import vector_angle
 from .errors import AmbiguousMinimizer, NotOrthonormal
 from .kernels import as_matrix, as_vector, orthonormality_defect, _right_singulars
-from .pencil import QuadraticPencil, qep_residual
+from .pencil import QuadraticPencil
 from .projection import BASIS_TOL, project, ritz_pairs, select_ritz
 
 #: Relative gap under which the two smallest singular values are considered
@@ -34,7 +40,6 @@ class RefinedRitz:
     vector: np.ndarray
     sigma_min: float
     residual_norm: float
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,11 @@ class ExtractionComparison:
     refined_residual: float
 
 
-def refined_ritz(p: QuadraticPencil, Q, mu: complex, mode: str = "full-svd") -> RefinedRitz:
+def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
     """Residual-minimizing unit vector in span{Q} for the value ``mu``.
 
-    ``mode="full-svd"`` is the default; ``mode="cross-product"`` solves the
-    m x m Hermitian eigenproblem of G^H G instead, cheaper but accurate only
-    to about half the digits for small singular values.
+    Refining several values for one basis reuses the basis image that the
+    pencil memoizes (``QuadraticPencil.image``), as does ``project``.
 
     Warns:
         AmbiguousMinimizer: when the two smallest singular values agree to
@@ -66,8 +70,8 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex, mode: str = "full-svd") -> 
     defect = orthonormality_defect(Q)
     if defect > BASIS_TOL:
         raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
-    G = mu * (mu * (p.M @ Q) + p.D @ Q) + p.K @ Q
-    s, V = _right_singulars(G, mode)
+    image = p.image(Q)
+    s, V = _right_singulars(image.reduced(mu))
     m = Q.shape[1]
     if m >= 2 and s[-2] - s[-1] <= GAP_TOL * s[0]:
         warnings.warn(
@@ -78,15 +82,12 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex, mode: str = "full-svd") -> 
         )
     z = V[:, -1]
     z = z / np.linalg.norm(z)
-    vector = Q @ z
-    _, rn = qep_residual(p, mu, vector)
     return RefinedRitz(
         value=mu,
         coeff=z,
-        vector=vector,
+        vector=Q @ z,
         sigma_min=float(s[-1]),
-        residual_norm=rn,
-        mode=mode,
+        residual_norm=image.residual_norm(mu, z),
     )
 
 

@@ -20,7 +20,7 @@ def builtin_files(tmp_path):
 
 def _parse_complex_field(line):
     text = line.split("=", 1)[1].strip()
-    return complex(text.replace("j", "j").replace(" ", ""))
+    return complex(text.replace(" ", ""))
 
 
 def test_solve_finds_unit_eigenvalue(tmp_path, builtin_files):

@@ -1,12 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import cnormal, random_pencil, rng
+from conftest import cnormal, random_hpd, random_pencil, random_unitary, rng
 from qritz.angles import vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
 from qritz.errors import AmbiguousMinimizer, NotOrthonormal
 from qritz.kernels import orthonormalize
 from qritz.pencil import QuadraticPencil, qep_residual
+from qritz.projection import project, ritz_pairs
 from qritz.refined import compare_extractions, refined_ritz
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
@@ -76,14 +80,6 @@ class TestRefinedRitz:
             <= 1e-12
         )
 
-    def test_mode_agreement(self, g):
-        p = random_pencil(g, 6)
-        Q = orthonormalize(cnormal(g, 6, 3))
-        mu = 0.4 + 0.9j
-        full = refined_ritz(p, Q, mu, mode="full-svd")
-        cross = refined_ritz(p, Q, mu, mode="cross-product")
-        assert vector_angle(full.vector, cross.vector).sin <= 1e-6
-
     def test_ambiguous_minimizer_warns(self):
         # Two coincident smallest singular values: pencil with a doubly
         # degenerate residual direction.
@@ -98,9 +94,124 @@ class TestRefinedRitz:
 
 
 def select_eigenpair_ritz(p, Q):
-    from qritz.projection import project, ritz_pairs, select_ritz
+    from qritz.projection import select_ritz
 
     return select_ritz(ritz_pairs(project(p, Q), p), 1.0).value
+
+
+def scaled_pencil(g, n):
+    """HPD-mass pencil whose three matrices carry scales from 1e-6 to 1e6."""
+    sm, sd, sk = 10.0 ** g.uniform(-6.0, 6.0, size=3)
+    return QuadraticPencil(
+        sm * random_hpd(g, n), sd * cnormal(g, n, n) / np.sqrt(n), sk * cnormal(g, n, n) / np.sqrt(n)
+    )
+
+
+#: (n, m) shapes of the oracle tests: one column, a full basis, n < 3m, tall.
+ORACLE_SHAPES = [(6, 1), (5, 5), (4, 3), (9, 4)]
+
+
+class TestCompressedOracle:
+    """The basis-image route against the tall matrix (mu^2 M + mu D + K) Q."""
+
+    @pytest.mark.parametrize("n,m", ORACLE_SHAPES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refined_matches_direct_svd(self, n, m, seed):
+        g = rng(seed + 700)
+        p = scaled_pencil(g, n)
+        Q = random_unitary(g, n)[:, :m]
+        pairs = ritz_pairs(project(p, Q), p)
+        values = [rp.value for rp in pairs] + [complex(*g.standard_normal(2))]
+        for mu in values:
+            rr = refined_ritz(p, Q, mu)
+            tol = 1e-13 * p.residual_scale(mu)
+            s = np.linalg.svd(p.evaluate(mu) @ Q, compute_uv=False)
+            assert abs(rr.sigma_min - s[-1]) <= tol
+            _, rn = qep_residual(p, mu, rr.vector)
+            assert abs(rr.residual_norm - rn) <= tol
+
+    @pytest.mark.parametrize("n,m", ORACLE_SHAPES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ritz_residuals_match_direct(self, n, m, seed):
+        g = rng(seed + 800)
+        p = scaled_pencil(g, n)
+        Q = random_unitary(g, n)[:, :m]
+        pairs = ritz_pairs(project(p, Q), p)
+        assert len(pairs) == 2 * m
+        for rp in pairs:
+            _, rn = qep_residual(p, rp.value, rp.vector)
+            assert abs(rp.residual_norm - rn) <= 1e-13 * p.residual_scale(rp.value)
+
+
+def _same(a, b):
+    return (
+        a.sigma_min == b.sigma_min
+        and a.residual_norm == b.residual_norm
+        and np.array_equal(a.coeff, b.coeff)
+        and np.array_equal(a.vector, b.vector)
+    )
+
+
+class TestBasisImageMemo:
+    """Results never depend on what the pencil's basis-image memo holds."""
+
+    def test_hit_after_project_is_bit_identical(self, g):
+        M, D, K = random_hpd(g, 7), cnormal(g, 7, 7), cnormal(g, 7, 7)
+        Q = random_unitary(g, 7)[:, :3]
+        mu = 0.7 - 0.4j
+        cold = refined_ritz(QuadraticPencil(M, D, K), Q, mu)
+        p = QuadraticPencil(M, D, K)
+        project(p, Q)
+        image = p.image(Q)
+        warm = refined_ritz(p, Q, mu)
+        assert p.image(Q) is image
+        assert _same(cold, warm)
+
+    def test_mutated_basis_is_not_stale(self, g):
+        M, D, K = random_hpd(g, 7), cnormal(g, 7, 7), cnormal(g, 7, 7)
+        p = QuadraticPencil(M, D, K)
+        Q = random_unitary(g, 7)[:, :3].copy()
+        mu = 1.2 + 0.1j
+        refined_ritz(p, Q, mu)
+        Q[:] = Q[:, [2, 0, 1]]
+        assert _same(refined_ritz(p, Q, mu), refined_ritz(QuadraticPencil(M, D, K), Q, mu))
+
+    def test_other_basis_is_not_stale(self, g):
+        M, D, K = random_hpd(g, 7), cnormal(g, 7, 7), cnormal(g, 7, 7)
+        p = QuadraticPencil(M, D, K)
+        mu = -0.3 + 0.9j
+        refined_ritz(p, random_unitary(g, 7)[:, :3], mu)
+        Q2 = random_unitary(g, 7)[:, :3]
+        assert _same(refined_ritz(p, Q2, mu), refined_ritz(QuadraticPencil(M, D, K), Q2, mu))
+
+    def test_threads_sharing_a_pencil_get_fresh_results(self, g):
+        # More threads than cores alternate two bases on one pencil; a memo
+        # entry torn between bases would change the bits of some result.
+        M, D, K = random_hpd(g, 9), cnormal(g, 9, 9), cnormal(g, 9, 9)
+        bases = [random_unitary(g, 9)[:, :3], random_unitary(g, 9)[:, :3]]
+        mu = 0.5 + 0.5j
+        expected = [refined_ritz(QuadraticPencil(M, D, K), Q, mu) for Q in bases]
+        p = QuadraticPencil(M, D, K)
+        mismatches = []
+
+        def worker(k):
+            for i in range(200):
+                j = (i + k) % 2
+                if not _same(refined_ritz(p, bases[j], mu), expected[j]):
+                    mismatches.append((k, i))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestCompareExtractions:
@@ -154,3 +265,4 @@ class TestCompareExtractions:
         assert cmp.refined_angle <= 1e-3 * cmp.ritz_angle
         assert cmp.refined_residual <= cmp.ritz_residual + 1e-12
         assert 1e4 * sin_theta <= cmp.ritz_residual <= 10.0
+
