@@ -33,7 +33,6 @@ from .errors import (
 from .kernels import (
     eig_standard,
     orthonormalize,
-    smallest_right_singular,
     solve_linear,
     spectral_norm,
     svd,
@@ -42,24 +41,18 @@ from .kernels import (
 from .mmio import read_matrix_market, write_matrix_market
 from .pencil import (
     Eigenpair,
-    LinearPencil,
     QuadraticPencil,
+    companion_matrix,
     linearize,
     qep_residual,
     shift,
     stack_vector,
 )
-from .projection import ProjectedPencil, RitzPair, project, ritz_pairs, select_ritz
+from .projection import ProjectedPencil, RitzPair, project, ritz_pairs
 from .refined import ExtractionComparison, RefinedRitz, compare_extractions, refined_ritz
 from .solver import select_eigenpair, solve_full
 from .study import StudyRow, run_study, write_study_csv
-from .subspace import (
-    KrylovBasis,
-    SubspaceSpec,
-    build_subspace,
-    perturbed_subspace,
-    second_order_krylov,
-)
+from .subspace import KrylovBasis, perturbed_subspace, second_order_krylov
 from .theory import (
     Deflation,
     DiagnosticsReport,
@@ -70,7 +63,6 @@ from .theory import (
     perturbation_triple,
     refined_residual_identity_check,
     refined_vector_bound,
-    residual_angle_bound,
     ritz_vector_bound,
     sep,
     stacked_angle_inequality_check,
@@ -91,7 +83,6 @@ __all__ = [
     "IndefiniteMass",
     "IoFailure",
     "KrylovBasis",
-    "LinearPencil",
     "NoConvergence",
     "NotAnEigenpair",
     "NotOrthonormal",
@@ -107,12 +98,11 @@ __all__ = [
     "RitzPair",
     "Singular",
     "StudyRow",
-    "SubspaceSpec",
     "UnsupportedField",
     "ZeroBv",
     "ZeroEigenvalue",
     "ZeroVector",
-    "build_subspace",
+    "companion_matrix",
     "compare_extractions",
     "deflate",
     "eig_standard",
@@ -128,16 +118,13 @@ __all__ = [
     "refined_residual_identity_check",
     "refined_ritz",
     "refined_vector_bound",
-    "residual_angle_bound",
     "ritz_pairs",
     "ritz_vector_bound",
     "run_study",
     "second_order_krylov",
     "select_eigenpair",
-    "select_ritz",
     "sep",
     "shift",
-    "smallest_right_singular",
     "solve_full",
     "solve_linear",
     "spectral_norm",

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthonormal, ZeroVector
-from .kernels import as_matrix, as_vector, orthonormality_defect
-from .projection import BASIS_TOL
+from .errors import ZeroVector
+from .kernels import as_matrix, as_vector, require_orthonormal
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,7 @@ def subspace_angle(Q, x) -> Angle:
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         raise ZeroVector("cannot form an angle with the zero vector")
-    defect = orthonormality_defect(Q)
-    if defect > BASIS_TOL:
-        raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
+    require_orthonormal(Q)
     x = x / nrm
     coeff = Q.conj().T @ x
     c = float(np.linalg.norm(coeff))
@@ -96,9 +93,7 @@ def stacked_subspace_angle(Q, lam: complex, x) -> Angle:
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         raise ZeroVector("cannot form an angle with the zero vector")
-    defect = orthonormality_defect(Q)
-    if defect > BASIS_TOL:
-        raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
+    require_orthonormal(Q)
     x = x / nrm
     lam = complex(lam)
     v = np.concatenate([lam * x, x]) / math.sqrt(1.0 + abs(lam) ** 2)

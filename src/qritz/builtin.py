@@ -18,10 +18,11 @@ import numpy as np
 
 from .angles import vector_angle
 from .kernels import spectral_norm
-from .pencil import QuadraticPencil, stack_vector
+from .pencil import QuadraticPencil, linearize, stack_vector
 from .projection import project, ritz_pairs
 from .refined import refined_ritz
-from .theory import _companion_blocks, deflate, sep
+from .solver import select_eigenpair
+from .theory import deflate, sep
 
 #: Name accepted by the CLI for this problem.
 BUILTIN_NAME = "example31"
@@ -103,9 +104,8 @@ def golden_checks(p: QuadraticPencil | None = None, Q=None) -> list[GoldenCheck]
         GoldenCheck("refined-vector-recovered", worst <= 1e-12, worst, 1e-12)
     )
 
-    sel = min(pairs, key=lambda rp: abs(rp.value - EXACT_VALUE))
-    Ah, Bh = _companion_blocks(pp.mhat, pp.dhat, pp.khat)
-    dl = deflate(Ah, Bh, sel.value, stack_vector(sel.value, sel.coeff))
+    sel = select_eigenpair(pairs, EXACT_VALUE)
+    dl = deflate(*linearize(pp.pencil), sel.value, stack_vector(sel.value, sel.coeff))
     s = sep(EXACT_VALUE, dl.L, dl.N)
     checks.append(GoldenCheck("projected-sep-vanishes", s <= 1e-12, s, 1e-12))
 

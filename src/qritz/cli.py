@@ -20,10 +20,9 @@ import sys
 
 from . import builtin, mmio, study
 from .errors import IoFailure, NotOrthonormal, QritzError
-from .kernels import orthonormalize, orthonormality_defect
+from .kernels import orthonormalize, require_orthonormal
 from .pencil import QuadraticPencil
-from .projection import BASIS_TOL
-from .solver import solve_full
+from .solver import nearest_first, select_eigenpair, solve_full
 from .study import format_float
 from .theory import full_diagnostics
 
@@ -81,17 +80,12 @@ def _load_pencil(m_path, d_path, k_path) -> QuadraticPencil:
 def _cmd_solve(args) -> int:
     p = _load_pencil(args.M, args.D, args.K)
     pairs = solve_full(p)
-    order = sorted(
-        range(len(pairs)),
-        key=lambda i: (abs(pairs[i].value - args.target), pairs[i].residual_norm, i),
-    )
     count = min(args.count, len(pairs))
     print(
         f"solve: n={p.n} eigenvalues={len(pairs)} "
         f"target={fmt_complex(args.target)} count={count}"
     )
-    for rank, i in enumerate(order[:count], start=1):
-        ep = pairs[i]
+    for rank, ep in enumerate(nearest_first(pairs, args.target)[:count], start=1):
         print(f"pair {rank}: lambda={fmt_complex(ep.value)} residual={format_float(ep.residual_norm)}")
         for k, entry in enumerate(ep.vector):
             print(f"  x[{k}] = {fmt_complex(entry)}")
@@ -101,13 +95,14 @@ def _cmd_solve(args) -> int:
 def _cmd_project(args) -> int:
     p = _load_pencil(args.M, args.D, args.K)
     Q = mmio.read_matrix_market(args.subspace)
-    defect = orthonormality_defect(Q)
-    if defect > BASIS_TOL:
+    try:
+        require_orthonormal(Q)
+    except NotOrthonormal as exc:
         if not args.orthonormalize:
             raise NotOrthonormal(
-                f"subspace file is not orthonormal (defect {defect:.3e}); "
+                f"subspace file is not orthonormal ({exc}); "
                 "rerun with --orthonormalize to fix it in place"
-            )
+            ) from exc
         Q = orthonormalize(Q)
     if p.n <= FULL_SOLVE_LIMIT:
         rep = full_diagnostics(p, Q, args.target)
@@ -130,11 +125,11 @@ def _cmd_project(args) -> int:
         return 0
     # Too large for a trustworthy reference pair: report projection-level
     # quantities only.
-    from .projection import project, ritz_pairs, select_ritz
+    from .projection import project, ritz_pairs
     from .refined import refined_ritz
 
     pp = project(p, Q)
-    sel = select_ritz(ritz_pairs(pp, p), args.target)
+    sel = select_eigenpair(ritz_pairs(pp, p), args.target)
     print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)} (no reference)")
     print(f"ritz value         = {fmt_complex(sel.value)}")
     print(f"ritz residual      = {format_float(sel.residual_norm)}")

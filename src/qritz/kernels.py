@@ -15,10 +15,13 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import BadNorm, NoConvergence, RankDeficient, Singular
+from .errors import BadNorm, NoConvergence, NotOrthonormal, RankDeficient, Singular
 
 #: Orthonormality contract for produced bases: ||Q^H Q - I|| <= ORTHO_TOL.
 ORTHO_TOL = 1e-13
+
+#: Admission tolerance for ||Q^H Q - I|| on bases passed in by callers.
+BASIS_TOL = 1e-12
 
 #: Relative singular-value threshold below which columns count as dependent.
 RANK_TOL = 1e-12
@@ -64,6 +67,17 @@ def orthonormality_defect(Q: np.ndarray) -> float:
     """``||Q^H Q - I||`` in the spectral norm."""
     k = Q.shape[1]
     return spectral_norm(Q.conj().T @ Q - np.eye(k))
+
+
+def require_orthonormal(Q: np.ndarray) -> None:
+    """The one admission gate for caller bases.
+
+    Raises:
+        NotOrthonormal: if ``||Q^H Q - I|| > BASIS_TOL``.
+    """
+    defect = orthonormality_defect(Q)
+    if defect > BASIS_TOL:
+        raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
 
 
 def orthonormalize(V) -> np.ndarray:
@@ -153,20 +167,6 @@ def _right_singulars(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD failed: {exc}") from exc
     return s, Vh.conj().T
-
-
-def smallest_right_singular(G) -> tuple[float, np.ndarray]:
-    """Smallest singular value of a tall matrix and its right singular vector.
-
-    ``||G v|| = sigma_min`` within ``1e-12 * ||G||``; ``v`` is unit norm.
-    """
-    G = as_matrix(G, "G")
-    n, m = G.shape
-    if n < m:
-        raise ValueError(f"expected n >= m, got {G.shape}")
-    s, V = _right_singulars(G)
-    v = V[:, -1]
-    return float(s[-1]), v / np.linalg.norm(v)
 
 
 def unitary_completion(v) -> np.ndarray:

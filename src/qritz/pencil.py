@@ -7,7 +7,9 @@ linearization is the 2n x 2n pair
     A = [[-D, -K], [I, 0]],    B = [[M, 0], [0, I]],
 
 whose eigenpairs ``(lam, [lam*x; x])`` encode the quadratic eigenpairs
-``(lam, x)``.  All types here are immutable value objects.
+``(lam, x)``.  This module is the only place that builds it: ``linearize``
+returns the pair and ``companion_matrix`` the matrix ``B^{-1} A``.  All
+types here are immutable value objects.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadNorm, DimensionMismatch
-from .kernels import UNIT_TOL, as_matrix, as_vector, spectral_norm
+from .kernels import UNIT_TOL, as_matrix, as_vector, solve_linear, spectral_norm
 
 #: Relative tolerance for the Hermitian-positive-definite detection of M.
 HPD_TOL = 1e-12
@@ -128,37 +130,6 @@ class QuadraticPencil:
 
 
 @dataclass(frozen=True)
-class LinearPencil:
-    """Companion pair (A, B); block structure is verified on construction."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
-        if A.shape != B.shape or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-            raise DimensionMismatch(f"expected matching square 2n x 2n pair, got {A.shape}, {B.shape}")
-        n = A.shape[0] // 2
-        eye = np.eye(n, dtype=np.complex128)
-        zero = np.zeros((n, n), dtype=np.complex128)
-        if not (
-            np.array_equal(A[n:, :n], eye)
-            and np.array_equal(A[n:, n:], zero)
-            and np.array_equal(B[:n, n:], zero)
-            and np.array_equal(B[n:, :n], zero)
-            and np.array_equal(B[n:, n:], eye)
-        ):
-            raise DimensionMismatch("blocks do not match the companion layout")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0] // 2
-
-
-@dataclass(frozen=True)
 class Eigenpair:
     """A computed eigenpair with its recorded residual norm."""
 
@@ -201,14 +172,29 @@ def shift(p: QuadraticPencil, tau: complex) -> QuadraticPencil:
     )
 
 
-def linearize(p: QuadraticPencil) -> LinearPencil:
-    """The companion pair (A, B) of the pencil."""
+def linearize(p: QuadraticPencil) -> tuple[np.ndarray, np.ndarray]:
+    """The companion pair ``(A, B)`` of the pencil."""
     n = p.n
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     A = np.block([[-p.D, -p.K], [eye, zero]])
     B = np.block([[p.M, zero], [zero, eye]])
-    return LinearPencil(A, B)
+    return A, B
+
+
+def companion_matrix(p: QuadraticPencil) -> np.ndarray:
+    """The companion matrix ``B^{-1} A = [[-M^{-1} D, -M^{-1} K], [I, 0]]``.
+
+    Only ``M`` is factored, since the lower-right block of ``B`` is ``I``.
+
+    Raises:
+        Singular: if M fails the pivot threshold of ``solve_linear``.
+    """
+    n = p.n
+    top = solve_linear(p.M, np.hstack([-p.D, -p.K]))
+    eye = np.eye(n, dtype=np.complex128)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    return np.block([[top], [eye, zero]])
 
 
 def stack_vector(lam: complex, x) -> np.ndarray:

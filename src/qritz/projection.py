@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyList, IndefiniteMass, NotOrthonormal, Singular
-from .kernels import as_matrix, clustered_flags, orthonormality_defect
+from .errors import IndefiniteMass, NotOrthonormal, Singular
+from .kernels import as_matrix, clustered_flags, require_orthonormal
 from .pencil import QuadraticPencil, qep_residual
 from .solver import solve_full
-
-#: Admission tolerance for ||Q^H Q - I|| on projection bases.
-BASIS_TOL = 1e-12
 
 #: Ritz values closer than this (relative to max |mu|) are flagged clustered:
 #: the associated coefficient vectors are ill-posed and essentially arbitrary.
@@ -76,7 +73,7 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
     """Project the pencil onto span{Q} for orthonormal ``Q``.
 
     Raises:
-        NotOrthonormal: if ``||Q^H Q - I|| > BASIS_TOL``.
+        NotOrthonormal: if ``||Q^H Q - I|| > kernels.BASIS_TOL``.
     """
     Q = as_matrix(Q, "Q")
     n, m = Q.shape
@@ -84,9 +81,7 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
         raise NotOrthonormal(f"basis has {n} rows but the pencil has dimension {p.n}")
     if m > n:
         raise NotOrthonormal(f"basis has more columns ({m}) than rows ({n})")
-    defect = orthonormality_defect(Q)
-    if defect > BASIS_TOL:
-        raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
+    require_orthonormal(Q)
     if not p.hermitian_pd:
         warnings.warn(
             "mass matrix not verified Hermitian positive definite; "
@@ -133,18 +128,6 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
             )
         )
     return out
-
-
-def select_ritz(pairs: list[RitzPair], target: complex) -> RitzPair:
-    """The Ritz pair nearest the target; ties as in ``select_eigenpair``."""
-    if not pairs:
-        raise EmptyList("no Ritz pairs to select from")
-    target = complex(target)
-    best = min(
-        enumerate(pairs),
-        key=lambda iv: (abs(iv[1].value - target), iv[1].residual_norm, iv[0]),
-    )
-    return best[1]
 
 
 def galerkin_defect(pp: ProjectedPencil, p: QuadraticPencil, pair: RitzPair) -> float:

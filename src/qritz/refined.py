@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import vector_angle
-from .errors import AmbiguousMinimizer, NotOrthonormal
-from .kernels import as_matrix, as_vector, orthonormality_defect, _right_singulars
+from .errors import AmbiguousMinimizer
+from .kernels import as_matrix, as_vector, require_orthonormal, _right_singulars
 from .pencil import QuadraticPencil
-from .projection import BASIS_TOL, project, ritz_pairs, select_ritz
+from .projection import project, ritz_pairs
+from .solver import select_eigenpair
 
 #: Relative gap under which the two smallest singular values are considered
 #: coincident and the minimizer reported as non-unique.
@@ -67,9 +68,7 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
     mu = complex(mu)
     if not np.isfinite([mu.real, mu.imag]).all():
         raise ValueError("mu must be finite")
-    defect = orthonormality_defect(Q)
-    if defect > BASIS_TOL:
-        raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
+    require_orthonormal(Q)
     image = p.image(Q)
     s, V = _right_singulars(image.reduced(mu))
     m = Q.shape[1]
@@ -100,7 +99,7 @@ def compare_extractions(p: QuadraticPencil, Q, mu: complex, x1) -> ExtractionCom
     """
     x1 = as_vector(x1, "x1")
     pp = project(p, Q)
-    pair = select_ritz(ritz_pairs(pp, p), mu)
+    pair = select_eigenpair(ritz_pairs(pp, p), mu)
     ref = refined_ritz(p, Q, mu)
     return ExtractionComparison(
         ritz_angle=vector_angle(x1, pair.vector).sin,

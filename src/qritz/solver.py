@@ -1,8 +1,8 @@
 """Full dense solution of a quadratic eigenproblem via its linearization.
 
 Intended for desk-scale ground truth: all 2n eigenpairs are obtained from the
-standard eigenproblem ``B^{-1} A``, formed explicitly with n solves against
-the mass matrix.
+standard eigenproblem of the companion matrix ``B^{-1} A``, formed explicitly
+with n solves against the mass matrix (``pencil.companion_matrix``).
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 
 from .errors import EmptyList, IndefiniteMass
-from .kernels import eig_standard, solve_linear
-from .pencil import Eigenpair, QuadraticPencil, qep_residual
+from .kernels import eig_standard
+from .pencil import Eigenpair, QuadraticPencil, companion_matrix, qep_residual
 
 #: When the lower block of a linearized eigenvector is smaller than this, the
 #: eigenvalue is huge in magnitude and the upper block carries the vector.
@@ -47,32 +47,31 @@ def solve_full(p: QuadraticPencil) -> list[Eigenpair]:
             IndefiniteMass,
             stacklevel=2,
         )
-    n = p.n
-    # B^{-1} A = [[-M^{-1}D, -M^{-1}K], [I, 0]] since B's lower-right block is I.
-    top = solve_linear(p.M, np.hstack([-p.D, -p.K]))
-    bottom = np.hstack([np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)])
-    C = np.vstack([top, bottom])
     out = []
-    for lam, v in eig_standard(C):
-        x = _extract_vector(v, n)
+    for lam, v in eig_standard(companion_matrix(p)):
+        x = _extract_vector(v, p.n)
         _, rn = qep_residual(p, lam, x)
         out.append(Eigenpair(value=lam, vector=x, residual_norm=rn))
     return out
 
 
-def select_eigenpair(pairs: list[Eigenpair], target: complex) -> Eigenpair:
-    """The pair minimizing ``|lam - target|``.
+def nearest_first(pairs: list, target: complex) -> list:
+    """The pairs ordered by ``|value - target|``, nearest first.
 
-    Ties break toward the smaller residual norm, then the earlier index.
+    Works on any pair with ``.value`` and ``.residual_norm`` (``Eigenpair``,
+    ``RitzPair``).  Ties break toward the smaller residual norm, then the
+    earlier index (the sort is stable).
+    """
+    target = complex(target)
+    return sorted(pairs, key=lambda ep: (abs(ep.value - target), ep.residual_norm))
+
+
+def select_eigenpair(pairs: list, target: complex):
+    """The first pair of ``nearest_first(pairs, target)``.
 
     Raises:
         EmptyList: if ``pairs`` is empty.
     """
     if not pairs:
         raise EmptyList("no eigenpairs to select from")
-    target = complex(target)
-    best = min(
-        enumerate(pairs),
-        key=lambda iv: (abs(iv[1].value - target), iv[1].residual_norm, iv[0]),
-    )
-    return best[1]
+    return nearest_first(pairs, target)[0]

@@ -22,25 +22,6 @@ BREAKDOWN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SubspaceSpec:
-    """Declarative description of how a study subspace is built."""
-
-    kind: str  # "perturbed-eigenvector" | "second-order-krylov"
-    dim: int
-    epsilon: float = 0.0
-    seed: int = 0
-    target: complex = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("perturbed-eigenvector", "second-order-krylov"):
-            raise ValueError(f"unknown subspace kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
-
-
-@dataclass(frozen=True)
 class KrylovBasis:
     """Orthonormal basis plus a flag set when the recurrence broke down early."""
 
@@ -75,19 +56,6 @@ def perturbed_subspace(x1, companions, epsilon: float, seed: int) -> np.ndarray:
     rng = generator(seed)
     noise = rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape)
     return orthonormalize(base + epsilon * noise)
-
-
-def build_subspace(spec: SubspaceSpec, p: QuadraticPencil, x1, companions=None) -> np.ndarray:
-    """Materialize a basis from its declarative description.
-
-    ``perturbed-eigenvector`` needs ``companions`` (n x (dim-1));
-    ``second-order-krylov`` starts the recurrence at ``x1`` and ignores them.
-    """
-    if spec.kind == "perturbed-eigenvector":
-        if companions is None:
-            companions = np.zeros((np.asarray(x1).size, spec.dim - 1))
-        return perturbed_subspace(x1, companions, spec.epsilon, spec.seed)
-    return second_order_krylov(p, x1, spec.dim, spec.target).basis
 
 
 def second_order_krylov(

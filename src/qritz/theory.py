@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import Angle, stacked_subspace_angle, subspace_angle, vector_angle
+from .angles import subspace_angle, vector_angle
 from .errors import (
     BadNorm,
     NotAnEigenpair,
@@ -32,9 +32,9 @@ from .errors import (
     ZeroBv,
     ZeroEigenvalue,
 )
-from .kernels import as_matrix, as_vector, spectral_norm, solve_linear, unitary_completion
-from .pencil import QuadraticPencil, linearize, stack_vector
-from .projection import ProjectedPencil, project, ritz_pairs, select_ritz
+from .kernels import as_matrix, as_vector, spectral_norm, unitary_completion
+from .pencil import QuadraticPencil, companion_matrix, linearize, stack_vector
+from .projection import ProjectedPencil, project, ritz_pairs
 from .refined import refined_ritz
 from .solver import select_eigenpair, solve_full
 
@@ -169,17 +169,6 @@ def sep(mu: complex, L, N) -> float:
     return float(sv[-1])
 
 
-def residual_angle_bound(r_norm: float, sep_val: float) -> float:
-    """The eigenvector angle bound ``||r|| / sep``; +inf when sep vanishes."""
-    if r_norm < 0.0 or sep_val < 0.0:
-        raise ValueError("r_norm and sep_val must be nonnegative")
-    if r_norm == 0.0:
-        return 0.0
-    if sep_val <= SEP_FLOOR * r_norm:
-        return math.inf
-    return r_norm / sep_val
-
-
 def perturbation_triple(
     p: QuadraticPencil, pp: ProjectedPencil, lam1: complex, x1
 ) -> PerturbationTriple:
@@ -213,20 +202,11 @@ def perturbation_triple(
     return PerturbationTriple(EM=EM, ED=ED, EK=EK, norm_bounds=(bound_m, bound_d, bound_k))
 
 
-def _companion_blocks(M: np.ndarray, D: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = M.shape[0]
-    eye = np.eye(m, dtype=np.complex128)
-    zero = np.zeros((m, m), dtype=np.complex128)
-    A = np.block([[-D, -K], [eye, zero]])
-    B = np.block([[M, zero], [zero, eye]])
-    return A, B
-
-
 def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
     """Eigenvalue-distance bound between the projected pencil and its perturbation.
 
     Forms the companion matrices ``C = Bh^{-1} Ah`` of the projected pencil
-    and ``Ct`` of the perturbed one and returns
+    and ``Ct`` of the perturbed one (``pencil.companion_matrix``) and returns
 
         (||C|| + ||Ct||)^(1 - 1/(2m)) * ||C - Ct||^(1/(2m)),
 
@@ -234,17 +214,14 @@ def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
     nearest Ritz value.
 
     Raises:
-        Singular: if either companion mass block fails the pivot threshold.
+        Singular: if either projected mass matrix fails the pivot threshold.
     """
     inner = pp.pencil
-    m = inner.n
-    Ah, Bh = _companion_blocks(inner.M, inner.D, inner.K)
-    At, Bt = _companion_blocks(inner.M + pert.EM, inner.D + pert.ED, inner.K + pert.EK)
-    C = solve_linear(Bh, Ah)
-    Ct = solve_linear(Bt, At)
+    C = companion_matrix(inner)
+    Ct = companion_matrix(QuadraticPencil(inner.M + pert.EM, inner.D + pert.ED, inner.K + pert.EK))
     gap = spectral_norm(C - Ct)
     total = spectral_norm(C) + spectral_norm(Ct)
-    k = 2 * m
+    k = 2 * inner.n
     return float(total ** (1.0 - 1.0 / k) * gap ** (1.0 / k))
 
 
@@ -328,8 +305,8 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
     mu = complex(mu)
     qz = Q @ z
     w = np.concatenate([mu * qz, qz])
-    lp = linearize(p)
-    lhs = float(np.linalg.norm(lp.A @ w - mu * (lp.B @ w)))
+    A, B = linearize(p)
+    lhs = float(np.linalg.norm(A @ w - mu * (B @ w)))
     rhs = float(np.linalg.norm(mu * (mu * (p.M @ qz) + p.D @ qz) + p.K @ qz))
     scale = max(1.0, p.residual_scale(mu))
     return bool(abs(lhs - rhs) <= 1e-12 * scale)
@@ -365,7 +342,7 @@ def full_diagnostics(
     sel = None
     try:
         pairs = ritz_pairs(pp, p)
-        sel = select_ritz(pairs, lam1)
+        sel = select_eigenpair(pairs, lam1)
         mu1 = sel.value
         ritz_err = abs(mu1 - lam1)
         ritz_angle = vector_angle(x1, sel.vector).sin
@@ -384,12 +361,12 @@ def full_diagnostics(
         except QritzError:
             pass
 
-    lp = linearize(p)
+    A, B = linearize(p)
     sep_full = None
     if mu1 is not None:
         try:
             v1 = stack_vector(lam1, x1)
-            dl = deflate(lp.A, lp.B, lam1, v1)
+            dl = deflate(A, B, lam1, v1)
             sep_full = sep(mu1, dl.L, dl.N)
         except QritzError:
             pass
@@ -397,9 +374,8 @@ def full_diagnostics(
     sep_projected = None
     if sel is not None:
         try:
-            Ah, Bh = _companion_blocks(pp.mhat, pp.dhat, pp.khat)
             vh = stack_vector(mu1, sel.coeff)
-            dl_proj = deflate(Ah, Bh, mu1, vh)
+            dl_proj = deflate(*linearize(pp.pencil), mu1, vh)
             sep_projected = sep(lam1, dl_proj.L, dl_proj.N)
         except QritzError:
             pass
@@ -417,8 +393,9 @@ def full_diagnostics(
 
     bound_refined = None
     if sep_full is not None and mu1 is not None:
-        norm_b = spectral_norm(lp.B)
-        norm_a_minus = spectral_norm(lp.A - mu1 * lp.B)
+        # ||diag(M, I)|| = max(||M||, 1).
+        norm_b = max(p.m0, 1.0)
+        norm_a_minus = spectral_norm(A - mu1 * B)
         bound_refined = refined_vector_bound(
             lam1, mu1, norm_b, norm_a_minus, theta.radians, sep_full
         )

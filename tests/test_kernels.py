@@ -7,7 +7,6 @@ from qritz.kernels import (
     eig_standard,
     orthonormalize,
     orthonormality_defect,
-    smallest_right_singular,
     solve_linear,
     spectral_norm,
     svd,
@@ -160,31 +159,6 @@ class TestSvd:
         np.fill_diagonal(S, s)
         assert spectral_norm(G - U @ S @ V.conj().T) <= 1e-12 * spectral_norm(G)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-
-class TestSmallestRightSingular:
-    def test_diagonal(self):
-        sigma, v = smallest_right_singular(np.diag([2.0, 0.5]))
-        assert sigma == pytest.approx(0.5, abs=1e-14)
-        assert abs(abs(v[1]) - 1.0) <= 1e-13
-
-    def test_exact_null_vector(self):
-        # Column one of G is zero: the minimizer is e1 with sigma 0.
-        G = np.array([[0.0, 6.0], [0.0, 16.0], [0.0, 0.0]]) / np.sqrt(73.0)
-        sigma, v = smallest_right_singular(G)
-        assert sigma <= 1e-14
-        assert abs(abs(v[0]) - 1.0) <= 1e-12
-
-    def test_global_minimality_probes(self, g):
-        G = cnormal(g, 6, 4)
-        sigma, v = smallest_right_singular(G)
-        gv = np.linalg.norm(G @ v)
-        scale = spectral_norm(G)
-        assert abs(gv - sigma) <= 1e-12 * scale
-        for _ in range(50):
-            z = cnormal(g, 4)
-            z = z / np.linalg.norm(z)
-            assert gv <= np.linalg.norm(G @ z) + 1e-10 * scale
 
 
 class TestUnitaryCompletion:

@@ -6,8 +6,8 @@ from qritz.builtin import example31_pencil
 from qritz.errors import BadNorm, DimensionMismatch
 from qritz.kernels import eig_standard, solve_linear, spectral_norm
 from qritz.pencil import (
-    LinearPencil,
     QuadraticPencil,
+    companion_matrix,
     linearize,
     qep_residual,
     shift,
@@ -103,41 +103,51 @@ class TestShift:
 class TestLinearize:
     def test_scalar_blocks(self):
         p = QuadraticPencil(np.eye(1), np.zeros((1, 1)), -np.eye(1))
-        lp = linearize(p)
-        assert np.array_equal(lp.A, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(lp.B, np.eye(2))
+        A, B = linearize(p)
+        assert np.array_equal(A, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(B, np.eye(2))
 
     def test_builtin_eigenpair_relation(self):
         p = example31_pencil()
-        lp = linearize(p)
+        A, B = linearize(p)
         x = np.array([0.0, 0.0, 1.0])
         w = np.concatenate([1.0 * x, x])
-        assert np.linalg.norm(lp.A @ w - 1.0 * (lp.B @ w)) <= 1e-13
-
-    def test_block_layout_enforced(self):
-        A = np.zeros((4, 4))
-        with pytest.raises(DimensionMismatch):
-            LinearPencil(A, np.eye(4))
+        assert np.linalg.norm(A @ w - 1.0 * (B @ w)) <= 1e-13
 
     @pytest.mark.parametrize("seed", range(3))
     def test_eigenpair_relation_random(self, seed):
         g = rng(seed + 1000)
         p = random_pencil(g, 4)
-        lp = linearize(p)
+        A, B = linearize(p)
         for ep in solve_full(p):
             w = np.concatenate([ep.value * ep.vector, ep.vector])
-            scale = spectral_norm(lp.A) + abs(ep.value) * spectral_norm(lp.B)
-            assert np.linalg.norm(lp.A @ w - ep.value * (lp.B @ w)) <= 1e-11 * scale
+            scale = spectral_norm(A) + abs(ep.value) * spectral_norm(B)
+            assert np.linalg.norm(A @ w - ep.value * (B @ w)) <= 1e-11 * scale
 
     def test_spectral_equivalence(self, g):
         # The 2n eigenvalues of (A, B) match the full quadratic solve.
         p = random_pencil(g, 3)
-        lp = linearize(p)
-        C = solve_linear(lp.B, lp.A)
+        A, B = linearize(p)
+        C = solve_linear(B, A)
         from_gep = sorted((v for v, _ in eig_standard(C)), key=lambda z: (z.real, z.imag))
         from_qep = sorted_values(solve_full(p))
         for a, b in zip(from_gep, from_qep):
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+class TestCompanionMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_solve_against_linearization(self, n, seed):
+        # B^{-1} A from one n x n solve against M equals the 2n x 2n solve
+        # against B, for HPD and for general nonsingular mass matrices.
+        g = rng(seed + 1700)
+        for hpd in (True, False):
+            p = random_pencil(g, n, hpd_mass=hpd)
+            A, B = linearize(p)
+            C = companion_matrix(p)
+            assert C.shape == (2 * n, 2 * n)
+            assert spectral_norm(C - solve_linear(B, A)) <= 1e-13 * spectral_norm(C)
 
 
 class TestStackVector:

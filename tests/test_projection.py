@@ -15,7 +15,6 @@ from qritz.projection import (
     galerkin_defect,
     project,
     ritz_pairs,
-    select_ritz,
 )
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
@@ -116,7 +115,7 @@ class TestRitzPairs:
         ))
         Q = orthonormalize(np.column_stack([ep.vector, cnormal(g, 5, 2)]))
         ritz = ritz_pairs(project(p, Q), p)
-        sel = select_ritz(ritz, ep.value)
+        sel = select_eigenpair(ritz, ep.value)
         assert abs(sel.value - ep.value) <= 1e-8
         if not sel.clustered:
             assert vector_angle(sel.vector, ep.vector).sin <= 1e-9
@@ -127,18 +126,18 @@ class TestSelectRitz:
         p = random_pencil(g, 2)
         pp = project(p, orthonormalize(cnormal(g, 2, 1)))
         pairs = ritz_pairs(pp, p)
-        assert select_ritz(pairs[:1], 0.0) is pairs[0]
+        assert select_eigenpair(pairs[:1], 0.0) is pairs[0]
 
     def test_distance_rule(self, g):
         p = random_pencil(g, 3)
         pairs = ritz_pairs(project(p, np.eye(3)), p)
         target = 1.0 + 0.5j
-        sel = select_ritz(pairs, target)
+        sel = select_eigenpair(pairs, target)
         assert abs(sel.value - target) == min(abs(rp.value - target) for rp in pairs)
 
     def test_builtin_exact_subspace_clustered_choice(self):
         p = example31_pencil()
         pairs = ritz_pairs(project(p, example31_basis()), p)
-        sel = select_ritz(pairs, 1.0)
+        sel = select_eigenpair(pairs, 1.0)
         assert abs(sel.value - 1.0) <= 1e-12
         assert sel.clustered

@@ -94,9 +94,7 @@ class TestRefinedRitz:
 
 
 def select_eigenpair_ritz(p, Q):
-    from qritz.projection import select_ritz
-
-    return select_ritz(ritz_pairs(project(p, Q), p), 1.0).value
+    return select_eigenpair(ritz_pairs(project(p, Q), p), 1.0).value
 
 
 def scaled_pencil(g, n):

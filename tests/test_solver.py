@@ -59,8 +59,8 @@ def test_matches_generalized_eigenvalues(seed):
     g = rng(seed + 1100)
     n = int(g.integers(2, 7))
     p = random_pencil(g, n)
-    lp = linearize(p)
-    C = solve_linear(lp.B, lp.A)
+    A, B = linearize(p)
+    C = solve_linear(B, A)
     gep = sorted((v for v, _ in eig_standard(C)), key=lambda z: (z.real, z.imag))
     qep = sorted((ep.value for ep in solve_full(p)), key=lambda z: (z.real, z.imag))
     for a, b in zip(gep, qep):
@@ -69,11 +69,11 @@ def test_matches_generalized_eigenvalues(seed):
 
 def test_stacked_vectors_satisfy_pencil_relation(g):
     p = random_pencil(g, 4)
-    lp = linearize(p)
+    A, B = linearize(p)
     for ep in solve_full(p):
         w = np.concatenate([ep.value * ep.vector, ep.vector])
-        scale = (np.linalg.norm(lp.A, 2) + abs(ep.value) * np.linalg.norm(lp.B, 2)) * np.linalg.norm(w)
-        assert np.linalg.norm(lp.A @ w - ep.value * (lp.B @ w)) <= 1e-9 * scale
+        scale = (np.linalg.norm(A, 2) + abs(ep.value) * np.linalg.norm(B, 2)) * np.linalg.norm(w)
+        assert np.linalg.norm(A @ w - ep.value * (B @ w)) <= 1e-9 * scale
 
 
 class TestSelect:

@@ -10,39 +10,11 @@ from qritz.pencil import QuadraticPencil
 from qritz.projection import project, ritz_pairs
 from qritz.solver import solve_full
 from qritz.subspace import (
-    SubspaceSpec,
-    build_subspace,
     perturbed_subspace,
     second_order_krylov,
 )
 
 X1 = example31_eigenvector()
-
-
-class TestSubspaceSpec:
-    def test_valid(self):
-        spec = SubspaceSpec(kind="perturbed-eigenvector", dim=2, epsilon=1e-8, seed=3)
-        assert spec.dim == 2
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            SubspaceSpec(kind="qr-sweep", dim=2)
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            SubspaceSpec(kind="second-order-krylov", dim=2, epsilon=-1.0)
-
-    def test_build_dispatch(self):
-        p = example31_pencil()
-        spec = SubspaceSpec(kind="perturbed-eigenvector", dim=2, epsilon=1e-8, seed=3)
-        Q = build_subspace(spec, p, X1, example31_basis()[:, 1:])
-        assert np.array_equal(
-            Q, perturbed_subspace(X1, example31_basis()[:, 1:], 1e-8, 3)
-        )
-        spec2 = SubspaceSpec(kind="second-order-krylov", dim=2, seed=0, target=0.9)
-        Q2 = build_subspace(spec2, p, np.array([0.0, 0.0, 1.0]))
-        assert Q2.shape == (3, 2)
-        assert orthonormality_defect(Q2) <= 1e-12
 
 
 class TestPerturbedSubspace:
