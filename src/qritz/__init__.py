@@ -57,10 +57,12 @@ from .theory import (
     Deflation,
     DiagnosticsReport,
     PerturbationTriple,
+    Reference,
     deflate,
     elsner_bound,
     full_diagnostics,
     perturbation_triple,
+    reference,
     refined_residual_identity_check,
     refined_vector_bound,
     ritz_vector_bound,
@@ -94,6 +96,7 @@ __all__ = [
     "QritzWarning",
     "QuadraticPencil",
     "RankDeficient",
+    "Reference",
     "RefinedRitz",
     "RitzPair",
     "Singular",
@@ -115,6 +118,7 @@ __all__ = [
     "project",
     "qep_residual",
     "read_matrix_market",
+    "reference",
     "refined_residual_identity_check",
     "refined_ritz",
     "refined_vector_bound",

@@ -24,7 +24,7 @@ from .kernels import orthonormalize, require_orthonormal
 from .pencil import QuadraticPencil
 from .solver import nearest_first, select_eigenpair, solve_full
 from .study import format_float
-from .theory import full_diagnostics
+from .theory import full_diagnostics, reference
 
 #: Reference eigenpairs are computed by full solve only up to this dimension.
 FULL_SOLVE_LIMIT = 50
@@ -105,7 +105,7 @@ def _cmd_project(args) -> int:
             ) from exc
         Q = orthonormalize(Q)
     if p.n <= FULL_SOLVE_LIMIT:
-        rep = full_diagnostics(p, Q, args.target)
+        rep = full_diagnostics(reference(p, args.target), Q)
         print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)}")
         print(f"reference lambda   = {fmt_complex(rep.ref_value)}")
         print(f"sin_theta1         = {format_float(rep.sin_theta1)}")

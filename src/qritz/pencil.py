@@ -190,8 +190,13 @@ def companion_matrix(p: QuadraticPencil) -> np.ndarray:
     Raises:
         Singular: if M fails the pivot threshold of ``solve_linear``.
     """
-    n = p.n
-    top = solve_linear(p.M, np.hstack([-p.D, -p.K]))
+    return _companion(p.M, p.D, p.K)
+
+
+def _companion(M: np.ndarray, D: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``companion_matrix`` of the raw blocks, for callers that hold no pencil."""
+    n = M.shape[0]
+    top = solve_linear(M, np.hstack([-D, -K]))
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     return np.block([[top], [eye, zero]])

@@ -21,7 +21,7 @@ from .kernels import as_vector
 from .pencil import QuadraticPencil
 from .solver import select_eigenpair, solve_full
 from .subspace import perturbed_subspace
-from .theory import DiagnosticsReport, full_diagnostics
+from .theory import DiagnosticsReport, full_diagnostics, reference
 
 #: Ritz-vector stagnation factor: angle > RITZ_FACTOR * sin(theta1).
 RITZ_FACTOR = 100.0
@@ -167,14 +167,16 @@ def run_study(
     case: StudyCase, eps_list: list[float], seed: int
 ) -> tuple[list[StudyRow], list[str]]:
     """One diagnostics row and verdict per epsilon; failures mark their row
-    with NaN columns and the run continues."""
+    with NaN columns and the run continues.  The reference pair is deflated
+    once, before the first row."""
     ref_vector = as_vector(case.ref_vector, "ref_vector")
+    ref = reference(case.pencil, case.ref_value, x1_ref=ref_vector)
     rows = []
     verdicts = []
     for i, eps in enumerate(eps_list):
         try:
             Q = perturbed_subspace(ref_vector, case.companions, eps, row_seed(seed, i))
-            rep = full_diagnostics(case.pencil, Q, case.ref_value, x1_ref=ref_vector)
+            rep = full_diagnostics(ref, Q)
             row = row_from_report(eps, rep)
         except QritzError:
             row = failed_row(eps)

@@ -11,6 +11,10 @@ one search space span{Q}:
 * how close the refined vector is, conditional only on separation in the
   full-size pencil, which holds whenever ``lam1`` is simple.
 
+``reference`` fixes the target pair of one pencil and deflates it from the
+full companion pair once; ``full_diagnostics`` reads that ``Reference`` for
+each search space.
+
 ``sep(mu, (L, N)) = sigma_min(L - mu N)`` throughout; a vanishing ``sep``
 voids the corresponding hypothesis, which is reported as an infinite bound
 rather than an exception so sweep tables stay rectangular.
@@ -33,7 +37,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .kernels import as_matrix, as_vector, spectral_norm, unitary_completion
-from .pencil import QuadraticPencil, companion_matrix, linearize, stack_vector
+from .pencil import QuadraticPencil, _companion, companion_matrix, linearize, stack_vector
 from .projection import ProjectedPencil, project, ritz_pairs
 from .refined import refined_ritz
 from .solver import select_eigenpair, solve_full
@@ -114,6 +118,48 @@ class DiagnosticsReport:
     elsner_bound: float | None
     ritz_vector_bound: float | None
     refined_vector_bound: float | None
+
+
+@dataclass(frozen=True)
+class Reference:
+    """The reference eigenpair of one pencil and its full-size deflation.
+
+    Nothing here depends on the search space, so a study builds one
+    ``Reference`` and passes it to ``full_diagnostics`` for every basis.
+    ``(A, B)`` is the companion pair of ``pencil``; ``deflation`` deflates
+    ``(value, [value x; x])`` from it, or is None when that pair is not an
+    eigenpair of ``(A, B)`` to ``EIGPAIR_TOL``, in which case the refined
+    bound is left unset.
+    """
+
+    pencil: QuadraticPencil
+    value: complex
+    vector: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    deflation: Deflation | None
+
+
+def reference(p: QuadraticPencil, target: complex, x1_ref=None) -> Reference:
+    """The reference eigenpair for ``full_diagnostics`` and its full-size deflation.
+
+    When ``x1_ref`` is given, ``(target, x1_ref)`` is taken as the reference
+    eigenpair; otherwise the reference is the full-solve eigenpair nearest
+    ``target``.  A failed deflation is stored as None, not raised.
+    """
+    if x1_ref is not None:
+        lam1 = complex(target)
+        x1 = as_vector(x1_ref, "x1_ref")
+        x1 = x1 / np.linalg.norm(x1)
+    else:
+        ep = select_eigenpair(solve_full(p), target)
+        lam1, x1 = ep.value, ep.vector
+    A, B = linearize(p)
+    try:
+        dl = deflate(A, B, lam1, stack_vector(lam1, x1))
+    except QritzError:
+        dl = None
+    return Reference(pencil=p, value=lam1, vector=x1, A=A, B=B, deflation=dl)
 
 
 def deflate(A, B, lam: complex, v) -> Deflation:
@@ -218,7 +264,7 @@ def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
     """
     inner = pp.pencil
     C = companion_matrix(inner)
-    Ct = companion_matrix(QuadraticPencil(inner.M + pert.EM, inner.D + pert.ED, inner.K + pert.EK))
+    Ct = _companion(inner.M + pert.EM, inner.D + pert.ED, inner.K + pert.EK)
     gap = spectral_norm(C - Ct)
     total = spectral_norm(C) + spectral_norm(Ct)
     k = 2 * inner.n
@@ -312,24 +358,15 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
     return bool(abs(lhs - rhs) <= 1e-12 * scale)
 
 
-def full_diagnostics(
-    p: QuadraticPencil, Q, target: complex, x1_ref=None
-) -> DiagnosticsReport:
-    """Assemble every diagnostic for one reference eigenpair and one basis.
+def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
+    """Assemble every diagnostic for the reference eigenpair ``ref`` and one basis.
 
-    When ``x1_ref`` is given, ``(target, x1_ref)`` is taken as the reference
-    eigenpair; otherwise the reference is the full-solve eigenpair nearest
-    ``target``.  Stages that fail leave their fields None while independent
-    fields are still filled.
+    Stages that fail leave their fields None while independent fields are
+    still filled.
     """
     Q = as_matrix(Q, "Q")
-    if x1_ref is not None:
-        lam1 = complex(target)
-        x1 = as_vector(x1_ref, "x1_ref")
-        x1 = x1 / np.linalg.norm(x1)
-    else:
-        ref = select_eigenpair(solve_full(p), target)
-        lam1, x1 = ref.value, ref.vector
+    p = ref.pencil
+    lam1, x1 = ref.value, ref.vector
 
     theta = subspace_angle(Q, x1)
     pp = project(p, Q)
@@ -361,15 +398,9 @@ def full_diagnostics(
         except QritzError:
             pass
 
-    A, B = linearize(p)
     sep_full = None
-    if mu1 is not None:
-        try:
-            v1 = stack_vector(lam1, x1)
-            dl = deflate(A, B, lam1, v1)
-            sep_full = sep(mu1, dl.L, dl.N)
-        except QritzError:
-            pass
+    if mu1 is not None and ref.deflation is not None:
+        sep_full = sep(mu1, ref.deflation.L, ref.deflation.N)
 
     sep_projected = None
     if sel is not None:
@@ -395,7 +426,7 @@ def full_diagnostics(
     if sep_full is not None and mu1 is not None:
         # ||diag(M, I)|| = max(||M||, 1).
         norm_b = max(p.m0, 1.0)
-        norm_a_minus = spectral_norm(A - mu1 * B)
+        norm_a_minus = spectral_norm(ref.A - mu1 * ref.B)
         bound_refined = refined_vector_bound(
             lam1, mu1, norm_b, norm_a_minus, theta.radians, sep_full
         )

@@ -8,7 +8,6 @@ All randomness is pinned to the fixed seeds below.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import cnormal, isolated_eigenpair, random_pencil, rng, run_cli
 from qritz.angles import subspace_angle, vector_angle
@@ -26,7 +25,6 @@ from qritz.kernels import (
     spectral_norm,
     svd,
 )
-from qritz.pencil import stack_vector
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
 from qritz.solver import solve_full
@@ -35,6 +33,7 @@ from qritz.subspace import perturbed_subspace
 from qritz.theory import (
     full_diagnostics,
     perturbation_triple,
+    reference,
     refined_residual_identity_check,
     stacked_angle_inequality_check,
 )
@@ -85,7 +84,7 @@ def test_criterion_2_perturbed_subspace_contrast():
     start = time.perf_counter()
     p = example31_pencil()
     Q = perturbed_subspace(X1, example31_basis()[:, 1:], 1e-12, seed=SEED_PERTURBED)
-    rep = full_diagnostics(p, Q, 1.0, x1_ref=X1)
+    rep = full_diagnostics(reference(p, 1.0, x1_ref=X1), Q)
 
     assert rep.ritz_value_error <= 1e-8
     assert rep.refined_angle <= 100.0 * rep.sin_theta1
@@ -118,7 +117,7 @@ def _domination_instance(index: int):
     )
     if not 1e-10 <= subspace_angle(Q, case.ref_vector).sin <= 1e-2:
         return None
-    return full_diagnostics(p, Q, case.ref_value, x1_ref=case.ref_vector)
+    return full_diagnostics(reference(p, case.ref_value, x1_ref=case.ref_vector), Q)
 
 
 def test_criterion_3_bound_domination():

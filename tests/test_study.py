@@ -1,19 +1,44 @@
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from conftest import random_pencil, rng
-from qritz.solver import solve_full
+from qritz import theory
+from qritz.angles import subspace_angle, vector_angle
+from qritz.errors import NotAnEigenpair
+from qritz.kernels import spectral_norm
+from qritz.pencil import linearize, stack_vector
+from qritz.projection import project, ritz_pairs
+from qritz.refined import refined_ritz
+from qritz.solver import select_eigenpair, solve_full
 from qritz.study import (
     STUDY_COLUMNS,
+    StudyCase,
     StudyRow,
     builtin_case,
     case_from_pencil,
     format_float,
+    row_seed,
     run_study,
     verdict,
     write_study_csv,
 )
+from qritz.subspace import perturbed_subspace
+from qritz.theory import (
+    deflate,
+    elsner_bound,
+    perturbation_triple,
+    reference,
+    refined_vector_bound,
+    ritz_vector_bound,
+    sep,
+)
+
+#: Perturbation sizes of the hoisted-reference tests.
+HOIST_EPS = [1e-2, 1e-5, 1e-8, 1e-11]
+HOIST_SEED = 9
 
 
 def test_format_float_corner_values():
@@ -103,3 +128,95 @@ def test_verdict_thresholds():
     assert verdict(stag) == "RITZ-STAGNANT REFINED-OK"
     poor = StudyRow(**{**base, "ritz_angle": 2e-6, "refined_angle": 5e-5})
     assert verdict(poor) == "RITZ-STAGNANT REFINED-POOR"
+
+
+def _hoist_case():
+    """Random HPD-mass pencil, n = 12, with a dimension-3 study case."""
+    g = rng(4242)
+    p = random_pencil(g, 12)
+    return case_from_pencil(p, complex(g.standard_normal(), g.standard_normal()), dim=3)
+
+
+def _oracle_row(case: StudyCase, eps: float, index: int) -> StudyRow:
+    """One study row recomputed from the primitives, deflating the reference
+    pair from a freshly built companion pair; the two columns that read that
+    deflation are NaN when it raises ``NotAnEigenpair``."""
+    p = case.pencil
+    lam1 = case.ref_value
+    x1 = case.ref_vector / np.linalg.norm(case.ref_vector)
+    Q = perturbed_subspace(case.ref_vector, case.companions, eps, row_seed(HOIST_SEED, index))
+    theta = subspace_angle(Q, x1)
+    pp = project(p, Q)
+    sel = select_eigenpair(ritz_pairs(pp, p), lam1)
+    mu1 = sel.value
+    rr = refined_ritz(p, Q, mu1)
+    dl_proj = deflate(*linearize(pp.pencil), mu1, stack_vector(mu1, sel.coeff))
+    sep_projected = sep(lam1, dl_proj.L, dl_proj.N)
+    A, B = linearize(p)
+    try:
+        dl = deflate(A, B, lam1, stack_vector(lam1, x1))
+    except NotAnEigenpair:
+        sep_full = bound_refined = math.nan
+    else:
+        sep_full = sep(mu1, dl.L, dl.N)
+        bound_refined = refined_vector_bound(
+            lam1, mu1, max(p.m0, 1.0), spectral_norm(A - mu1 * B), theta.radians, sep_full
+        )
+    return StudyRow(
+        epsilon=eps,
+        sin_theta=theta.sin,
+        ritz_value_err=abs(mu1 - lam1),
+        ritz_angle=vector_angle(x1, sel.vector).sin,
+        refined_angle=vector_angle(x1, rr.vector).sin,
+        ritz_residual=sel.residual_norm,
+        refined_residual=rr.residual_norm,
+        sep_projected=sep_projected,
+        sep_full=sep_full,
+        elsner_bound=elsner_bound(pp, perturbation_triple(p, pp, lam1, x1)),
+        ritz_vector_bound=ritz_vector_bound(lam1, p.m0, p.d0, p.k0, theta.radians, sep_projected),
+        refined_vector_bound=bound_refined,
+    )
+
+
+def test_hoisted_reference_matches_fresh_deflation():
+    case = _hoist_case()
+    rows, _ = run_study(case, HOIST_EPS, seed=HOIST_SEED)
+    for i, (row, eps) in enumerate(zip(rows, HOIST_EPS)):
+        expected = _oracle_row(case, eps, i)
+        assert math.isfinite(row.sep_full) and row.sep_full > 0
+        assert math.isfinite(row.refined_vector_bound)
+        # Same arithmetic on the same inputs: bit-identical, not merely close.
+        assert dataclasses.astuple(row) == dataclasses.astuple(expected)
+
+
+@pytest.mark.parametrize("wrong_vector", [False, True])
+def test_reference_deflated_once_per_study(monkeypatch, wrong_vector):
+    case = _hoist_case()
+    if wrong_vector:
+        case = dataclasses.replace(case, ref_vector=case.companions[:, 0])
+    calls = []
+
+    def counting_deflate(*args, **kwargs):
+        calls.append(args[0].shape)
+        return deflate(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "deflate", counting_deflate)
+    rows, _ = run_study(case, HOIST_EPS, seed=HOIST_SEED)
+    # One full-size deflation, then one projected (2m x 2m) deflation per row.
+    n, m = case.pencil.n, case.companions.shape[1] + 1
+    assert calls == [(2 * n, 2 * n)] + [(2 * m, 2 * m)] * len(rows)
+
+
+def test_failed_reference_deflation_keeps_rows():
+    case = _hoist_case()
+    wrong = dataclasses.replace(case, ref_vector=case.companions[:, 0])
+    ref = reference(wrong.pencil, wrong.ref_value, x1_ref=wrong.ref_vector)
+    assert ref.deflation is None
+    rows, verdicts = run_study(wrong, HOIST_EPS, seed=HOIST_SEED)
+    others = [c for c in STUDY_COLUMNS if c not in ("sep_full", "refined_vector_bound")]
+    for i, (row, eps) in enumerate(zip(rows, HOIST_EPS)):
+        assert math.isnan(row.sep_full) and math.isnan(row.refined_vector_bound)
+        assert not any(math.isnan(getattr(row, c)) for c in others)
+        expected = _oracle_row(wrong, eps, i)
+        assert [getattr(row, c) for c in others] == [getattr(expected, c) for c in others]
+    assert "FAILED" not in verdicts

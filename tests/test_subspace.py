@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import cnormal, random_pencil, rng
+from conftest import cnormal, random_pencil
 from qritz.angles import subspace_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
 from qritz.errors import RankDeficient, Singular

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cnormal, random_pencil, random_unitary, rng
+from conftest import cnormal, random_pencil, rng
 from qritz.angles import stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
 from qritz.errors import (
@@ -15,7 +15,7 @@ from qritz.errors import (
     ZeroVector,
 )
 from qritz.kernels import eig_standard, orthonormalize, solve_linear, spectral_norm
-from qritz.pencil import linearize, qep_residual, stack_vector
+from qritz.pencil import linearize, qep_residual
 from qritz.projection import project
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
@@ -24,6 +24,7 @@ from qritz.theory import (
     elsner_bound,
     full_diagnostics,
     perturbation_triple,
+    reference,
     refined_residual_identity_check,
     refined_vector_bound,
     ritz_vector_bound,
@@ -354,7 +355,7 @@ class TestRefinedResidualIdentity:
 class TestFullDiagnostics:
     def test_builtin_exact_subspace(self):
         p = example31_pencil()
-        rep = full_diagnostics(p, example31_basis(), 1.0, x1_ref=X1)
+        rep = full_diagnostics(reference(p, 1.0, x1_ref=X1), example31_basis())
         assert rep.sin_theta1 == 0.0
         assert rep.ritz_value_error <= 1e-11
         assert rep.refined_angle <= 1e-12
@@ -371,7 +372,7 @@ class TestFullDiagnostics:
                 abs(e.value - o.value) for o in pairs if abs(o.value - e.value) > 1e-9
             ),
         )
-        rep = full_diagnostics(p, np.eye(4), ep.value, x1_ref=ep.vector)
+        rep = full_diagnostics(reference(p, ep.value, x1_ref=ep.vector), np.eye(4))
         assert rep.sin_theta1 <= 1e-13
         assert rep.ritz_value_error <= 1e-10
         assert rep.ritz_angle <= 1e-8
@@ -382,7 +383,7 @@ class TestFullDiagnostics:
 
     def test_reference_computed_when_absent(self):
         p = example31_pencil()
-        rep = full_diagnostics(p, example31_basis(), 1.05)
+        rep = full_diagnostics(reference(p, 1.05), example31_basis())
         assert abs(rep.ref_value - 1.0) <= 1e-6
         assert rep.refined_angle <= 1e-6
 
@@ -394,7 +395,7 @@ class TestFullDiagnostics:
         p = QuadraticPencil(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
         Q = np.array([[1.0], [1.0]]) / np.sqrt(2)
         with pytest.warns():
-            rep = full_diagnostics(p, Q, 1.0, x1_ref=np.array([1.0, 0.0]))
+            rep = full_diagnostics(reference(p, 1.0, x1_ref=np.array([1.0, 0.0])), Q)
         assert rep.sin_theta1 == pytest.approx(1.0 / np.sqrt(2), abs=1e-12)
         assert rep.ritz_value is None
         assert rep.refined_angle is None
