@@ -45,14 +45,13 @@ from .pencil import (
     companion_matrix,
     linearize,
     qep_residual,
-    shift,
     stack_vector,
 )
 from .projection import ProjectedPencil, RitzPair, project, ritz_pairs
-from .refined import ExtractionComparison, RefinedRitz, compare_extractions, refined_ritz
+from .refined import RefinedRitz, refined_ritz
 from .solver import select_eigenpair, solve_full
 from .study import StudyRow, run_study, write_study_csv
-from .subspace import KrylovBasis, perturbed_subspace, second_order_krylov
+from .subspace import perturbed_subspace
 from .theory import (
     Deflation,
     DiagnosticsReport,
@@ -81,10 +80,8 @@ __all__ = [
     "DimensionMismatch",
     "Eigenpair",
     "EmptyList",
-    "ExtractionComparison",
     "IndefiniteMass",
     "IoFailure",
-    "KrylovBasis",
     "NoConvergence",
     "NotAnEigenpair",
     "NotOrthonormal",
@@ -106,7 +103,6 @@ __all__ = [
     "ZeroEigenvalue",
     "ZeroVector",
     "companion_matrix",
-    "compare_extractions",
     "deflate",
     "eig_standard",
     "elsner_bound",
@@ -125,10 +121,8 @@ __all__ = [
     "ritz_pairs",
     "ritz_vector_bound",
     "run_study",
-    "second_order_krylov",
     "select_eigenpair",
     "sep",
-    "shift",
     "solve_full",
     "solve_linear",
     "spectral_norm",

@@ -80,12 +80,12 @@ def golden_checks(p: QuadraticPencil | None = None, Q=None) -> list[GoldenCheck]
     checks = []
 
     pp = project(p, Q)
-    dev_mass = spectral_norm(pp.mhat - example31_projected_mass())
+    dev_mass = spectral_norm(pp.pencil.M - example31_projected_mass())
     checks.append(
         GoldenCheck("projected-mass-entries", dev_mass <= 1e-13, dev_mass, 1e-13)
     )
 
-    dev_sum = spectral_norm(pp.mhat + pp.dhat + pp.khat)
+    dev_sum = spectral_norm(pp.pencil.M + pp.pencil.D + pp.pencil.K)
     checks.append(
         GoldenCheck("projected-sum-zero", dev_sum <= 1e-13, dev_sum, 1e-13)
     )

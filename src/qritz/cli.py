@@ -22,6 +22,8 @@ from . import builtin, mmio, study
 from .errors import IoFailure, NotOrthonormal, QritzError
 from .kernels import orthonormalize, require_orthonormal
 from .pencil import QuadraticPencil
+from .projection import project, ritz_pairs
+from .refined import refined_ritz
 from .solver import nearest_first, select_eigenpair, solve_full
 from .study import format_float
 from .theory import full_diagnostics, reference
@@ -125,9 +127,6 @@ def _cmd_project(args) -> int:
         return 0
     # Too large for a trustworthy reference pair: report projection-level
     # quantities only.
-    from .projection import project, ritz_pairs
-    from .refined import refined_ritz
-
     pp = project(p, Q)
     sel = select_eigenpair(ritz_pairs(pp, p), args.target)
     print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)} (no reference)")
@@ -249,10 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except IoFailure as exc:
-        print(f"qritz: i/o failure: {exc}", file=sys.stderr)
-        return IO_EXIT
-    except OSError as exc:
+    except (IoFailure, OSError) as exc:
         print(f"qritz: i/o failure: {exc}", file=sys.stderr)
         return IO_EXIT
     except QritzError as exc:

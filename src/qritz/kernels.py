@@ -55,6 +55,19 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
+def require_unit(v, name: str) -> np.ndarray:
+    """The one unit-norm gate: ``v`` coerced by ``as_vector``.
+
+    Raises:
+        BadNorm: if ``| ||v|| - 1 | > UNIT_TOL``.
+    """
+    v = as_vector(v, name)
+    nrm = np.linalg.norm(v)
+    if abs(nrm - 1.0) > UNIT_TOL:
+        raise BadNorm(f"expected unit {name}, got norm {nrm!r}")
+    return v
+
+
 def spectral_norm(a) -> float:
     """Exact spectral norm (largest singular value); 2-norm for vectors."""
     a = np.asarray(a, dtype=np.complex128)
@@ -175,11 +188,8 @@ def unitary_completion(v) -> np.ndarray:
     Raises:
         BadNorm: if ``| ||v|| - 1 | > UNIT_TOL``.
     """
-    v = as_vector(v, "v")
+    v = require_unit(v, "v")
     k = v.size
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise BadNorm(f"expected unit vector, got norm {nrm!r}")
     if k == 1:
         return np.zeros((1, 0), dtype=np.complex128)
     # Householder QR of v: the remaining columns of the complete Q span the

@@ -1,4 +1,4 @@
-"""Quadratic pencil data model: residuals, shifting, companion linearization.
+"""Quadratic pencil data model: residuals, basis images, companion linearization.
 
 A quadratic pencil is the matrix-valued function ``P(lam) = lam^2 M + lam D + K``
 built from square complex mass/damping/stiffness matrices.  Its companion
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadNorm, DimensionMismatch
-from .kernels import UNIT_TOL, as_matrix, as_vector, solve_linear, spectral_norm
+from .errors import DimensionMismatch
+from .kernels import as_matrix, as_vector, require_unit, solve_linear, spectral_norm
 
 #: Relative tolerance for the Hermitian-positive-definite detection of M.
 HPD_TOL = 1e-12
@@ -138,11 +138,7 @@ class Eigenpair:
     residual_norm: float
 
     def __post_init__(self):
-        v = as_vector(self.vector, "vector")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > UNIT_TOL:
-            raise BadNorm(f"eigenvector norm {nrm!r} deviates from 1")
-        object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "vector", require_unit(self.vector, "eigenvector"))
 
 
 def qep_residual(p: QuadraticPencil, lam: complex, x) -> tuple[np.ndarray, float]:
@@ -156,20 +152,6 @@ def qep_residual(p: QuadraticPencil, lam: complex, x) -> tuple[np.ndarray, float
     lam = complex(lam)
     r = lam * (lam * (p.M @ x) + p.D @ x) + p.K @ x
     return r, float(np.linalg.norm(r))
-
-
-def shift(p: QuadraticPencil, tau: complex) -> QuadraticPencil:
-    """Shifted pencil with spectrum ``lam - tau`` and unchanged eigenvectors.
-
-    The transformed triple is ``(M, 2 tau M + D, tau^2 M + tau D + K)``.
-    Whether the new constant term is nonsingular is the caller's concern.
-    """
-    tau = complex(tau)
-    return QuadraticPencil(
-        p.M,
-        2.0 * tau * p.M + p.D,
-        tau * (tau * p.M + p.D) + p.K,
-    )
 
 
 def linearize(p: QuadraticPencil) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +190,6 @@ def stack_vector(lam: complex, x) -> np.ndarray:
     Raises:
         BadNorm: if ``x`` is not unit length within tolerance.
     """
-    x = as_vector(x, "x")
-    nrm = np.linalg.norm(x)
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise BadNorm(f"expected unit vector, got norm {nrm!r}")
+    x = require_unit(x, "x")
     lam = complex(lam)
     return np.concatenate([lam * x, x]) / np.sqrt(1.0 + abs(lam) ** 2)

@@ -36,22 +36,6 @@ class ProjectedPencil:
     pencil: QuadraticPencil
     basis: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return self.pencil.n
-
-    @property
-    def mhat(self) -> np.ndarray:
-        return self.pencil.M
-
-    @property
-    def dhat(self) -> np.ndarray:
-        return self.pencil.D
-
-    @property
-    def khat(self) -> np.ndarray:
-        return self.pencil.K
-
 
 @dataclass(frozen=True)
 class RitzPair:
@@ -106,7 +90,7 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
         Singular: if the projected mass matrix is numerically singular, the
             regime in which the projection method itself breaks down.
     """
-    sv = np.linalg.svd(pp.mhat, compute_uv=False)
+    sv = np.linalg.svd(pp.pencil.M, compute_uv=False)
     scale = max(sv[0], p.m0)
     if scale == 0.0 or sv[-1] < MASS_SIGMA_TOL * scale:
         raise Singular(

@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import vector_angle
 from .errors import AmbiguousMinimizer
-from .kernels import as_matrix, as_vector, require_orthonormal, _right_singulars
+from .kernels import as_matrix, require_orthonormal, _right_singulars
 from .pencil import QuadraticPencil
-from .projection import project, ritz_pairs
-from .solver import select_eigenpair
 
 #: Relative gap under which the two smallest singular values are considered
 #: coincident and the minimizer reported as non-unique.
@@ -41,16 +38,6 @@ class RefinedRitz:
     vector: np.ndarray
     sigma_min: float
     residual_norm: float
-
-
-@dataclass(frozen=True)
-class ExtractionComparison:
-    """Side-by-side accuracy of plain and refined extraction for one value."""
-
-    ritz_angle: float
-    refined_angle: float
-    ritz_residual: float
-    refined_residual: float
 
 
 def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
@@ -87,23 +74,4 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
         vector=Q @ z,
         sigma_min=float(s[-1]),
         residual_norm=image.residual_norm(mu, z),
-    )
-
-
-def compare_extractions(p: QuadraticPencil, Q, mu: complex, x1) -> ExtractionComparison:
-    """Angles to a known eigenvector and residuals for both extractions.
-
-    The Ritz pair is the one nearest ``mu`` among the 2m pairs; refined
-    extraction reuses the same ``mu``.  By minimality the refined residual
-    never exceeds the Ritz residual.
-    """
-    x1 = as_vector(x1, "x1")
-    pp = project(p, Q)
-    pair = select_eigenpair(ritz_pairs(pp, p), mu)
-    ref = refined_ritz(p, Q, mu)
-    return ExtractionComparison(
-        ritz_angle=vector_angle(x1, pair.vector).sin,
-        refined_angle=vector_angle(x1, ref.vector).sin,
-        ritz_residual=pair.residual_norm,
-        refined_residual=ref.residual_norm,
     )

@@ -19,7 +19,7 @@ from .builtin import example31_basis, example31_eigenvector, example31_pencil, E
 from .errors import QritzError
 from .kernels import as_vector
 from .pencil import QuadraticPencil
-from .solver import select_eigenpair, solve_full
+from .solver import nearest_first, select_eigenpair, solve_full
 from .subspace import perturbed_subspace
 from .theory import DiagnosticsReport, full_diagnostics, reference
 
@@ -137,11 +137,7 @@ def case_from_pencil(p: QuadraticPencil, target: complex, dim: int) -> StudyCase
     ref = select_eigenpair(pairs, target)
     chosen = [ref.vector]
     test_basis = [ref.vector]
-    rest = sorted(
-        (ep for ep in pairs if ep is not ref),
-        key=lambda ep: abs(ep.value - ref.value),
-    )
-    for ep in rest:
+    for ep in nearest_first([ep for ep in pairs if ep is not ref], ref.value):
         if len(chosen) >= dim:
             break
         w = ep.vector.copy()

@@ -1,5 +1,4 @@
-"""Search-space generators: eigenvector-plus-noise bases and a small
-second-order Krylov recurrence.
+"""Search-space generator: eigenvector-plus-noise bases.
 
 Randomness comes exclusively from the counter-based Philox 4x64 generator
 keyed by the caller's integer seed, so every basis is bit-reproducible for a
@@ -9,24 +8,9 @@ algorithm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kernels import as_matrix, as_vector, orthonormalize, solve_linear
-from .pencil import QuadraticPencil, shift
-
-#: A direction whose norm drops below this fraction of its pre-orthogonalized
-#: norm is linearly dependent on the existing basis: recurrence breakdown.
-BREAKDOWN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class KrylovBasis:
-    """Orthonormal basis plus a flag set when the recurrence broke down early."""
-
-    basis: np.ndarray
-    breakdown: bool
+from .kernels import as_matrix, as_vector, orthonormalize
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -56,41 +40,3 @@ def perturbed_subspace(x1, companions, epsilon: float, seed: int) -> np.ndarray:
     rng = generator(seed)
     noise = rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape)
     return orthonormalize(base + epsilon * noise)
-
-
-def second_order_krylov(
-    p: QuadraticPencil, start, m: int, tau: complex = 0.0
-) -> KrylovBasis:
-    """Orthonormal basis from the two-term second-order recurrence.
-
-    Works on the pencil shifted by ``tau`` (whose constant term must be
-    nonsingular) and iterates
-
-        u_next ∝ -K_tau^{-1} (D_tau u_j + M_tau u_{j-1}),
-
-    re-orthogonalizing twice against everything kept so far.  Deterministic
-    for fixed inputs.  If a new direction collapses before ``m`` columns are
-    reached, the smaller basis is returned with ``breakdown=True``.
-
-    Raises:
-        Singular: if the shifted constant term fails the pivot threshold.
-    """
-    start = as_vector(start, "start")
-    if m < 1 or m > p.n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={p.n}")
-    pt = shift(p, tau)
-    q = start / np.linalg.norm(start)
-    cols = [q]
-    q_prev = np.zeros_like(q)
-    while len(cols) < m:
-        w = -solve_linear(pt.K, pt.D @ q + pt.M @ q_prev)
-        raw = np.linalg.norm(w)
-        basis = np.column_stack(cols)
-        for _ in range(2):
-            w = w - basis @ (basis.conj().T @ w)
-        nrm = np.linalg.norm(w)
-        if raw == 0.0 or nrm <= BREAKDOWN_TOL * max(raw, 1.0):
-            return KrylovBasis(basis=basis, breakdown=True)
-        q_prev, q = q, w / nrm
-        cols.append(q)
-    return KrylovBasis(basis=np.column_stack(cols), breakdown=False)

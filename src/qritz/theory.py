@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import subspace_angle, vector_angle
+from .angles import Angle, subspace_angle, vector_angle
 from .errors import (
     BadNorm,
     NotAnEigenpair,
@@ -37,7 +37,14 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .kernels import as_matrix, as_vector, spectral_norm, unitary_completion
-from .pencil import QuadraticPencil, _companion, companion_matrix, linearize, stack_vector
+from .pencil import (
+    QuadraticPencil,
+    _companion,
+    companion_matrix,
+    linearize,
+    qep_residual,
+    stack_vector,
+)
 from .projection import ProjectedPencil, project, ritz_pairs
 from .refined import refined_ritz
 from .solver import select_eigenpair, solve_full
@@ -54,15 +61,14 @@ SEP_FLOOR = 1e-14
 class Deflation:
     """Unitary deflation of one eigenvalue from a matrix pair.
 
-    ``[y1, Y]^H A [v1, X] = [[alpha, s^H], [0, L]]`` and likewise for B with
-    ``(beta, t^H, N)``; the deflated eigenvalue is ``alpha / beta`` and the
-    complement pair ``(L, N)`` carries the remaining spectrum.
+    ``[y1, Y]^H A [v1, X] = [[alpha, *], [0, L]]`` and likewise for B with
+    ``(beta, *, N)``; the deflated eigenvalue is ``alpha / beta`` and the
+    complement pair ``(L, N)`` carries the remaining spectrum.  The
+    off-diagonal rows ``*`` enter no bound and are not formed.
     """
 
     alpha: complex
     beta: complex
-    s: np.ndarray
-    t: np.ndarray
     L: np.ndarray
     N: np.ndarray
     y1: np.ndarray
@@ -89,10 +95,6 @@ class PerturbationTriple:
     ED: np.ndarray
     EK: np.ndarray
     norm_bounds: tuple[float, float, float]
-
-
-#: Marker used in reports for fields whose computation failed.
-NOT_AVAILABLE = None
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,7 @@ def deflate(A, B, lam: complex, v) -> Deflation:
     N = Y.conj().T @ B @ X
     alpha = complex(y1.conj() @ (A @ v))
     beta = complex(y1.conj() @ Bv)
-    s = X.conj().T @ (A.conj().T @ y1)
-    t = X.conj().T @ (B.conj().T @ y1)
-    return Deflation(alpha=alpha, beta=beta, s=s, t=t, L=L, N=N, y1=y1, Y=Y, X=X)
+    return Deflation(alpha=alpha, beta=beta, L=L, N=N, y1=y1, Y=Y, X=X)
 
 
 def sep(mu: complex, L, N) -> float:
@@ -216,9 +216,12 @@ def sep(mu: complex, L, N) -> float:
 
 
 def perturbation_triple(
-    p: QuadraticPencil, pp: ProjectedPencil, lam1: complex, x1
+    p: QuadraticPencil, pp: ProjectedPencil, lam1: complex, x1, theta: Angle
 ) -> PerturbationTriple:
     """Rank-one triple making ``(lam1, q1_hat)`` exact for the perturbed projection.
+
+    ``theta`` is the angle from ``x1`` to span{Q} (``subspace_angle``), which
+    scales ``norm_bounds``.
 
     Raises:
         ZeroEigenvalue: if ``lam1 == 0`` (the scaling divides by it).
@@ -234,13 +237,11 @@ def perturbation_triple(
     if cos <= 1e-14:
         raise OrthogonalSubspace("x1 is orthogonal to the projection subspace")
     q1_hat = q1 / cos
-    inner = pp.pencil
-    r1 = lam1 * (lam1 * (inner.M @ q1_hat) + inner.D @ q1_hat) + inner.K @ q1_hat
+    r1, _ = qep_residual(pp.pencil, lam1, q1_hat)
     outer = np.outer(r1, q1_hat.conj())
     EM = -outer / (3.0 * lam1 * lam1)
     ED = -outer / (3.0 * lam1)
     EK = -outer / 3.0
-    theta = subspace_angle(pp.basis, x1)
     a = abs(lam1)
     bound_m = (p.m0 + p.d0 / a + p.k0 / (a * a)) * theta.tan / 3.0
     bound_d = (a * p.m0 + p.d0 + p.k0 / a) * theta.tan / 3.0
@@ -353,7 +354,7 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
     w = np.concatenate([mu * qz, qz])
     A, B = linearize(p)
     lhs = float(np.linalg.norm(A @ w - mu * (B @ w)))
-    rhs = float(np.linalg.norm(mu * (mu * (p.M @ qz) + p.D @ qz) + p.K @ qz))
+    _, rhs = qep_residual(p, mu, qz)
     scale = max(1.0, p.residual_scale(mu))
     return bool(abs(lhs - rhs) <= 1e-12 * scale)
 
@@ -413,7 +414,7 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
 
     elsner = None
     try:
-        pert = perturbation_triple(p, pp, lam1, x1)
+        pert = perturbation_triple(p, pp, lam1, x1, theta)
         elsner = elsner_bound(pp, pert)
     except QritzError:
         pass

@@ -1,10 +1,17 @@
-"""Source hygiene: every module-level import in the package and the tests is used.
+"""Source hygiene: every module-level import in the package and the tests is
+used, and every module-level name the package defines is read somewhere.
 
 An AST scan stands in for a linter's unused-import rule.  A name counts as
 used when the module loads it anywhere (``ast.Name``, which also covers the
 root of an attribute chain) or lists it in ``__all__``.  Fixture names taken
 as test parameters do not count: pytest finds fixtures in ``conftest.py``
 without an import.
+
+A second scan stands in for a dead-code finder.  A function, class or
+assigned name at the top level of ``src/qritz/*.py`` (dunders aside) is read
+when some file under ``src/``, ``tests/`` or ``bench/`` loads it as a name or
+as an attribute (``kernels.ORTHO_TOL``).  Importing it does not count, so a
+name kept only by a re-export or a test import is reported.
 """
 
 import ast
@@ -13,7 +20,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "qritz").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "qritz").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = [path for top in ("src", "tests", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -65,3 +74,53 @@ def test_scan_sees_attribute_roots_and_skips_future():
 def test_scan_does_not_count_fixture_parameters():
     source = "from conftest import rng\n\ndef test_x(rng):\n    pass\n"
     assert unused_imports(source) == ["line 1: rng"]
+
+
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Functions, classes and assigned names at the module's top level, dunders aside."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if not (name.startswith("__") and name.endswith("__")):
+                names[name] = node.lineno
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module loads, and every attribute name it reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module:line: name`` for each name ``modules`` define that no reader reads."""
+    read = set().union(*(read_names(ast.parse(source)) for source in readers))
+    return [
+        f"{module}:{line}: {name}"
+        for module, source in modules.items()
+        for name, line in defined_names(ast.parse(source)).items()
+        if name not in read
+    ]
+
+
+def test_every_package_name_is_read():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    assert unread_names(modules, readers) == []
+
+
+def test_name_scan_flags_an_unread_name():
+    module = "TOL = 1e-13\nUSED = 2\n\ndef helper():\n    return USED\n\nclass Box:\n    pass\n"
+    readers = [module, "from m import TOL\nimport m\nm.helper()\n"]
+    assert unread_names({"m.py": module}, readers) == ["m.py:1: TOL", "m.py:7: Box"]

@@ -4,6 +4,7 @@ import pytest
 from conftest import cnormal, rng
 from qritz.errors import BadNorm, RankDeficient, Singular
 from qritz.kernels import (
+    ORTHO_TOL,
     eig_standard,
     orthonormalize,
     orthonormality_defect,
@@ -39,7 +40,7 @@ class TestOrthonormalize:
     def test_already_orthonormal(self):
         V = np.eye(3)[:, :2]
         Q = orthonormalize(V)
-        assert orthonormality_defect(Q) <= 1e-13
+        assert orthonormality_defect(Q) <= ORTHO_TOL
         # Same span as the input.
         assert spectral_norm(Q @ (Q.conj().T @ V) - V) <= 1e-13
 
@@ -51,7 +52,7 @@ class TestOrthonormalize:
     def test_spanning_pair(self):
         V = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         Q = orthonormalize(V)
-        assert orthonormality_defect(Q) <= 1e-13
+        assert orthonormality_defect(Q) <= ORTHO_TOL
         P = Q @ Q.conj().T
         for col in (np.array([1.0, 0, 0]), np.array([0, 1.0, 0])):
             assert np.linalg.norm(P @ col - col) <= 1e-13
@@ -67,7 +68,7 @@ class TestOrthonormalize:
         Q_sym = V @ (U @ np.diag(1.0 / np.sqrt(lam)) @ U.conj().T)
         assert spectral_norm(Q_sym.conj().T @ Q_sym - np.eye(2)) <= 1e-10
         Q = orthonormalize(V)
-        assert orthonormality_defect(Q) <= 1e-13
+        assert orthonormality_defect(Q) <= ORTHO_TOL
         # Largest principal angle between the two spans.
         s = np.linalg.svd(Q.conj().T @ Q_sym, compute_uv=False)
         sin_angle = np.sqrt(max(0.0, 1.0 - s[-1] ** 2))
@@ -80,7 +81,7 @@ class TestOrthonormalize:
         k = int(g.integers(1, n + 1))
         V = cnormal(g, n, k)
         Q = orthonormalize(V)
-        assert orthonormality_defect(Q) <= 1e-13
+        assert orthonormality_defect(Q) <= ORTHO_TOL
         # Span preserved: projecting V onto span{Q} reproduces V.
         assert spectral_norm(Q @ (Q.conj().T @ V) - V) <= 1e-12 * spectral_norm(V)
 
@@ -137,8 +138,8 @@ class TestSvd:
     def test_zero_matrix(self):
         U, s, V = svd(np.zeros((3, 2)))
         assert np.all(s == 0.0)
-        assert orthonormality_defect(U) <= 1e-13
-        assert orthonormality_defect(V) <= 1e-13
+        assert orthonormality_defect(U) <= ORTHO_TOL
+        assert orthonormality_defect(V) <= ORTHO_TOL
 
     def test_rank_one(self, g):
         a = cnormal(g, 5)
@@ -165,7 +166,7 @@ class TestUnitaryCompletion:
     def test_axis_vector(self):
         X = unitary_completion(np.array([1.0, 0.0, 0.0]))
         full = np.column_stack([np.array([1.0, 0, 0]), X])
-        assert orthonormality_defect(full) <= 1e-13
+        assert orthonormality_defect(full) <= ORTHO_TOL
         assert np.allclose(X[0, :], 0.0, atol=1e-14)
 
     def test_two_dimensional(self):
@@ -185,7 +186,7 @@ class TestUnitaryCompletion:
         v = v / np.linalg.norm(v)
         X = unitary_completion(v)
         full = np.column_stack([v, X])
-        assert orthonormality_defect(full) <= 1e-13
+        assert orthonormality_defect(full) <= ORTHO_TOL
 
 
 class TestSolveLinear:

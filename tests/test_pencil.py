@@ -10,7 +10,6 @@ from qritz.pencil import (
     companion_matrix,
     linearize,
     qep_residual,
-    shift,
     stack_vector,
 )
 from qritz.projection import project
@@ -66,38 +65,6 @@ class TestResidual:
         p = random_pencil(g, 3)
         with pytest.raises(DimensionMismatch):
             qep_residual(p, 1.0, np.ones(4))
-
-
-class TestShift:
-    def test_zero_shift_identity(self, g):
-        p = random_pencil(g, 3)
-        q = shift(p, 0.0)
-        assert np.array_equal(q.M, p.M)
-        assert np.array_equal(q.D, p.D)
-        assert np.array_equal(q.K, p.K)
-
-    def test_builtin_unit_shift_kills_constant_term(self):
-        p = example31_pencil()
-        q = shift(p, 1.0)
-        assert np.linalg.norm(q.K @ np.array([0.0, 0.0, 1.0])) <= 1e-13
-
-    def test_scalar_example(self):
-        p = QuadraticPencil(np.eye(1), np.zeros((1, 1)), -np.eye(1))
-        q = shift(p, 1.0)
-        values = sorted_values(solve_full(q))
-        assert values[0] == pytest.approx(-2.0, abs=1e-10)
-        assert values[1] == pytest.approx(0.0, abs=1e-10)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_spectrum_translates(self, seed):
-        g = rng(seed + 900)
-        p = random_pencil(g, int(g.integers(2, 5)))
-        tau = complex(g.standard_normal(), g.standard_normal())
-        before = sorted_values(solve_full(p))
-        after = sorted((z + tau for z in sorted_values(solve_full(shift(p, tau)))),
-                       key=lambda z: (z.real, z.imag))
-        for a, b in zip(before, after):
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
 class TestLinearize:
@@ -181,5 +148,5 @@ def test_projected_mass_inverse_never_grows(g):
         Q = orthonormalize(cnormal(g, 5, 3))
         pp = project(p, Q)
         inv_full = 1.0 / np.linalg.svd(p.M, compute_uv=False)[-1]
-        inv_proj = 1.0 / np.linalg.svd(pp.mhat, compute_uv=False)[-1]
+        inv_proj = 1.0 / np.linalg.svd(pp.pencil.M, compute_uv=False)[-1]
         assert inv_proj <= inv_full * (1.0 + 1e-12)

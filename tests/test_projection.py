@@ -24,17 +24,17 @@ class TestProject:
     def test_identity_basis(self, g):
         p = random_pencil(g, 4)
         pp = project(p, np.eye(4))
-        assert np.allclose(pp.mhat, p.M)
-        assert np.allclose(pp.dhat, p.D)
-        assert np.allclose(pp.khat, p.K)
+        assert np.allclose(pp.pencil.M, p.M)
+        assert np.allclose(pp.pencil.D, p.D)
+        assert np.allclose(pp.pencil.K, p.K)
 
     def test_builtin_projected_mass(self):
         pp = project(example31_pencil(), example31_basis())
-        assert spectral_norm(pp.mhat - example31_projected_mass()) <= 1e-13
+        assert spectral_norm(pp.pencil.M - example31_projected_mass()) <= 1e-13
 
     def test_builtin_projected_sum_vanishes(self):
         pp = project(example31_pencil(), example31_basis())
-        assert spectral_norm(pp.mhat + pp.dhat + pp.khat) <= 1e-13
+        assert spectral_norm(pp.pencil.M + pp.pencil.D + pp.pencil.K) <= 1e-13
 
     def test_rejects_skewed_basis(self, g):
         p = random_pencil(g, 4)

@@ -172,7 +172,7 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> StudyRow:
         refined_residual=rr.residual_norm,
         sep_projected=sep_projected,
         sep_full=sep_full,
-        elsner_bound=elsner_bound(pp, perturbation_triple(p, pp, lam1, x1)),
+        elsner_bound=elsner_bound(pp, perturbation_triple(p, pp, lam1, x1, theta)),
         ritz_vector_bound=ritz_vector_bound(lam1, p.m0, p.d0, p.k0, theta.radians, sep_projected),
         refined_vector_bound=bound_refined,
     )
