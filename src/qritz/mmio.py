@@ -6,6 +6,13 @@ storage is expanded to the full matrix.  ``pattern`` files carry no values
 and are rejected.  Everything is returned dense (complex128): this package
 targets desk-scale problems.
 
+An ``array`` body is read in one ``np.loadtxt`` pass.  When that pass
+refuses the body (a ``%`` comment, a token it cannot convert, a wrong entry
+count or width), the body is scanned again line by line, which either
+raises a line-numbered ``ParseError`` or reads what ``float``/``int`` accept
+but ``loadtxt`` does not (``1_0``, integers beyond int64).  ``coordinate``
+bodies are always scanned line by line.
+
 The writer always emits ``array complex general`` with 17 significant
 digits, which round-trips float64 exactly.
 """
@@ -38,19 +45,29 @@ def _parse_value(tokens: list[str], field: str, path: str, lineno: int) -> compl
         return complex(float(tokens[0]))
     except ValueError:
         _fail(path, lineno, f"malformed number {' '.join(tokens)!r}")
+    except OverflowError:
+        _fail(path, lineno, f"integer of {len(tokens[0])} characters exceeds the float64 range")
 
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file as a dense complex matrix.
 
     Raises:
-        ParseError: on malformed content; the message names the line.
+        ParseError: on malformed content, a non-ASCII byte or an integer
+            beyond the float64 range; the message names the line.
         UnsupportedField: for ``pattern`` files.
         OSError: if the file cannot be opened.
     """
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # The sentinel puts a byte that follows a line break on a new line.
+        head = data[: exc.start].decode("ascii") + "x"
+        _fail(path, len(head.splitlines()), f"non-ASCII byte 0x{data[exc.start]:02x}")
+    lines = text.splitlines()
 
     if not lines:
         _fail(path, 1, "empty file")
@@ -88,21 +105,19 @@ def read_matrix_market(path) -> np.ndarray:
         if symmetry != "general" and rows != cols:
             _fail(path, size_lineno, f"{symmetry} storage requires a square matrix")
         out = np.zeros((rows, cols), dtype=np.complex128)
-        entries = _entry_positions_array(rows, cols, symmetry)
-        pos = 0
-        for lineno in range(size_lineno + 1, len(lines) + 1):
-            raw = lines[lineno - 1]
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            if pos >= len(entries):
-                _fail(path, lineno, "more entries than the size line announces")
-            i, j = entries[pos]
-            val = _parse_value(stripped.split(), field, path, lineno)
-            _store(out, i, j, val, symmetry)
-            pos += 1
-        if pos != len(entries):
-            _fail(path, len(lines), f"expected {len(entries)} entries, found {pos}")
+        ii, jj = _entry_positions_array(rows, cols, symmetry)
+        vals = _bulk_array_values(lines[size_lineno:], len(ii), field)
+        if vals is None:
+            _scan_array_body(out, lines, size_lineno, ii, jj, field, symmetry, path)
+            return out
+        # Mirror first, so the as-read store below keeps a Hermitian diagonal.
+        if symmetry == "symmetric":
+            out[jj, ii] = vals
+        elif symmetry == "hermitian":
+            out[jj, ii] = vals.conj()
+        elif symmetry == "skew-symmetric":
+            out[jj, ii] = -vals
+        out[ii, jj] = vals
         return out
 
     # coordinate
@@ -144,19 +159,52 @@ def read_matrix_market(path) -> np.ndarray:
     return out
 
 
-def _entry_positions_array(rows: int, cols: int, symmetry: str) -> list[tuple[int, int]]:
-    """Column-major storage positions for the given array symmetry."""
-    pos = []
-    for j in range(cols):
-        if symmetry == "general":
-            start = 0
-        elif symmetry == "skew-symmetric":
-            start = j + 1
-        else:
-            start = j
-        for i in range(start, rows):
-            pos.append((i, j))
-    return pos
+def _entry_positions_array(rows: int, cols: int, symmetry: str) -> tuple[np.ndarray, np.ndarray]:
+    """Column-major storage positions ``(i, j)`` for the given array symmetry."""
+    j, i = np.divmod(np.arange(rows * cols), rows)
+    if symmetry == "general":
+        return i, j
+    keep = i > j if symmetry == "skew-symmetric" else i >= j
+    return i[keep], j[keep]
+
+
+def _bulk_array_values(body: list[str], count: int, field: str) -> np.ndarray | None:
+    """The ``count`` values of an array body as complex128, read in one pass.
+
+    Returns ``None`` when the body holds a ``%``, is blank, or is not
+    ``count`` rows of the field's width that ``np.loadtxt`` converts.
+    """
+    text = "\n".join(body)
+    if "%" in text or not text.strip():
+        return None
+    try:
+        data = np.loadtxt(
+            body, dtype=np.int64 if field == "integer" else np.float64, comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if data.shape != (count, 2 if field == "complex" else 1):
+        return None
+    if field == "complex":
+        return data.view(np.complex128)[:, 0]
+    return data[:, 0].astype(np.complex128)
+
+
+def _scan_array_body(out, lines, size_lineno, ii, jj, field, symmetry, path) -> None:
+    """Fill ``out`` from the array body one line at a time; a fault names its line."""
+    pos = 0
+    for lineno in range(size_lineno + 1, len(lines) + 1):
+        raw = lines[lineno - 1]
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        if pos >= len(ii):
+            _fail(path, lineno, "more entries than the size line announces")
+        val = _parse_value(stripped.split(), field, path, lineno)
+        _store(out, int(ii[pos]), int(jj[pos]), val, symmetry)
+        pos += 1
+    if pos != len(ii):
+        _fail(path, len(lines), f"expected {len(ii)} entries, found {pos}")
 
 
 def _store(out: np.ndarray, i: int, j: int, val: complex, symmetry: str):

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from conftest import cnormal, random_pencil, rng, run_cli
+from qritz import cli
 from qritz.builtin import example31_basis, example31_pencil
 from qritz.kernels import orthonormalize
 from qritz.mmio import write_matrix_market
@@ -50,12 +53,47 @@ def test_solve_singular_mass_exits_2(tmp_path):
     assert b"Singular" in r.stderr
 
 
-def test_missing_file_exits_3(tmp_path, builtin_files):
-    r = run_cli(
-        ["solve", str(tmp_path / "nope.mtx"), builtin_files["D"], builtin_files["K"]],
-        cwd=tmp_path,
+@pytest.fixture
+def run_main(monkeypatch, capsys):
+    """Run ``qritz.cli.main`` in this process; returns (exit code, stdout, stderr).
+
+    ``QRITZ_*`` variables are cleared first, since the parser reads them as
+    option defaults.
+    """
+    for name in [k for k in os.environ if k.startswith("QRITZ_")]:
+        monkeypatch.delenv(name)
+
+    def run(args):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
+
+
+def test_missing_file_exits_3(tmp_path, builtin_files, run_main):
+    code, _, err = run_main(
+        ["solve", str(tmp_path / "nope.mtx"), builtin_files["D"], builtin_files["K"]]
     )
-    assert r.returncode == 3
+    assert code == 3
+    assert "i/o failure" in err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (("9" * 400).encode(), ":3: integer of 400 characters"),
+        (b"1\xe9", ":3: non-ASCII byte 0xe9"),
+    ],
+    ids=["integer_overflow", "non_ascii"],
+)
+def test_unreadable_entry_exits_3(tmp_path, builtin_files, run_main, body, message):
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix array integer general\n1 1\n" + body + b"\n")
+    code, out, err = run_main(["solve", str(path), builtin_files["D"], builtin_files["K"]])
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_usage_error_exits_1(tmp_path):

@@ -1,7 +1,14 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cnormal
+from qritz import mmio
 from qritz.errors import ParseError, UnsupportedField
 from qritz.mmio import read_matrix_market, write_matrix_market
 
@@ -129,3 +136,152 @@ def test_roundtrip_bit_identical(tmp_path, g):
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         read_matrix_market(tmp_path / "absent.mtx")
+
+
+def test_integer_beyond_float64_range_names_its_line(tmp_path):
+    path = tmp_path / "big.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix array integer general\n2 1\n1\n" + "9" * 400 + "\n"
+    )
+    with pytest.raises(ParseError, match=":4: integer of 400 characters"):
+        read_matrix_market(path)
+
+
+def test_non_ascii_byte_names_its_line(tmp_path):
+    path = tmp_path / "latin1.mtx"
+    path.write_bytes(
+        b"%%MatrixMarket matrix array real general\r\n2 1\r\n1.0\r\n2\xe9\r\n"
+    )
+    with pytest.raises(ParseError, match=":4: non-ASCII byte 0xe9"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize(
+    "symmetry, rows, cols",
+    [(s, n, n) for s in mmio._SYMMETRIES for n in (1, 3)] + [("general", 4, 2)],
+)
+def test_array_positions_match_the_column_major_loop(symmetry, rows, cols):
+    first = {"general": lambda j: 0, "skew-symmetric": lambda j: j + 1}.get(symmetry, lambda j: j)
+    want = [(i, j) for j in range(cols) for i in range(first(j), rows)]
+    ii, jj = mmio._entry_positions_array(rows, cols, symmetry)
+    assert list(zip(ii.tolist(), jj.tolist())) == want
+
+
+class ScannerReached(Exception):
+    pass
+
+
+@pytest.fixture
+def scanner_raises(monkeypatch):
+    def scan(*args, **kwargs):
+        raise ScannerReached
+
+    monkeypatch.setattr(mmio, "_scan_array_body", scan)
+
+
+def test_writer_output_takes_the_bulk_pass(tmp_path, g, scanner_raises):
+    m = cnormal(g, 5, 3)
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, m)
+    assert np.array_equal(read_matrix_market(path), m)
+
+
+def test_symmetric_integer_array_takes_the_bulk_pass(tmp_path, scanner_raises):
+    path = tmp_path / "si.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix array integer symmetric\n"
+        "% leading comments stay before the size line\n"
+        "2 2\n"
+        "4\n"
+        "-7\n"
+        "+9\n"
+    )
+    assert np.array_equal(read_matrix_market(path), np.array([[4, -7], [-7, 9]]))
+
+
+def test_mid_body_comment_reaches_the_scanner(tmp_path, scanner_raises):
+    path = tmp_path / "c.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\n% note\n2.0\n")
+    with pytest.raises(ScannerReached):
+        read_matrix_market(path)
+
+
+# Differential check: the bulk pass must give exactly what the line scanner
+# gives, value for value and bit for bit, or leave the scanner to raise.
+
+_ODD_TOKENS = (
+    "nan", "-nan", "inf", "-Infinity", "1e999", "-1e999", "1_0", "+5", "-0",
+    ".5", "5.", "1E5", "9" * 400, "bogus", "0x10", "1,5", "#", "1.0",
+)
+_FAULTS = (
+    "none", "extra_token", "missing_token", "bad_token", "extra_entry",
+    "missing_entry", "comment", "blank", "underscore", "non_finite",
+)
+
+
+def _float_tokens():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(finite.map(repr), finite.map("{:.16e}".format), finite.map("{:g}".format))
+
+
+@st.composite
+def array_files(draw):
+    field = draw(st.sampled_from(mmio._FIELDS))
+    symmetry = draw(st.sampled_from(mmio._SYMMETRIES))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4)) if symmetry == "general" else rows
+    number = (
+        st.integers(-(2**70), 2**70).map(str) if field == "integer" else _float_tokens()
+    )
+    width = 2 if field == "complex" else 1
+    body = [
+        " ".join(draw(number) for _ in range(width))
+        for _ in range(len(mmio._entry_positions_array(rows, cols, symmetry)[0]))
+    ]
+    # A one-by-one skew-symmetric body is empty: only faults that add a line apply.
+    fault = draw(st.sampled_from(_FAULTS if body else ("none", "extra_entry", "comment", "blank")))
+    at = draw(st.integers(0, max(len(body) - 1, 0)))
+    if fault == "extra_entry":
+        body.insert(at, " ".join(draw(number) for _ in range(width)))
+    elif fault == "missing_entry":
+        del body[at]
+    elif fault == "extra_token":
+        body[at] += " " + draw(number)
+    elif fault == "missing_token":
+        body[at] = " ".join(body[at].split()[:-1])
+    elif fault == "comment":
+        body.insert(at, "% " + draw(st.sampled_from(("note", "", "1.0"))))
+    elif fault == "blank":
+        body.insert(at, draw(st.sampled_from(("", "   ", "\t"))))
+    elif fault != "none":
+        odd = {"bad_token": _ODD_TOKENS, "underscore": ("1_0", "-2_5e1"), "non_finite": ("nan", "1e999")}
+        tokens = body[at].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(odd[fault]))
+        body[at] = " ".join(tokens)
+    header = f"%%MatrixMarket matrix array {field} {symmetry}\n{rows} {cols}\n"
+    return header + "\n".join(body) + draw(st.sampled_from(("", "\n")))
+
+
+def _outcome(path):
+    try:
+        return read_matrix_market(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=array_files())
+def test_bulk_pass_matches_the_line_scanner(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.mtx"
+        path.write_text(text)
+        got = _outcome(path)
+        with mock.patch.object(mmio, "_bulk_array_values", return_value=None):
+            want = _outcome(path)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()
