@@ -18,7 +18,7 @@ class NoConvergence(QritzError):
 
 
 class Singular(QritzError):
-    """A matrix required to be nonsingular has a pivot below threshold."""
+    """A matrix ``C`` required to be nonsingular has ``sigma_min(C) <= SINGULAR_TOL * ||C||``."""
 
 
 class BadNorm(QritzError):

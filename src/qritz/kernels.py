@@ -2,18 +2,15 @@
 
 Matrices are 2-D ``complex128`` ndarrays in row-major (C) order, vectors are
 1-D.  All routines are pure functions of their arguments and safe to call
-concurrently.  Factorizations are delegated to LAPACK through numpy/scipy:
-the eigensolver is Hessenberg reduction plus implicitly shifted QR, the SVD
+concurrently.  Factorizations are delegated to LAPACK through numpy: the
+eigensolver is Hessenberg reduction plus implicitly shifted QR, the SVD
 is the standard bidiagonalization algorithm, and orthonormalization is
 Householder QR.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .errors import BadNorm, NoConvergence, NotOrthonormal, RankDeficient, Singular
 
@@ -26,8 +23,8 @@ BASIS_TOL = 1e-12
 #: Relative singular-value threshold below which columns count as dependent.
 RANK_TOL = 1e-12
 
-#: Relative pivot threshold below which a linear solve refuses to proceed.
-PIVOT_TOL = 1e-14
+#: Relative sigma_min threshold below which a linear solve refuses to proceed.
+SINGULAR_TOL = 1e-14
 
 #: Unit-norm admission tolerance for vectors that contracts require normalized.
 UNIT_TOL = 1e-13
@@ -144,7 +141,7 @@ def eig_standard(C) -> list[tuple[complex, np.ndarray]]:
     return pairs
 
 
-def clustered_flags(values, tol: float = 1e-8) -> list[bool]:
+def clustered_flags(values, tol: float) -> list[bool]:
     """Flag each value that has another value within ``tol * max|value|``."""
     vals = np.asarray(list(values), dtype=np.complex128)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -199,10 +196,10 @@ def unitary_completion(v) -> np.ndarray:
 
 
 def solve_linear(C, b) -> np.ndarray:
-    """Solve ``C x = b`` by pivoted LU; ``b`` may be a vector or a matrix.
+    """Solve ``C x = b`` with LAPACK ``gesv``; ``b`` may be a vector or a matrix.
 
     Raises:
-        Singular: if any pivot falls below ``PIVOT_TOL * ||C||``.
+        Singular: if ``sigma_min(C) <= SINGULAR_TOL * ||C||``.
     """
     C = as_matrix(C, "C")
     if C.shape[0] != C.shape[1]:
@@ -210,15 +207,11 @@ def solve_linear(C, b) -> np.ndarray:
     b_arr = np.asarray(b, dtype=np.complex128)
     if b_arr.shape[0] != C.shape[0]:
         raise ValueError(f"shape mismatch: {C.shape} vs {b_arr.shape}")
-    with warnings.catch_warnings():
-        # The pivot check below is this package's singularity contract;
-        # scipy's own advisory warning would only duplicate it.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(C, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = PIVOT_TOL * spectral_norm(C)
-    if np.min(pivots) <= threshold:
-        raise Singular(
-            f"pivot {np.min(pivots):.3e} below threshold {threshold:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b_arr, check_finite=False)
+    sv = np.linalg.svd(C, compute_uv=False)
+    threshold = SINGULAR_TOL * sv[0]
+    if sv[-1] <= threshold:
+        raise Singular(f"smallest singular value {sv[-1]:.3e} below threshold {threshold:.3e}")
+    try:
+        return np.linalg.solve(C, b_arr)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(f"solve failed: {exc}") from exc

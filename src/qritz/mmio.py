@@ -10,8 +10,10 @@ An ``array`` body is read in one ``np.loadtxt`` pass.  When that pass
 refuses the body (a ``%`` comment, a token it cannot convert, a wrong entry
 count or width), the body is scanned again line by line, which either
 raises a line-numbered ``ParseError`` or reads what ``float``/``int`` accept
-but ``loadtxt`` does not (``1_0``, integers beyond int64).  ``coordinate``
-bodies are always scanned line by line.
+but ``loadtxt`` does not (``1_0``, integers beyond int64).  An ``array``
+body with fewer lines than the size line announces entries is refused
+before anything of the announced size is allocated.  ``coordinate`` bodies
+are always scanned line by line.
 
 The writer always emits ``array complex general`` with 17 significant
 digits, which round-trips float64 exactly.
@@ -104,9 +106,18 @@ def read_matrix_market(path) -> np.ndarray:
             _fail(path, size_lineno, "dimensions must be positive")
         if symmetry != "general" and rows != cols:
             _fail(path, size_lineno, f"{symmetry} storage requires a square matrix")
+        if symmetry == "general":
+            count = rows * cols
+        else:
+            count = rows * (rows + (-1 if symmetry == "skew-symmetric" else 1)) // 2
+        body = lines[size_lineno:]
+        if count > len(body):
+            # Refuse a body too short for the size line before allocating for that size.
+            found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
+            _fail(path, len(lines), f"expected {count} entries, found {found}")
         out = np.zeros((rows, cols), dtype=np.complex128)
         ii, jj = _entry_positions_array(rows, cols, symmetry)
-        vals = _bulk_array_values(lines[size_lineno:], len(ii), field)
+        vals = _bulk_array_values(body, count, field)
         if vals is None:
             _scan_array_body(out, lines, size_lineno, ii, jj, field, symmetry, path)
             return out

@@ -170,7 +170,7 @@ def companion_matrix(p: QuadraticPencil) -> np.ndarray:
     Only ``M`` is factored, since the lower-right block of ``B`` is ``I``.
 
     Raises:
-        Singular: if M fails the pivot threshold of ``solve_linear``.
+        Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||`` (``solve_linear``).
     """
     return _companion(p.M, p.D, p.K)
 

@@ -37,7 +37,7 @@ def solve_full(p: QuadraticPencil) -> list[Eigenpair]:
     lower one underflows (eigenvalue near infinity in magnitude).
 
     Raises:
-        Singular: if M fails the pivot threshold.
+        Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
         NoConvergence: from the underlying eigensolver.
     """
     if not p.hermitian_pd:

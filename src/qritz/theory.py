@@ -261,7 +261,8 @@ def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
     nearest Ritz value.
 
     Raises:
-        Singular: if either projected mass matrix fails the pivot threshold.
+        Singular: if either projected mass matrix ``N`` has
+            ``sigma_min(N) <= SINGULAR_TOL * ||N||``.
     """
     inner = pp.pencil
     C = companion_matrix(inner)

@@ -58,26 +58,29 @@ def isolated_eigenpair(pairs):
     return pairs[best], isolation(best)
 
 
-def run_cli(args, cwd, env_extra=None):
-    """Run ``python -m qritz *args`` in a child process from ``cwd``.
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this process's ``qritz``.
 
-    The child imports the same ``qritz`` as this process: its
-    ``PYTHONPATH`` starts with ``QRITZ_ROOT`` as an absolute path, so a
-    relative ``PYTHONPATH=src`` still resolves when ``cwd`` is elsewhere.
-    Inherited ``QRITZ_*`` variables are dropped, since the CLI reads them
-    as option defaults; only ``env_extra`` sets them.
+    The child's ``PYTHONPATH`` starts with ``QRITZ_ROOT`` as an absolute
+    path, so a relative ``PYTHONPATH=src`` still resolves when the child
+    runs elsewhere.  Inherited ``QRITZ_*`` variables are dropped, since the
+    CLI reads them as option defaults.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("QRITZ_")}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (QRITZ_ROOT, env.get("PYTHONPATH")) if p
     )
-    if env_extra:
-        env.update(env_extra)
+    return env
+
+
+def run_cli(args, cwd):
+    """Run ``python -m qritz *args`` in a child process from ``cwd``, with
+    the environment of ``child_env()``."""
     return subprocess.run(
         [sys.executable, "-m", "qritz", *args],
         capture_output=True,
         cwd=cwd,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
 

@@ -6,8 +6,29 @@ import pytest
 from conftest import cnormal, random_pencil, rng, run_cli
 from qritz import cli
 from qritz.builtin import example31_basis, example31_pencil
+from qritz.errors import IndefiniteMass
 from qritz.kernels import orthonormalize
 from qritz.mmio import write_matrix_market
+
+
+@pytest.fixture
+def run_main(tmp_path, monkeypatch, capsys):
+    """Run ``qritz.cli.main`` in this process from ``tmp_path``; returns
+    (exit code, stdout, stderr).
+
+    ``QRITZ_*`` variables are cleared first, since the parser reads them as
+    option defaults; a test sets its own with ``monkeypatch.setenv``.
+    """
+    monkeypatch.chdir(tmp_path)
+    for name in [k for k in os.environ if k.startswith("QRITZ_")]:
+        monkeypatch.delenv(name)
+
+    def run(args):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
 
 
 @pytest.fixture
@@ -26,14 +47,13 @@ def _parse_complex_field(line):
     return complex(text.replace(" ", ""))
 
 
-def test_solve_finds_unit_eigenvalue(tmp_path, builtin_files):
-    r = run_cli(
+def test_solve_finds_unit_eigenvalue(builtin_files, run_main):
+    code, stdout, _ = run_main(
         ["solve", builtin_files["M"], builtin_files["D"], builtin_files["K"],
-         "--target", "1", "--count", "1"],
-        cwd=tmp_path,
+         "--target", "1", "--count", "1"]
     )
-    assert r.returncode == 0
-    out = r.stdout.decode().splitlines()
+    assert code == 0
+    out = stdout.splitlines()
     lam_line = next(l for l in out if l.startswith("pair 1: lambda="))
     lam = complex(lam_line.split("lambda=")[1].split(" ")[0])
     assert abs(lam - 1.0) <= 1e-6
@@ -42,33 +62,15 @@ def test_solve_finds_unit_eigenvalue(tmp_path, builtin_files):
     assert abs(abs(x2) - 1.0) <= 1e-6
 
 
-def test_solve_singular_mass_exits_2(tmp_path):
+def test_solve_singular_mass_exits_2(tmp_path, run_main):
     for name, mat in (("M", np.zeros((2, 2))), ("D", np.eye(2)), ("K", np.eye(2))):
         write_matrix_market(tmp_path / f"{name}.mtx", mat)
-    r = run_cli(
-        ["solve", str(tmp_path / "M.mtx"), str(tmp_path / "D.mtx"), str(tmp_path / "K.mtx")],
-        cwd=tmp_path,
-    )
-    assert r.returncode == 2
-    assert b"Singular" in r.stderr
-
-
-@pytest.fixture
-def run_main(monkeypatch, capsys):
-    """Run ``qritz.cli.main`` in this process; returns (exit code, stdout, stderr).
-
-    ``QRITZ_*`` variables are cleared first, since the parser reads them as
-    option defaults.
-    """
-    for name in [k for k in os.environ if k.startswith("QRITZ_")]:
-        monkeypatch.delenv(name)
-
-    def run(args):
-        code = cli.main(args)
-        out, err = capsys.readouterr()
-        return code, out, err
-
-    return run
+    with pytest.warns(IndefiniteMass):
+        code, _, err = run_main(
+            ["solve", str(tmp_path / "M.mtx"), str(tmp_path / "D.mtx"), str(tmp_path / "K.mtx")]
+        )
+    assert code == 2
+    assert "Singular" in err
 
 
 def test_missing_file_exits_3(tmp_path, builtin_files, run_main):
@@ -102,14 +104,12 @@ def test_usage_error_exits_1(tmp_path):
     assert b"error:" in r.stderr
 
 
-def test_project_reports_degenerate_projection(tmp_path, builtin_files):
-    r = run_cli(
+def test_project_reports_degenerate_projection(builtin_files, run_main):
+    code, out, _ = run_main(
         ["project", builtin_files["M"], builtin_files["D"], builtin_files["K"],
-         "--subspace", builtin_files["Q"], "--target", "1", "--refined"],
-        cwd=tmp_path,
+         "--subspace", builtin_files["Q"], "--target", "1", "--refined"]
     )
-    assert r.returncode == 0
-    out = r.stdout.decode()
+    assert code == 0
     assert "clustered          = True" in out
     lines = dict(
         l.split("=", 1) for l in out.splitlines() if "=" in l and "lambda" not in l
@@ -121,17 +121,17 @@ def test_project_reports_degenerate_projection(tmp_path, builtin_files):
     assert refined_angle <= 1e-6
 
 
-def test_project_rejects_skewed_basis_without_flag(tmp_path, builtin_files):
+def test_project_rejects_skewed_basis_without_flag(tmp_path, builtin_files, run_main):
     skew = example31_basis().copy()
     skew[0, 0] = 0.5
     write_matrix_market(tmp_path / "skew.mtx", skew)
     args = ["project", builtin_files["M"], builtin_files["D"], builtin_files["K"],
             "--subspace", str(tmp_path / "skew.mtx")]
-    r = run_cli(args, cwd=tmp_path)
-    assert r.returncode == 2
-    assert b"orthonormal" in r.stderr.lower()
-    r2 = run_cli(args + ["--orthonormalize"], cwd=tmp_path)
-    assert r2.returncode == 0
+    code, _, err = run_main(args)
+    assert code == 2
+    assert "orthonormal" in err.lower()
+    code2, _, _ = run_main(args + ["--orthonormalize"])
+    assert code2 == 0
 
 
 def test_example31_passes_and_is_deterministic(tmp_path):
@@ -158,13 +158,12 @@ def test_study_builtin_deterministic_bytes(tmp_path):
     assert header.startswith("epsilon,sin_theta,ritz_value_err")
 
 
-def test_study_zero_epsilon_exact_row(tmp_path):
-    r = run_cli(
+def test_study_zero_epsilon_exact_row(tmp_path, run_main):
+    code, _, err = run_main(
         ["study", "--builtin", "example31", "--eps-list", "0", "--seed", "1",
-         "--out", "zero.csv"],
-        cwd=tmp_path,
+         "--out", "zero.csv"]
     )
-    assert r.returncode == 0, r.stderr
+    assert code == 0, err
     fields = (tmp_path / "zero.csv").read_text().splitlines()[1].split(",")
     header = (tmp_path / "zero.csv").read_text().splitlines()[0].split(",")
     row = dict(zip(header, fields))
@@ -172,41 +171,35 @@ def test_study_zero_epsilon_exact_row(tmp_path):
     assert float(row["refined_angle"]) <= 1e-13
 
 
-def test_study_files_mode(tmp_path, builtin_files):
-    r = run_cli(
+def test_study_files_mode(tmp_path, builtin_files, run_main):
+    code, _, err = run_main(
         ["study", builtin_files["M"], builtin_files["D"], builtin_files["K"],
-         "--target", "1", "--eps-list", "1e-6", "--seed", "3", "--out", "f.csv"],
-        cwd=tmp_path,
+         "--target", "1", "--eps-list", "1e-6", "--seed", "3", "--out", "f.csv"]
     )
-    assert r.returncode == 0, r.stderr
+    assert code == 0, err
     assert (tmp_path / "f.csv").exists()
 
 
-def test_env_fallback_beats_default_flags_beat_env(tmp_path):
-    env = {"QRITZ_SEED": "9", "QRITZ_OUT": "env.csv"}
-    r = run_cli(
-        ["study", "--builtin", "example31", "--eps-list", "1e-6"],
-        cwd=tmp_path,
-        env_extra=env,
-    )
-    assert r.returncode == 0, r.stderr
-    assert b"seed=9" in r.stdout
+def test_env_fallback_beats_default_flags_beat_env(tmp_path, monkeypatch, run_main):
+    monkeypatch.setenv("QRITZ_SEED", "9")
+    monkeypatch.setenv("QRITZ_OUT", "env.csv")
+    code, out, err = run_main(["study", "--builtin", "example31", "--eps-list", "1e-6"])
+    assert code == 0, err
+    assert "seed=9" in out
     assert (tmp_path / "env.csv").exists()
-    r2 = run_cli(
-        ["study", "--builtin", "example31", "--eps-list", "1e-6", "--seed", "4"],
-        cwd=tmp_path,
-        env_extra=env,
+    _, out2, _ = run_main(
+        ["study", "--builtin", "example31", "--eps-list", "1e-6", "--seed", "4"]
     )
-    assert b"seed=4" in r2.stdout
+    assert "seed=4" in out2
 
 
-def test_study_unknown_builtin_exits_1(tmp_path):
-    r = run_cli(["study", "--builtin", "nonsense"], cwd=tmp_path)
-    assert r.returncode == 1
-    assert b"unknown builtin" in r.stderr
+def test_study_unknown_builtin_exits_1(run_main):
+    code, _, err = run_main(["study", "--builtin", "nonsense"])
+    assert code == 1
+    assert "unknown builtin" in err
 
 
-def test_project_large_problem_skips_reference(tmp_path):
+def test_project_large_problem_skips_reference(tmp_path, run_main):
     # Above the full-solve limit the report carries projection-level
     # quantities only.
     g = rng(31)
@@ -214,13 +207,11 @@ def test_project_large_problem_skips_reference(tmp_path):
     for name, mat in (("M", p.M), ("D", p.D), ("K", p.K)):
         write_matrix_market(tmp_path / f"{name}.mtx", mat)
     write_matrix_market(tmp_path / "Q.mtx", orthonormalize(cnormal(g, 60, 3)))
-    r = run_cli(
+    code, out, err = run_main(
         ["project", str(tmp_path / "M.mtx"), str(tmp_path / "D.mtx"),
          str(tmp_path / "K.mtx"), "--subspace", str(tmp_path / "Q.mtx"),
-         "--target", "0.5", "--refined"],
-        cwd=tmp_path,
+         "--target", "0.5", "--refined"]
     )
-    assert r.returncode == 0, r.stderr
-    out = r.stdout.decode()
+    assert code == 0, err
     assert "(no reference)" in out
     assert "sigma_min" in out

@@ -12,12 +12,19 @@ assigned name at the top level of ``src/qritz/*.py`` (dunders aside) is read
 when some file under ``src/``, ``tests/`` or ``bench/`` loads it as a name or
 as an attribute (``kernels.ORTHO_TOL``).  Importing it does not count, so a
 name kept only by a re-export or a test import is reported.
+
+numpy is the package's only runtime dependency: a fresh interpreter that
+imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qritz").glob("*.py"))
@@ -124,3 +131,15 @@ def test_name_scan_flags_an_unread_name():
     module = "TOL = 1e-13\nUSED = 2\n\ndef helper():\n    return USED\n\nclass Box:\n    pass\n"
     readers = [module, "from m import TOL\nimport m\nm.helper()\n"]
     assert unread_names({"m.py": module}, readers) == ["m.py:1: TOL", "m.py:7: Box"]
+
+
+def test_import_loads_no_scipy():
+    probe = (
+        "import sys, qritz, qritz.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=child_env(), timeout=120
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().strip() == "[]"

@@ -208,3 +208,9 @@ class TestSolveLinear:
         C = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(Singular):
             solve_linear(C, np.array([1.0, 0.0]))
+
+    def test_singular_with_unit_pivots_rejected(self):
+        # Every LU pivot of I - triu(ones, 1) is 1, yet sigma_min/sigma_max ~ 2e-19.
+        C = np.eye(60) - np.triu(np.ones((60, 60)), 1)
+        with pytest.raises(Singular):
+            solve_linear(C, np.ones(60))

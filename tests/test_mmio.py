@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -104,6 +105,19 @@ def test_missing_entries_rejected(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\n")
     with pytest.raises(ParseError):
         read_matrix_market(path)
+
+
+def test_short_body_refused_before_allocating_the_announced_size(tmp_path):
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n3000 3000\n1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r":3: expected 9000000 entries, found 1$"):
+            read_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bad_header_rejected(tmp_path):
