@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ZeroVector
 from .kernels import as_matrix, as_vector, require_orthonormal
+from .pencil import stack_vector
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,7 @@ def stacked_subspace_angle(Q, lam: complex, x) -> Angle:
     if nrm == 0.0:
         raise ZeroVector("cannot form an angle with the zero vector")
     require_orthonormal(Q)
-    x = x / nrm
-    lam = complex(lam)
-    v = np.concatenate([lam * x, x]) / math.sqrt(1.0 + abs(lam) ** 2)
+    v = stack_vector(lam, x / nrm)
     top, bot = v[: x.size], v[x.size :]
     ct = Q.conj().T @ top
     cb = Q.conj().T @ bot

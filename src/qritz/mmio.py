@@ -6,14 +6,18 @@ storage is expanded to the full matrix.  ``pattern`` files carry no values
 and are rejected.  Everything is returned dense (complex128): this package
 targets desk-scale problems.
 
-An ``array`` body is read in one ``np.loadtxt`` pass.  When that pass
-refuses the body (a ``%`` comment, a token it cannot convert, a wrong entry
-count or width), the body is scanned again line by line, which either
-raises a line-numbered ``ParseError`` or reads what ``float``/``int`` accept
-but ``loadtxt`` does not (``1_0``, integers beyond int64).  An ``array``
-body with fewer lines than the size line announces entries is refused
-before anything of the announced size is allocated.  ``coordinate`` bodies
-are always scanned line by line.
+Both formats share one size-line rule and one line scanner: a
+``coordinate`` data line is an ``array`` data line with a leading ``i j``.
+A body with fewer lines than the size line announces entries is refused
+before anything of the announced size is allocated.  An ``array`` body is
+first read in one ``np.loadtxt`` pass.  When that pass refuses the body (a
+``%`` comment, a token it cannot convert, a wrong entry count or width),
+and for every ``coordinate`` body, the line scanner reads it, which either
+raises a line-numbered ``ParseError`` or reads what ``float``/``int``
+accept but ``loadtxt`` does not (``1_0``, integers beyond int64).  A
+repeated ``coordinate`` position keeps its last value.  The dense output is
+allocated once the body is read; a size that does not fit in memory raises
+``IoFailure``.
 
 The writer always emits ``array complex general`` with 17 significant
 digits, which round-trips float64 exactly.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedField
+from .errors import IoFailure, ParseError, UnsupportedField
 
 _FORMATS = ("array", "coordinate")
 _FIELDS = ("real", "complex", "integer")
@@ -58,6 +62,7 @@ def read_matrix_market(path) -> np.ndarray:
         ParseError: on malformed content, a non-ASCII byte or an integer
             beyond the float64 range; the message names the line.
         UnsupportedField: for ``pattern`` files.
+        IoFailure: if the announced dense matrix does not fit in memory.
         OSError: if the file cannot be opened.
     """
     path = str(path)
@@ -92,82 +97,58 @@ def read_matrix_market(path) -> np.ndarray:
         idx += 1
     if idx >= len(lines):
         _fail(path, len(lines), "missing size line")
-    size_tokens = lines[idx].split()
     size_lineno = idx + 1
+    rows, cols, count = _size_line(lines[idx], fmt, symmetry, path, size_lineno)
+    body = lines[size_lineno:]
+    if count > len(body):
+        # Refuse a body too short for the size line before allocating for that size.
+        found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
+        _fail(path, len(lines), f"expected {count} entries, found {found}")
 
+    vals = _bulk_array_values(body, count, field) if fmt == "array" else None
+    if vals is None:
+        entries = _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path)
+        vals = np.array(list(entries.values()), dtype=np.complex128)
     if fmt == "array":
-        if len(size_tokens) != 2:
-            _fail(path, size_lineno, "array size line must be 'rows cols'")
-        try:
-            rows, cols = int(size_tokens[0]), int(size_tokens[1])
-        except ValueError:
-            _fail(path, size_lineno, f"malformed size line {lines[idx]!r}")
-        if rows < 1 or cols < 1:
-            _fail(path, size_lineno, "dimensions must be positive")
-        if symmetry != "general" and rows != cols:
-            _fail(path, size_lineno, f"{symmetry} storage requires a square matrix")
-        if symmetry == "general":
-            count = rows * cols
-        else:
-            count = rows * (rows + (-1 if symmetry == "skew-symmetric" else 1)) // 2
-        body = lines[size_lineno:]
-        if count > len(body):
-            # Refuse a body too short for the size line before allocating for that size.
-            found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
-            _fail(path, len(lines), f"expected {count} entries, found {found}")
-        out = np.zeros((rows, cols), dtype=np.complex128)
         ii, jj = _entry_positions_array(rows, cols, symmetry)
-        vals = _bulk_array_values(body, count, field)
-        if vals is None:
-            _scan_array_body(out, lines, size_lineno, ii, jj, field, symmetry, path)
-            return out
-        # Mirror first, so the as-read store below keeps a Hermitian diagonal.
-        if symmetry == "symmetric":
-            out[jj, ii] = vals
-        elif symmetry == "hermitian":
-            out[jj, ii] = vals.conj()
-        elif symmetry == "skew-symmetric":
-            out[jj, ii] = -vals
-        out[ii, jj] = vals
-        return out
-
-    # coordinate
-    if len(size_tokens) != 3:
-        _fail(path, size_lineno, "coordinate size line must be 'rows cols nnz'")
+    else:
+        ii, jj = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
     try:
-        rows, cols, nnz = (int(t) for t in size_tokens)
-    except ValueError:
-        _fail(path, size_lineno, f"malformed size line {lines[idx]!r}")
-    if rows < 1 or cols < 1 or nnz < 0:
-        _fail(path, size_lineno, "dimensions must be positive")
-    if symmetry != "general" and rows != cols:
-        _fail(path, size_lineno, f"{symmetry} storage requires a square matrix")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    seen = 0
-    for lineno in range(size_lineno + 1, len(lines) + 1):
-        raw = lines[lineno - 1]
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if seen >= nnz:
-            _fail(path, lineno, "more entries than the size line announces")
-        tokens = stripped.split()
-        if len(tokens) < 3:
-            _fail(path, lineno, f"coordinate entry needs 'i j value', got {raw!r}")
-        try:
-            i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
-        except ValueError:
-            _fail(path, lineno, f"malformed indices in {raw!r}")
-        if not (0 <= i < rows and 0 <= j < cols):
-            _fail(path, lineno, f"index ({i + 1}, {j + 1}) outside {rows} x {cols}")
-        if symmetry != "general" and i < j:
-            _fail(path, lineno, f"{symmetry} storage must only hold the lower triangle")
-        val = _parse_value(tokens[2:], field, path, lineno)
-        _store(out, i, j, val, symmetry)
-        seen += 1
-    if seen != nnz:
-        _fail(path, len(lines), f"expected {nnz} entries, found {seen}")
+        out = np.zeros((rows, cols), dtype=np.complex128)
+    except MemoryError:
+        raise IoFailure(
+            f"{path}:{size_lineno}: {rows} x {cols} dense matrix does not fit in memory"
+        ) from None
+    # Mirror first, so the as-read store below keeps a Hermitian or skew diagonal as read.
+    if symmetry == "symmetric":
+        out[jj, ii] = vals
+    elif symmetry == "hermitian":
+        out[jj, ii] = vals.conj()
+    elif symmetry == "skew-symmetric":
+        out[jj, ii] = -vals
+    out[ii, jj] = vals
     return out
+
+
+def _size_line(line: str, fmt: str, symmetry: str, path: str, lineno: int) -> tuple[int, int, int]:
+    """``(rows, cols, entry count)`` from the size line of either format."""
+    tokens = line.split()
+    layout = "rows cols" if fmt == "array" else "rows cols nnz"
+    if len(tokens) != len(layout.split()):
+        _fail(path, lineno, f"{fmt} size line must be '{layout}'")
+    try:
+        rows, cols, *nnz = (int(t) for t in tokens)
+    except ValueError:
+        _fail(path, lineno, f"malformed size line {line!r}")
+    if rows < 1 or cols < 1 or any(n < 0 for n in nnz):
+        _fail(path, lineno, "dimensions must be positive")
+    if symmetry != "general" and rows != cols:
+        _fail(path, lineno, f"{symmetry} storage requires a square matrix")
+    if nnz:
+        return rows, cols, nnz[0]
+    if symmetry == "general":
+        return rows, cols, rows * cols
+    return rows, cols, rows * (rows + (-1 if symmetry == "skew-symmetric" else 1)) // 2
 
 
 def _entry_positions_array(rows: int, cols: int, symmetry: str) -> tuple[np.ndarray, np.ndarray]:
@@ -201,33 +182,42 @@ def _bulk_array_values(body: list[str], count: int, field: str) -> np.ndarray | 
     return data[:, 0].astype(np.complex128)
 
 
-def _scan_array_body(out, lines, size_lineno, ii, jj, field, symmetry, path) -> None:
-    """Fill ``out`` from the array body one line at a time; a fault names its line."""
-    pos = 0
+def _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path) -> dict:
+    """Read the body after the size line one line at a time; a fault names its line.
+
+    Returns the values in order of first appearance, keyed by the 0-based ``(i, j)`` of a
+    ``coordinate`` line or by the entry's ordinal in an ``array`` body.  A
+    repeated ``(i, j)`` keeps its last value: NumPy leaves a fancy-index
+    store with repeated indices unspecified.
+    """
+    entries = {}
+    seen = 0
     for lineno in range(size_lineno + 1, len(lines) + 1):
         raw = lines[lineno - 1]
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
-        if pos >= len(ii):
+        if seen >= count:
             _fail(path, lineno, "more entries than the size line announces")
-        val = _parse_value(stripped.split(), field, path, lineno)
-        _store(out, int(ii[pos]), int(jj[pos]), val, symmetry)
-        pos += 1
-    if pos != len(ii):
-        _fail(path, len(lines), f"expected {len(ii)} entries, found {pos}")
-
-
-def _store(out: np.ndarray, i: int, j: int, val: complex, symmetry: str):
-    out[i, j] = val
-    if i == j or symmetry == "general":
-        return
-    if symmetry == "symmetric":
-        out[j, i] = val
-    elif symmetry == "hermitian":
-        out[j, i] = val.conjugate()
-    elif symmetry == "skew-symmetric":
-        out[j, i] = -val
+        tokens = stripped.split()
+        key = seen
+        if fmt == "coordinate":
+            if len(tokens) < 3:
+                _fail(path, lineno, f"coordinate entry needs 'i j value', got {raw!r}")
+            try:
+                i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
+            except ValueError:
+                _fail(path, lineno, f"malformed indices in {raw!r}")
+            if not (0 <= i < rows and 0 <= j < cols):
+                _fail(path, lineno, f"index ({i + 1}, {j + 1}) outside {rows} x {cols}")
+            if symmetry != "general" and i < j:
+                _fail(path, lineno, f"{symmetry} storage must only hold the lower triangle")
+            key, tokens = (i, j), tokens[2:]
+        entries[key] = _parse_value(tokens, field, path, lineno)
+        seen += 1
+    if seen != count:
+        _fail(path, len(lines), f"expected {count} entries, found {seen}")
+    return entries
 
 
 def write_matrix_market(path, matrix) -> None:

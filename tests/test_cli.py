@@ -1,9 +1,12 @@
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import cnormal, random_pencil, rng, run_cli
+from conftest import child_env, cnormal, random_pencil, rng, run_cli
 from qritz import cli
 from qritz.builtin import example31_basis, example31_pencil
 from qritz.errors import IndefiniteMass
@@ -96,6 +99,31 @@ def test_unreadable_entry_exits_3(tmp_path, builtin_files, run_main, body, messa
     assert code == 3
     assert out == ""
     assert message in err
+
+
+def _limit_address_space():
+    """Cap this process's address space at 3 GiB (or the lower hard limit)."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_unallocatable_matrix_exits_3(tmp_path):
+    # 68 bytes announcing a 6.4 GB dense matrix; the limit applies to the child only.
+    path = tmp_path / "coo.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n20000 20000 1\n1 1 1.0\n")
+    r = subprocess.run(
+        [sys.executable, "-m", "qritz", "solve", str(path), str(path), str(path)],
+        capture_output=True,
+        cwd=tmp_path,
+        env=child_env(),
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert r.returncode == 3, r.stderr
+    assert b"i/o failure" in r.stderr
+    assert b":2: 20000 x 20000 dense matrix does not fit in memory" in r.stderr
+    assert b"Traceback" not in r.stderr
 
 
 def test_usage_error_exits_1(tmp_path):

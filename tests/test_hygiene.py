@@ -10,8 +10,10 @@ without an import.
 A second scan stands in for a dead-code finder.  A function, class or
 assigned name at the top level of ``src/qritz/*.py`` (dunders aside) is read
 when some file under ``src/``, ``tests/`` or ``bench/`` loads it as a name or
-as an attribute (``kernels.ORTHO_TOL``).  Importing it does not count, so a
-name kept only by a re-export or a test import is reported.
+as an attribute of a name bound by an import of the package (``kernels.ORTHO_TOL``
+after ``from qritz import kernels``).  Importing it does not count, so a name
+kept only by a re-export or a test import is reported, and neither does an
+attribute of another module: ``np.linalg.svd`` does not read a package ``svd``.
 
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.
@@ -99,20 +101,51 @@ def defined_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def read_names(tree: ast.Module) -> set[str]:
-    """Names the module loads, and every attribute name it reads."""
+def package_bindings(tree: ast.Module, packages: set[str]) -> set[str]:
+    """Names the module's imports bind to ``packages`` or to a module inside one.
+
+    ``import qritz.study`` binds ``qritz``; ``from qritz import mmio`` and the
+    relative ``from . import study`` bind ``mmio`` and ``study``.
+    """
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in packages:
+                    bound.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] in packages:
+                bound.update(alias.asname or alias.name for alias in node.names)
+    return bound
+
+
+def attribute_root(node: ast.Attribute) -> str | None:
+    """The name at the root of an attribute chain (``a`` in ``a.b.c``), if any."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def read_names(tree: ast.Module, packages: set[str]) -> set[str]:
+    """Names the module loads, and the attributes it reads off a name bound to ``packages``."""
+    bound = package_bindings(tree, packages)
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and attribute_root(node) in bound:
             read.add(node.attr)
     return read
 
 
 def unread_names(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """``module:line: name`` for each name ``modules`` define that no reader reads."""
-    read = set().union(*(read_names(ast.parse(source)) for source in readers))
+    """``module:line: name`` for each name ``modules`` define that no reader reads.
+
+    The modules form the package ``qritz``; each can also be imported by its
+    own name (``import m`` for ``m.py``).
+    """
+    packages = {"qritz", *(Path(name).stem for name in modules)}
+    read = set().union(*(read_names(ast.parse(source), packages) for source in readers))
     return [
         f"{module}:{line}: {name}"
         for module, source in modules.items()
@@ -131,6 +164,11 @@ def test_name_scan_flags_an_unread_name():
     module = "TOL = 1e-13\nUSED = 2\n\ndef helper():\n    return USED\n\nclass Box:\n    pass\n"
     readers = [module, "from m import TOL\nimport m\nm.helper()\n"]
     assert unread_names({"m.py": module}, readers) == ["m.py:1: TOL", "m.py:7: Box"]
+    # An attribute of another module does not read the package's name of the same spelling.
+    readers = [module, "import numpy as np\nnp.linalg.helper()\nnp.Box\n"]
+    assert unread_names({"m.py": module}, readers) == ["m.py:1: TOL", "m.py:4: helper", "m.py:7: Box"]
+    readers = [module, "import qritz.m as mm\nmm.helper()\n", "from . import m\nm.Box\n"]
+    assert unread_names({"m.py": module}, readers) == ["m.py:1: TOL"]
 
 
 def test_import_loads_no_scipy():

@@ -190,7 +190,7 @@ def scanner_raises(monkeypatch):
     def scan(*args, **kwargs):
         raise ScannerReached
 
-    monkeypatch.setattr(mmio, "_scan_array_body", scan)
+    monkeypatch.setattr(mmio, "_scan_body", scan)
 
 
 def test_writer_output_takes_the_bulk_pass(tmp_path, g, scanner_raises):
@@ -299,3 +299,131 @@ def test_bulk_pass_matches_the_line_scanner(text):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("symmetry", ["general", "hermitian"])
+def test_repeated_coordinate_keeps_its_last_value(tmp_path, symmetry):
+    path = tmp_path / "rep.mtx"
+    path.write_text(
+        f"%%MatrixMarket matrix coordinate complex {symmetry}\n"
+        "2 2 4\n"
+        "2 1 1.0 1.0\n"
+        "1 1 4.0 0.0\n"
+        "2 1 5.0 -2.0\n"
+        "1 1 3.0 0.0\n"
+    )
+    got = read_matrix_market(path)
+    assert got[1, 0] == 5 - 2j and got[0, 0] == 3
+    assert got[0, 1] == (5 + 2j if symmetry == "hermitian" else 0)
+
+
+# Coordinate bodies: a shuffled stored triangle must read bit for bit as the
+# entry-by-entry loop below stores it, and one injected fault must raise a
+# ParseError that names the faulted line (the last line for a count fault).
+
+_MIRROR = {
+    "symmetric": lambda v: v,
+    "hermitian": lambda v: v.conjugate(),
+    "skew-symmetric": lambda v: -v,
+}
+_COORDINATE_FAULTS = {
+    "out_of_range": "outside",
+    "upper_triangle": "must only hold the lower triangle",
+    "few_tokens": "coordinate entry needs 'i j value'",
+    "bad_index": "malformed indices",
+    "bad_value": "malformed number",
+    "extra_entry": "more entries than the size line announces",
+    "missing_entry": "entries, found",
+}
+
+
+def _token_value(tokens, field):
+    if field == "integer":
+        return complex(int(tokens[0]))
+    return complex(*(float(t) for t in tokens))
+
+
+@st.composite
+def coordinate_files(draw):
+    field = draw(st.sampled_from(mmio._FIELDS))
+    symmetry = draw(st.sampled_from(mmio._SYMMETRIES))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4)) if symmetry == "general" else rows
+    number = (
+        st.integers(-(2**70), 2**70).map(str) if field == "integer" else _float_tokens()
+    )
+    width = 2 if field == "complex" else 1
+    ii, jj = mmio._entry_positions_array(rows, cols, symmetry)
+    positions = list(zip(ii.tolist(), jj.tolist()))
+    stored = draw(st.permutations(positions))[: draw(st.integers(0, len(positions)))]
+    if stored and draw(st.booleans()):
+        stored.insert(draw(st.integers(0, len(stored))), draw(st.sampled_from(stored)))
+    entries = [(i, j, [draw(number) for _ in range(width)]) for i, j in stored]
+
+    # With no entries only a count fault applies; a square lower triangle is needed to leave it.
+    faults = [
+        f for f in _COORDINATE_FAULTS
+        if (entries or f == "missing_entry")
+        and (f != "upper_triangle" or (symmetry != "general" and rows > 1))
+    ]
+    fault = draw(st.sampled_from(["none", *faults]))
+    nnz = len(entries)
+    lines = [f"{i + 1} {j + 1} {' '.join(vals)}" for i, j, vals in entries]
+    at = draw(st.integers(0, max(nnz - 1, 0)))
+    if fault == "extra_entry":
+        nnz -= 1
+        at = nnz
+    elif fault == "missing_entry":
+        nnz += 1
+    elif fault == "out_of_range":
+        i, j = entries[at][:2]
+        i, j = draw(st.sampled_from([(rows + 1, j + 1), (i + 1, cols + 1), (0, j + 1)]))
+        lines[at] = f"{i} {j} {' '.join(entries[at][2])}"
+    elif fault == "upper_triangle":
+        i = draw(st.integers(1, rows - 1))
+        lines[at] = f"{i} {draw(st.integers(i + 1, rows))} {' '.join(entries[at][2])}"
+    elif fault == "few_tokens":
+        lines[at] = " ".join(lines[at].split()[: draw(st.integers(1, 2))])
+    elif fault in ("bad_index", "bad_value"):
+        tokens = lines[at].split()
+        slot = draw(st.integers(0, 1) if fault == "bad_index" else st.integers(2, len(tokens) - 1))
+        tokens[slot] = draw(st.sampled_from(("1.5", "x", "1e0") if fault == "bad_index" else ("bogus", "1,5", "0x10")))
+        lines[at] = " ".join(tokens)
+
+    body = [(line, k) for k, line in enumerate(lines)]
+    noise = st.sampled_from(("", "   ", "\t", "%", "% note", "%1 1 1.0"))
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), (draw(noise), None))
+    text_lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}"]
+    text_lines += [draw(noise) for _ in range(draw(st.integers(0, 2)))]
+    text_lines.append(f"{rows} {cols} {nnz}")
+    first_body = len(text_lines) + 1
+    text_lines += [line for line, _ in body]
+    if fault == "none":
+        want = np.zeros((rows, cols), dtype=np.complex128)
+        for i, j, vals in entries:
+            want[i, j] = _token_value(vals, field)
+            if i != j and symmetry != "general":
+                want[j, i] = _MIRROR[symmetry](_token_value(vals, field))
+        return "\n".join(text_lines) + "\n", want
+    if fault == "missing_entry":
+        lineno = len(text_lines)
+    else:
+        lineno = first_body + next(n for n, (_, k) in enumerate(body) if k == at)
+    return "\n".join(text_lines) + "\n", (lineno, _COORDINATE_FAULTS[fault])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=coordinate_files())
+def test_coordinate_bodies_read_exactly_or_name_the_faulted_line(case):
+    text, want = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.mtx"
+        path.write_text(text)
+        got = _outcome(path)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    else:
+        lineno, message = want
+        assert isinstance(got, str) and got.startswith(f"{path}:{lineno}: ") and message in got
