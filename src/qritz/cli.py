@@ -8,13 +8,17 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
 Options fall back to ``QRITZ_<NAME>`` environment variables (flags beat the
-environment, the environment beats built-in defaults).  All output is
-deterministic for fixed inputs and seeds.
+environment, the environment beats built-in defaults).  A fallback is kept
+as text and converted by the option's own type only when its subcommand
+runs, so a malformed or out-of-range value, from a flag or from
+``QRITZ_<NAME>``, is a usage error (exit 1) that names the option.  All
+output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -64,7 +68,30 @@ def _parse_eps_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a float list: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("epsilon list is empty")
+    for v in values:
+        if not (math.isfinite(v) and v >= 0.0):
+            raise argparse.ArgumentTypeError(f"epsilon must be finite and >= 0, got {v!r}")
     return values
+
+
+def _int_in(low: int, bits: int | None = None):
+    """An argparse type: an int ``k >= low``, and ``k < 2**bits`` when ``bits`` is given."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < low or (bits is not None and value >= 2**bits):
+            span = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
+#: A study's row key ``(seed << 32) + i`` must fit the 128-bit Philox key.
+SEED_BITS = 96
 
 
 def fmt_complex(z: complex) -> str:
@@ -107,7 +134,8 @@ def _cmd_project(args) -> int:
             ) from exc
         Q = orthonormalize(Q)
     if p.n <= FULL_SOLVE_LIMIT:
-        rep = full_diagnostics(reference(p, args.target), Q)
+        ep = select_eigenpair(solve_full(p), args.target)
+        rep = full_diagnostics(reference(p, ep.value, ep.vector), Q)
         print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)}")
         print(f"reference lambda   = {fmt_complex(rep.ref_value)}")
         print(f"sin_theta1         = {format_float(rep.sin_theta1)}")
@@ -160,6 +188,9 @@ def _cmd_study(args) -> int:
             print("study: need either --builtin or three matrix files", file=sys.stderr)
             return USAGE_EXIT
         p = _load_pencil(args.M, args.D, args.K)
+        if args.dim > p.n:
+            print(f"study: --dim {args.dim} exceeds the pencil size n={p.n}", file=sys.stderr)
+            return USAGE_EXIT
         case = study.case_from_pencil(p, args.target, args.dim)
         label = "files"
     rows, verdicts = study.run_study(case, args.eps_list, args.seed)
@@ -203,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("M", help="Matrix Market file for the mass matrix")
     ps.add_argument("D", help="Matrix Market file for the damping matrix")
     ps.add_argument("K", help="Matrix Market file for the stiffness matrix")
-    ps.add_argument("--target", type=_parse_complex, default=_parse_complex(_env("TARGET", "0")))
-    ps.add_argument("--count", type=int, default=int(_env("COUNT", "1")))
+    ps.add_argument("--target", type=_parse_complex, default=_env("TARGET", "0"))
+    ps.add_argument("--count", type=_int_in(1), default=_env("COUNT", "1"))
     ps.set_defaults(fn=_cmd_solve)
 
     pp = sub.add_parser("project", help="Rayleigh-Ritz projection diagnostics")
@@ -212,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("D")
     pp.add_argument("K")
     pp.add_argument("--subspace", required=True, help="Matrix Market file for the basis")
-    pp.add_argument("--target", type=_parse_complex, default=_parse_complex(_env("TARGET", "0")))
+    pp.add_argument("--target", type=_parse_complex, default=_env("TARGET", "0"))
     pp.add_argument("--refined", action="store_true", help="include refined extraction")
     pp.add_argument(
         "--orthonormalize",
@@ -226,15 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("D", nargs="?")
     pt.add_argument("K", nargs="?")
     pt.add_argument("--builtin", default=_env("BUILTIN", None), help="named built-in problem")
-    pt.add_argument(
-        "--eps-list",
-        type=_parse_eps_list,
-        default=_parse_eps_list(_env("EPS_LIST", DEFAULT_EPS_LIST)),
-    )
-    pt.add_argument("--seed", type=int, default=int(_env("SEED", "1")))
+    pt.add_argument("--eps-list", type=_parse_eps_list, default=_env("EPS_LIST", DEFAULT_EPS_LIST))
+    pt.add_argument("--seed", type=_int_in(0, SEED_BITS), default=_env("SEED", "1"))
     pt.add_argument("--out", default=_env("OUT", "study.csv"))
-    pt.add_argument("--target", type=_parse_complex, default=_parse_complex(_env("TARGET", "0")))
-    pt.add_argument("--dim", type=int, default=int(_env("DIM", "2")), help="subspace dimension")
+    pt.add_argument("--target", type=_parse_complex, default=_env("TARGET", "0"))
+    pt.add_argument("--dim", type=_int_in(1), default=_env("DIM", "2"), help="subspace dimension")
     pt.set_defaults(fn=_cmd_study)
 
     pe = sub.add_parser("example31", help="golden checks of the built-in problem")

@@ -15,7 +15,11 @@ first read in one ``np.loadtxt`` pass.  When that pass refuses the body (a
 and for every ``coordinate`` body, the line scanner reads it, which either
 raises a line-numbered ``ParseError`` or reads what ``float``/``int``
 accept but ``loadtxt`` does not (``1_0``, integers beyond int64).  A
-repeated ``coordinate`` position keeps its last value.  The dense output is
+repeated ``coordinate`` position keeps its last value.  The storage type
+binds the diagonal: a ``skew-symmetric`` body holds no diagonal entry and a
+``hermitian`` diagonal entry is real; the bulk pass leaves a non-real
+Hermitian diagonal to the scanner, so either fault is a ``ParseError``
+naming its line.  The dense output is
 allocated once the body is read; a size that does not fit in memory raises
 ``IoFailure``.
 
@@ -105,13 +109,16 @@ def read_matrix_market(path) -> np.ndarray:
         found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
         _fail(path, len(lines), f"expected {count} entries, found {found}")
 
-    vals = _bulk_array_values(body, count, field) if fmt == "array" else None
+    vals = None
+    if fmt == "array":
+        ii, jj = _entry_positions_array(rows, cols, symmetry)
+        vals = _bulk_array_values(body, count, field)
+        if vals is not None and symmetry == "hermitian" and vals[ii == jj].imag.any():
+            vals = None  # the scanner names the line of the non-real diagonal entry
     if vals is None:
         entries = _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path)
         vals = np.array(list(entries.values()), dtype=np.complex128)
-    if fmt == "array":
-        ii, jj = _entry_positions_array(rows, cols, symmetry)
-    else:
+    if fmt == "coordinate":
         ii, jj = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
     try:
         out = np.zeros((rows, cols), dtype=np.complex128)
@@ -190,6 +197,10 @@ def _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path
     repeated ``(i, j)`` keeps its last value: NumPy leaves a fancy-index
     store with repeated indices unspecified.
     """
+    diagonal = ()  # ordinals of the diagonal entries in a Hermitian array body
+    if fmt == "array" and symmetry == "hermitian":
+        ii, jj = _entry_positions_array(rows, cols, symmetry)
+        diagonal = set(np.flatnonzero(ii == jj).tolist())
     entries = {}
     seen = 0
     for lineno in range(size_lineno + 1, len(lines) + 1):
@@ -212,8 +223,14 @@ def _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path
                 _fail(path, lineno, f"index ({i + 1}, {j + 1}) outside {rows} x {cols}")
             if symmetry != "general" and i < j:
                 _fail(path, lineno, f"{symmetry} storage must only hold the lower triangle")
+            if symmetry == "skew-symmetric" and i == j:
+                _fail(path, lineno, "skew-symmetric storage holds no diagonal entry")
             key, tokens = (i, j), tokens[2:]
-        entries[key] = _parse_value(tokens, field, path, lineno)
+        value = _parse_value(tokens, field, path, lineno)
+        on_diagonal = key in diagonal if fmt == "array" else i == j
+        if symmetry == "hermitian" and on_diagonal and value.imag:
+            _fail(path, lineno, f"hermitian storage needs a real diagonal entry, got {value}")
+        entries[key] = value
         seen += 1
     if seen != count:
         _fail(path, len(lines), f"expected {count} entries, found {seen}")

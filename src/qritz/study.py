@@ -166,7 +166,7 @@ def run_study(
     with NaN columns and the run continues.  The reference pair is deflated
     once, before the first row."""
     ref_vector = as_vector(case.ref_vector, "ref_vector")
-    ref = reference(case.pencil, case.ref_value, x1_ref=ref_vector)
+    ref = reference(case.pencil, case.ref_value, ref_vector / np.linalg.norm(ref_vector))
     rows = []
     verdicts = []
     for i, eps in enumerate(eps_list):

@@ -11,13 +11,16 @@ one search space span{Q}:
 * how close the refined vector is, conditional only on separation in the
   full-size pencil, which holds whenever ``lam1`` is simple.
 
-``reference`` fixes the target pair of one pencil and deflates it from the
-full companion pair once; ``full_diagnostics`` reads that ``Reference`` for
-each search space.
+``reference`` takes the unit target eigenpair of one pencil and deflates it
+from the full companion pair once; ``full_diagnostics`` reads that
+``Reference`` for each search space.  The bounds read theta1 from its one
+``Angle`` and the residual scale from ``QuadraticPencil.residual_scale``.
 
 ``sep(mu, (L, N)) = sigma_min(L - mu N)`` throughout; a vanishing ``sep``
 voids the corresponding hypothesis, which is reported as an infinite bound
-rather than an exception so sweep tables stay rectangular.
+rather than an exception so sweep tables stay rectangular.  A basis
+orthogonal to ``x1`` (theta1 = pi/2, ``cos == 0``) voids both vector bounds
+the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     ZeroBv,
     ZeroEigenvalue,
 )
-from .kernels import as_matrix, as_vector, spectral_norm, unitary_completion
+from .kernels import as_matrix, as_vector, require_unit, spectral_norm, unitary_completion
 from .pencil import (
     QuadraticPencil,
     _companion,
@@ -47,7 +50,7 @@ from .pencil import (
 )
 from .projection import ProjectedPencil, project, ritz_pairs
 from .refined import refined_ritz
-from .solver import select_eigenpair, solve_full
+from .solver import select_eigenpair
 
 #: Residual admission threshold for deflation, relative to ||A|| + |lam| ||B||.
 EIGPAIR_TOL = 1e-8
@@ -87,8 +90,8 @@ class PerturbationTriple:
     With ``r1`` the projected residual of the normalized coefficient vector
     ``q1_hat`` at ``lam1``, the three matrices are ``-r1 q1_hat^H`` scaled by
     ``1/(3 lam1^2)``, ``1/(3 lam1)`` and ``1/3`` respectively.  Their norms
-    are bounded by ``norm_bounds`` (one third of the residual scale, weighted
-    per matrix, times tan(theta1)).
+    are bounded by ``norm_bounds``: ``residual_scale(lam1) tan(theta1) / 3``
+    divided by ``|lam1|^2``, ``|lam1|`` and 1 respectively.
     """
 
     EM: np.ndarray
@@ -107,7 +110,6 @@ class DiagnosticsReport:
 
     ref_value: complex
     sin_theta1: float
-    tan_theta1: float
     ritz_value: complex | None
     ritz_value_error: float | None
     ritz_angle: float | None
@@ -142,20 +144,16 @@ class Reference:
     deflation: Deflation | None
 
 
-def reference(p: QuadraticPencil, target: complex, x1_ref=None) -> Reference:
-    """The reference eigenpair for ``full_diagnostics`` and its full-size deflation.
+def reference(p: QuadraticPencil, value: complex, vector) -> Reference:
+    """The reference eigenpair ``(value, vector)`` of ``p`` and its full-size deflation.
 
-    When ``x1_ref`` is given, ``(target, x1_ref)`` is taken as the reference
-    eigenpair; otherwise the reference is the full-solve eigenpair nearest
-    ``target``.  A failed deflation is stored as None, not raised.
+    A failed deflation is stored as None, not raised.
+
+    Raises:
+        BadNorm: if ``vector`` is not unit (``kernels.require_unit``).
     """
-    if x1_ref is not None:
-        lam1 = complex(target)
-        x1 = as_vector(x1_ref, "x1_ref")
-        x1 = x1 / np.linalg.norm(x1)
-    else:
-        ep = select_eigenpair(solve_full(p), target)
-        lam1, x1 = ep.value, ep.vector
+    lam1 = complex(value)
+    x1 = require_unit(vector, "reference vector")
     A, B = linearize(p)
     try:
         dl = deflate(A, B, lam1, stack_vector(lam1, x1))
@@ -243,10 +241,8 @@ def perturbation_triple(
     ED = -outer / (3.0 * lam1)
     EK = -outer / 3.0
     a = abs(lam1)
-    bound_m = (p.m0 + p.d0 / a + p.k0 / (a * a)) * theta.tan / 3.0
-    bound_d = (a * p.m0 + p.d0 + p.k0 / a) * theta.tan / 3.0
-    bound_k = (a * a * p.m0 + a * p.d0 + p.k0) * theta.tan / 3.0
-    return PerturbationTriple(EM=EM, ED=ED, EK=EK, norm_bounds=(bound_m, bound_d, bound_k))
+    third = p.residual_scale(lam1) * theta.tan / 3.0
+    return PerturbationTriple(EM=EM, ED=ED, EK=EK, norm_bounds=(third / (a * a), third / a, third))
 
 
 def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
@@ -273,22 +269,16 @@ def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
     return float(total ** (1.0 - 1.0 / k) * gap ** (1.0 / k))
 
 
-def ritz_vector_bound(
-    lam1: complex, m0: float, d0: float, k0: float, theta1: float, sep_proj: float
-) -> float:
-    """A-priori Ritz-vector angle bound; +inf when the separation vanishes.
+def ritz_vector_bound(scale: float, theta: Angle, sep_projected: float) -> float:
+    """A-priori Ritz-vector angle bound; +inf when the separation or cos(theta1) vanishes.
 
-    ``sin(theta1) + (|lam1|^2 m0 + |lam1| d0 + k0) / sep_proj * tan(theta1)``
-    with ``sep_proj`` the separation of ``lam1`` from the deflated complement
-    of the projected companion pair.
+    ``sin(theta1) + scale / sep_projected * tan(theta1)`` with ``scale`` the
+    pencil's ``residual_scale(lam1)`` and ``sep_projected`` the separation of
+    ``lam1`` from the deflated complement of the projected companion pair.
     """
-    if not 0.0 <= theta1 < math.pi / 2.0:
-        raise ValueError("theta1 must lie in [0, pi/2)")
-    a = abs(complex(lam1))
-    num = a * a * m0 + a * d0 + k0
-    if sep_proj <= SEP_FLOOR * num:
+    if theta.cos == 0.0 or sep_projected <= SEP_FLOOR * scale:
         return math.inf
-    return math.sin(theta1) + num / sep_proj * math.tan(theta1)
+    return theta.sin + scale / sep_projected * theta.tan
 
 
 def refined_vector_bound(
@@ -296,10 +286,10 @@ def refined_vector_bound(
     mu1: complex,
     norm_b: float,
     norm_a_minus: float,
-    theta1: float,
+    theta: Angle,
     sep_full: float,
 ) -> float:
-    """A-priori refined-vector angle bound; +inf when the separation vanishes.
+    """A-priori refined-vector angle bound; +inf when the separation or cos(theta1) vanishes.
 
     ``sqrt(1+|lam1|^2) (|lam1-mu1| (||B|| + ||A - mu1 B||) +
     ||A - mu1 B|| sin(theta1)) / (cos(theta1) sep_full)`` with ``sep_full``
@@ -307,16 +297,14 @@ def refined_vector_bound(
     companion pair.  Since that separation tends to a fixed positive constant
     for a simple eigenvalue, this bound vanishes with theta1 unconditionally.
     """
-    if not 0.0 <= theta1 < math.pi / 2.0:
-        raise ValueError("theta1 must lie in [0, pi/2)")
-    if sep_full <= SEP_FLOOR * (norm_b + norm_a_minus):
+    if theta.cos == 0.0 or sep_full <= SEP_FLOOR * (norm_b + norm_a_minus):
         return math.inf
     lam1 = complex(lam1)
     mu1 = complex(mu1)
     num = math.sqrt(1.0 + abs(lam1) ** 2) * (
-        abs(lam1 - mu1) * (norm_b + norm_a_minus) + norm_a_minus * math.sin(theta1)
+        abs(lam1 - mu1) * (norm_b + norm_a_minus) + norm_a_minus * theta.sin
     )
-    return num / (math.cos(theta1) * sep_full)
+    return num / (theta.cos * sep_full)
 
 
 def stacked_angle_inequality_check(u, u_tilde) -> bool:
@@ -422,21 +410,18 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
 
     bound_ritz = None
     if sep_projected is not None:
-        bound_ritz = ritz_vector_bound(lam1, p.m0, p.d0, p.k0, theta.radians, sep_projected)
+        bound_ritz = ritz_vector_bound(p.residual_scale(lam1), theta, sep_projected)
 
     bound_refined = None
     if sep_full is not None and mu1 is not None:
         # ||diag(M, I)|| = max(||M||, 1).
         norm_b = max(p.m0, 1.0)
         norm_a_minus = spectral_norm(ref.A - mu1 * ref.B)
-        bound_refined = refined_vector_bound(
-            lam1, mu1, norm_b, norm_a_minus, theta.radians, sep_full
-        )
+        bound_refined = refined_vector_bound(lam1, mu1, norm_b, norm_a_minus, theta, sep_full)
 
     return DiagnosticsReport(
         ref_value=lam1,
         sin_theta1=theta.sin,
-        tan_theta1=theta.tan,
         ritz_value=mu1,
         ritz_value_error=ritz_err,
         ritz_angle=ritz_angle,

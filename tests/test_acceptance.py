@@ -84,7 +84,7 @@ def test_criterion_2_perturbed_subspace_contrast():
     start = time.perf_counter()
     p = example31_pencil()
     Q = perturbed_subspace(X1, example31_basis()[:, 1:], 1e-12, seed=SEED_PERTURBED)
-    rep = full_diagnostics(reference(p, 1.0, x1_ref=X1), Q)
+    rep = full_diagnostics(reference(p, 1.0, X1), Q)
 
     assert rep.ritz_value_error <= 1e-8
     assert rep.refined_angle <= 100.0 * rep.sin_theta1
@@ -117,7 +117,7 @@ def _domination_instance(index: int):
     )
     if not 1e-10 <= subspace_angle(Q, case.ref_vector).sin <= 1e-2:
         return None
-    return full_diagnostics(reference(p, case.ref_value, x1_ref=case.ref_vector), Q)
+    return full_diagnostics(reference(p, case.ref_value, case.ref_vector), Q)
 
 
 def test_criterion_3_bound_domination():

@@ -227,6 +227,99 @@ def test_study_unknown_builtin_exits_1(run_main):
     assert "unknown builtin" in err
 
 
+def _code_and_err(run_main, capsys, args):
+    """Exit code and stderr of ``run_main``, also when argparse exits."""
+    try:
+        code, _, err = run_main(args)
+    except SystemExit as exc:
+        code, err = exc.code, capsys.readouterr().err
+    return code, err
+
+
+def test_malformed_env_fallback_is_read_only_by_its_subcommand(monkeypatch, run_main, capsys):
+    monkeypatch.setenv("QRITZ_SEED", "x")
+    assert _code_and_err(run_main, capsys, ["example31"])[0] == 0
+    code, err = _code_and_err(run_main, capsys, ["study", "--builtin", "example31"])
+    assert code == 1
+    assert "argument --seed: invalid int value: 'x'" in err
+    code, err = _code_and_err(
+        run_main, capsys, ["study", "--builtin", "example31", "--eps-list", "1e-6", "--seed", "4"]
+    )
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("solve", "--count", "-1"),
+        ("study", "--dim", "0"),
+        ("study", "--dim", "4"),
+        ("study", "--seed", "-1"),
+        ("study", "--seed", str(2**96)),
+        ("study", "--eps-list", "nan"),
+        ("study", "--eps-list", "1e-3,-1e-3"),
+    ],
+)
+def test_out_of_range_option_is_a_usage_error(
+    builtin_files, monkeypatch, run_main, capsys, source, command, option, value
+):
+    args = [command, builtin_files["M"], builtin_files["D"], builtin_files["K"]]
+    if command == "study":
+        args += ["--out", "o.csv"]
+    if source == "flag":
+        args.append(f"{option}={value}")
+    else:
+        monkeypatch.setenv("QRITZ_" + option[2:].upper().replace("-", "_"), value)
+    code, err = _code_and_err(run_main, capsys, args)
+    assert code == 1
+    assert option in err
+
+
+def test_project_basis_orthogonal_to_reference_reports_infinite_bounds(tmp_path, run_main):
+    mats = {
+        "M": np.diag([1.0, 2.0, 3.0]),
+        "D": np.diag([0.5, 0.1, 0.2]),
+        "K": np.diag([4.0, 1.0, 9.0]),
+        "Q": np.eye(3)[:, :2],
+    }
+    for name, mat in mats.items():
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    code, out, err = run_main(
+        ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--target", "1.7j", "--refined"]
+    )
+    assert code == 0, err
+    assert "sin_theta1         = 1.0000000000000000e+00" in out
+    assert "ritz vector bound  = inf" in out
+    assert "refined vec bound  = inf" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 2\n2 1 3.0\n1 1 5.0\n",
+            ":4: skew-symmetric storage holds no diagonal entry",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate complex hermitian\n2 2 2\n1 1 1.0 2.0\n2 1 3.0 1.0\n",
+            ":3: hermitian storage needs a real diagonal entry",
+        ),
+        (
+            "%%MatrixMarket matrix array complex hermitian\n2 2\n1.0 0.0\n3.0 1.0\n1.0 2.0\n",
+            ":5: hermitian storage needs a real diagonal entry",
+        ),
+    ],
+    ids=["skew_coordinate", "hermitian_coordinate", "hermitian_array"],
+)
+def test_diagonal_storage_fault_exits_3(tmp_path, run_main, text, message):
+    (tmp_path / "bad.mtx").write_text(text)
+    code, out, err = run_main(["solve", "bad.mtx", "bad.mtx", "bad.mtx"])
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 def test_project_large_problem_skips_reference(tmp_path, run_main):
     # Above the full-solve limit the report carries projection-level
     # quantities only.

@@ -15,6 +15,13 @@ after ``from qritz import kernels``).  Importing it does not count, so a name
 kept only by a re-export or a test import is reported, and neither does an
 attribute of another module: ``np.linalg.svd`` does not read a package ``svd``.
 
+A third scan finds dataclass fields nothing reads.  A field of a top-level
+``@dataclass`` in ``src/qritz/*.py`` is read when some file under ``src/``,
+``tests/`` or ``bench/`` loads an attribute of that name (``rep.sep_full``),
+or passes its class by name to ``fields``, ``astuple`` or ``asdict``, which
+read every field (the ``StudyRow`` columns).  Passing it to the constructor
+or storing it does not count.
+
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.
 """
@@ -169,6 +176,76 @@ def test_name_scan_flags_an_unread_name():
     assert unread_names({"m.py": module}, readers) == ["m.py:1: TOL", "m.py:4: helper", "m.py:7: Box"]
     readers = [module, "import qritz.m as mm\nmm.helper()\n", "from . import m\nm.Box\n"]
     assert unread_names({"m.py": module}, readers) == ["m.py:1: TOL"]
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr == "dataclass"
+    return isinstance(node, ast.Name) and node.id == "dataclass"
+
+
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """``(class, field, line)`` for each annotated field of a top-level dataclass."""
+    return [
+        (node.name, stmt.target.id, stmt.lineno)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+WHOLE_RECORD_READERS = {"fields", "astuple", "asdict"}
+
+
+def field_reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Attribute names the module loads, and the names it passes to a whole-record reader."""
+    attributes, passed = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in WHOLE_RECORD_READERS:
+                passed.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    return attributes, passed
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module:line: Class.field`` for each dataclass field that no reader reads."""
+    attributes, passed = set(), set()
+    for source in readers:
+        got_attributes, got_passed = field_reads(ast.parse(source))
+        attributes |= got_attributes
+        passed |= got_passed
+    return [
+        f"{module}:{line}: {cls}.{name}"
+        for module, source in modules.items()
+        for cls, name, line in dataclass_fields(ast.parse(source))
+        if name not in attributes and cls not in passed
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    assert unread_fields(modules, readers) == []
+
+
+def test_field_scan_flags_an_unread_field():
+    module = (
+        "from dataclasses import dataclass\n\n@dataclass(frozen=True)\nclass Row:\n"
+        "    kept: float\n    lost: float\n\n@dataclass\nclass Table:\n    rows: list\n"
+    )
+    readers = [module, "def f(r):\n    return r.kept\n", "Row(kept=1.0, lost=2.0)\n"]
+    assert unread_fields({"m.py": module}, readers) == ["m.py:6: Row.lost", "m.py:10: Table.rows"]
+    # A store is not a read; a class passed to dataclasses.fields has every field read.
+    readers = [module, "import dataclasses\nr.lost = 1.0\nr.kept\ndataclasses.fields(Table)\n"]
+    assert unread_fields({"m.py": module}, readers) == ["m.py:6: Row.lost"]
 
 
 def test_import_loads_no_scipy():

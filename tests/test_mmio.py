@@ -233,6 +233,11 @@ _FAULTS = (
 )
 
 
+# Tokens that read as a zero imaginary part, and as a nonzero one.
+_REAL_IMAG = ("0", "-0.0", "0e0")
+_NONREAL_IMAG = ("1.0", "-2.5e-300", "5e-324")
+
+
 def _float_tokens():
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return st.one_of(finite.map(repr), finite.map("{:.16e}".format), finite.map("{:g}".format))
@@ -248,14 +253,20 @@ def array_files(draw):
         st.integers(-(2**70), 2**70).map(str) if field == "integer" else _float_tokens()
     )
     width = 2 if field == "complex" else 1
-    body = [
-        " ".join(draw(number) for _ in range(width))
-        for _ in range(len(mmio._entry_positions_array(rows, cols, symmetry)[0]))
-    ]
+    ii, jj = mmio._entry_positions_array(rows, cols, symmetry)
+    body = [" ".join(draw(number) for _ in range(width)) for _ in ii]
+    # Hermitian storage holds a real diagonal.
+    diagonal = np.flatnonzero(ii == jj).tolist() if (field, symmetry) == ("complex", "hermitian") else []
+    for k in diagonal:
+        body[k] = f"{body[k].split()[0]} {draw(st.sampled_from(_REAL_IMAG))}"
+    faults = _FAULTS + (("non_real_diagonal",) if diagonal else ())
     # A one-by-one skew-symmetric body is empty: only faults that add a line apply.
-    fault = draw(st.sampled_from(_FAULTS if body else ("none", "extra_entry", "comment", "blank")))
+    fault = draw(st.sampled_from(faults if body else ("none", "extra_entry", "comment", "blank")))
     at = draw(st.integers(0, max(len(body) - 1, 0)))
-    if fault == "extra_entry":
+    if fault == "non_real_diagonal":
+        at = draw(st.sampled_from(diagonal))
+        body[at] = f"{body[at].split()[0]} {draw(st.sampled_from(_NONREAL_IMAG))}"
+    elif fault == "extra_entry":
         body.insert(at, " ".join(draw(number) for _ in range(width)))
     elif fault == "missing_entry":
         del body[at]
@@ -301,6 +312,29 @@ def test_bulk_pass_matches_the_line_scanner(text):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_hermitian_array_diagonal_must_be_real(tmp_path, rows):
+    ii, jj = mmio._entry_positions_array(rows, rows, "hermitian")
+    header = f"%%MatrixMarket matrix array complex hermitian\n{rows} {rows}\n"
+    values = [f"{k + 1}.0 {0 if i == j else k + 1}.0" for k, (i, j) in enumerate(zip(ii, jj))]
+    path = tmp_path / "h.mtx"
+    path.write_text(header + "\n".join(values) + "\n")
+    got = read_matrix_market(path)
+    assert np.array_equal(got, got.conj().T)
+    with mock.patch.object(mmio, "_bulk_array_values", return_value=None):
+        assert np.array_equal(read_matrix_market(path), got)
+    for k in np.flatnonzero(ii == jj):
+        faulty = values.copy()
+        faulty[k] = f"{k + 1}.0 5e-324"
+        path.write_text(header + "\n".join(faulty) + "\n")
+        with pytest.raises(ParseError, match=rf":{k + 3}: hermitian storage needs a real diagonal"):
+            read_matrix_market(path)
+        # The bulk pass refuses the body, so the scanner is what names the line.
+        with mock.patch.object(mmio, "_scan_body", side_effect=ScannerReached):
+            with pytest.raises(ScannerReached):
+                read_matrix_market(path)
+
+
 @pytest.mark.parametrize("symmetry", ["general", "hermitian"])
 def test_repeated_coordinate_keeps_its_last_value(tmp_path, symmetry):
     path = tmp_path / "rep.mtx"
@@ -334,6 +368,8 @@ _COORDINATE_FAULTS = {
     "bad_value": "malformed number",
     "extra_entry": "more entries than the size line announces",
     "missing_entry": "entries, found",
+    "skew_diagonal": "skew-symmetric storage holds no diagonal entry",
+    "hermitian_diagonal": "hermitian storage needs a real diagonal entry",
 }
 
 
@@ -359,12 +395,19 @@ def coordinate_files(draw):
     if stored and draw(st.booleans()):
         stored.insert(draw(st.integers(0, len(stored))), draw(st.sampled_from(stored)))
     entries = [(i, j, [draw(number) for _ in range(width)]) for i, j in stored]
+    # Hermitian storage holds a real diagonal.
+    real_diagonal = (field, symmetry) == ("complex", "hermitian")
+    for i, j, vals in entries:
+        if real_diagonal and i == j:
+            vals[1] = draw(st.sampled_from(_REAL_IMAG))
 
     # With no entries only a count fault applies; a square lower triangle is needed to leave it.
     faults = [
         f for f in _COORDINATE_FAULTS
         if (entries or f == "missing_entry")
         and (f != "upper_triangle" or (symmetry != "general" and rows > 1))
+        and (f != "skew_diagonal" or symmetry == "skew-symmetric")
+        and (f != "hermitian_diagonal" or real_diagonal)
     ]
     fault = draw(st.sampled_from(["none", *faults]))
     nnz = len(entries)
@@ -382,6 +425,12 @@ def coordinate_files(draw):
     elif fault == "upper_triangle":
         i = draw(st.integers(1, rows - 1))
         lines[at] = f"{i} {draw(st.integers(i + 1, rows))} {' '.join(entries[at][2])}"
+    elif fault == "skew_diagonal":
+        d = draw(st.integers(1, rows))
+        lines[at] = f"{d} {d} {' '.join(entries[at][2])}"
+    elif fault == "hermitian_diagonal":
+        d = draw(st.integers(1, rows))
+        lines[at] = f"{d} {d} {entries[at][2][0]} {draw(st.sampled_from(_NONREAL_IMAG))}"
     elif fault == "few_tokens":
         lines[at] = " ".join(lines[at].split()[: draw(st.integers(1, 2))])
     elif fault in ("bad_index", "bad_value"):

@@ -160,7 +160,7 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> StudyRow:
     else:
         sep_full = sep(mu1, dl.L, dl.N)
         bound_refined = refined_vector_bound(
-            lam1, mu1, max(p.m0, 1.0), spectral_norm(A - mu1 * B), theta.radians, sep_full
+            lam1, mu1, max(p.m0, 1.0), spectral_norm(A - mu1 * B), theta, sep_full
         )
     return StudyRow(
         epsilon=eps,
@@ -173,7 +173,7 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> StudyRow:
         sep_projected=sep_projected,
         sep_full=sep_full,
         elsner_bound=elsner_bound(pp, perturbation_triple(p, pp, lam1, x1, theta)),
-        ritz_vector_bound=ritz_vector_bound(lam1, p.m0, p.d0, p.k0, theta.radians, sep_projected),
+        ritz_vector_bound=ritz_vector_bound(p.residual_scale(lam1), theta, sep_projected),
         refined_vector_bound=bound_refined,
     )
 
@@ -210,7 +210,7 @@ def test_reference_deflated_once_per_study(monkeypatch, wrong_vector):
 def test_failed_reference_deflation_keeps_rows():
     case = _hoist_case()
     wrong = dataclasses.replace(case, ref_vector=case.companions[:, 0])
-    ref = reference(wrong.pencil, wrong.ref_value, x1_ref=wrong.ref_vector)
+    ref = reference(wrong.pencil, wrong.ref_value, wrong.ref_vector)
     assert ref.deflation is None
     rows, verdicts = run_study(wrong, HOIST_EPS, seed=HOIST_SEED)
     others = [c for c in STUDY_COLUMNS if c not in ("sep_full", "refined_vector_bound")]

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cnormal, random_pencil, rng
 from qritz import kernels
-from qritz.angles import stacked_subspace_angle, subspace_angle, vector_angle
+from qritz.angles import Angle, stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
 from qritz.errors import (
     BadNorm,
@@ -270,24 +270,35 @@ class TestElsnerBound:
             assert abs(mu - ep.value) <= bound
 
 
+def _angle(radians):
+    return Angle(radians=radians, sin=math.sin(radians), cos=math.cos(radians))
+
+
 class TestClosedFormBounds:
     def test_ritz_vector_bound_trivial(self):
-        assert ritz_vector_bound(1.0, 1.0, 1.0, 1.0, 0.0, 0.5) == 0.0
-        assert ritz_vector_bound(1.0, 1.0, 1.0, 1.0, 0.1, 0.0) == math.inf
+        # |1|^2 * 1 + |1| * 1 + 1 is the residual scale of m0 = d0 = k0 = 1 at lam1 = 1.
+        assert ritz_vector_bound(3.0, _angle(0.0), 0.5) == 0.0
+        assert ritz_vector_bound(3.0, _angle(0.1), 0.0) == math.inf
 
     def test_ritz_vector_bound_formula(self):
-        got = ritz_vector_bound(2.0, 1.0, 3.0, 5.0, 0.3, 0.25)
         num = 4.0 * 1.0 + 2.0 * 3.0 + 5.0
+        got = ritz_vector_bound(num, _angle(0.3), 0.25)
         assert got == pytest.approx(math.sin(0.3) + num / 0.25 * math.tan(0.3), rel=1e-14)
 
     def test_refined_vector_bound_trivial(self):
-        assert refined_vector_bound(1.0, 1.0, 1.0, 1.0, 0.0, 0.5) == 0.0
-        assert refined_vector_bound(1.0, 1.0, 1.0, 1.0, 0.1, 0.0) == math.inf
+        assert refined_vector_bound(1.0, 1.0, 1.0, 1.0, _angle(0.0), 0.5) == 0.0
+        assert refined_vector_bound(1.0, 1.0, 1.0, 1.0, _angle(0.1), 0.0) == math.inf
 
     def test_refined_vector_bound_formula(self):
-        got = refined_vector_bound(1.0 + 1.0j, 1.0, 2.0, 3.0, 0.2, 0.4)
+        got = refined_vector_bound(1.0 + 1.0j, 1.0, 2.0, 3.0, _angle(0.2), 0.4)
         num = math.sqrt(3.0) * (abs(1j) * (2.0 + 3.0) + 3.0 * math.sin(0.2))
         assert got == pytest.approx(num / (math.cos(0.2) * 0.4), rel=1e-14)
+
+
+    def test_bounds_are_infinite_at_a_right_angle(self):
+        right = Angle(radians=math.pi / 2, sin=1.0, cos=0.0)
+        assert ritz_vector_bound(3.0, right, 0.5) == math.inf
+        assert refined_vector_bound(1.0, 1.0, 1.0, 1.0, right, 0.5) == math.inf
 
 
 class TestStackedInequality:
@@ -356,7 +367,7 @@ class TestRefinedResidualIdentity:
 class TestFullDiagnostics:
     def test_builtin_exact_subspace(self):
         p = example31_pencil()
-        rep = full_diagnostics(reference(p, 1.0, x1_ref=X1), example31_basis())
+        rep = full_diagnostics(reference(p, 1.0, X1), example31_basis())
         assert rep.sin_theta1 == 0.0
         assert rep.ritz_value_error <= 1e-11
         assert rep.refined_angle <= 1e-12
@@ -373,7 +384,7 @@ class TestFullDiagnostics:
                 abs(e.value - o.value) for o in pairs if abs(o.value - e.value) > 1e-9
             ),
         )
-        rep = full_diagnostics(reference(p, ep.value, x1_ref=ep.vector), np.eye(4))
+        rep = full_diagnostics(reference(p, ep.value, ep.vector), np.eye(4))
         assert rep.sin_theta1 <= 1e-13
         assert rep.ritz_value_error <= 1e-10
         assert rep.ritz_angle <= 1e-8
@@ -387,7 +398,7 @@ class TestFullDiagnostics:
         # perturbation_triple reads the angle full_diagnostics already holds.
         p = random_pencil(g, 5)
         ep = select_eigenpair(solve_full(p), 0.5)
-        ref = reference(p, ep.value, x1_ref=ep.vector)
+        ref = reference(p, ep.value, ep.vector)
         Q = perturbed_subspace(ep.vector, cnormal(g, 5, 2), 1e-4, seed=3)
         calls = []
         gate = kernels.orthonormality_defect
@@ -403,9 +414,29 @@ class TestFullDiagnostics:
 
     def test_reference_computed_when_absent(self):
         p = example31_pencil()
-        rep = full_diagnostics(reference(p, 1.05), example31_basis())
+        ep = select_eigenpair(solve_full(p), 1.05)
+        rep = full_diagnostics(reference(p, ep.value, ep.vector), example31_basis())
         assert abs(rep.ref_value - 1.0) <= 1e-6
         assert rep.refined_angle <= 1e-6
+
+    def test_reference_requires_a_unit_vector(self):
+        with pytest.raises(BadNorm):
+            reference(example31_pencil(), 1.0, 2.0 * X1)
+
+    def test_basis_orthogonal_to_x1_reports_infinite_bounds(self):
+        from qritz.pencil import QuadraticPencil
+
+        p = QuadraticPencil(np.diag([1.0, 2.0, 3.0]), np.diag([0.5, 0.1, 0.2]), np.diag([4.0, 1.0, 9.0]))
+        ep = select_eigenpair(solve_full(p), 1.7j)
+        assert abs(abs(ep.vector[2]) - 1.0) <= 1e-14
+        rep = full_diagnostics(reference(p, ep.value, ep.vector), np.eye(3)[:, :2])
+        assert rep.sin_theta1 == 1.0
+        assert rep.ritz_vector_bound == rep.refined_vector_bound == math.inf
+        # Every stage that does not divide by cos(theta1) still reports.
+        assert rep.ritz_value is not None and rep.refined_angle is not None
+        assert rep.sep_projected > 0 and rep.sep_full is not None
+        # The perturbation triple needs x1 to reach span{Q}.
+        assert rep.elsner_bound is None
 
     def test_partial_failure_marks_fields(self):
         # Indefinite mass projected to a singular block: Ritz extraction
@@ -415,7 +446,7 @@ class TestFullDiagnostics:
         p = QuadraticPencil(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
         Q = np.array([[1.0], [1.0]]) / np.sqrt(2)
         with pytest.warns():
-            rep = full_diagnostics(reference(p, 1.0, x1_ref=np.array([1.0, 0.0])), Q)
+            rep = full_diagnostics(reference(p, 1.0, np.array([1.0, 0.0])), Q)
         assert rep.sin_theta1 == pytest.approx(1.0 / np.sqrt(2), abs=1e-12)
         assert rep.ritz_value is None
         assert rep.refined_angle is None
