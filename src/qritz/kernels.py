@@ -5,7 +5,8 @@ Matrices are 2-D ``complex128`` ndarrays in row-major (C) order, vectors are
 concurrently.  Factorizations are delegated to LAPACK through numpy: the
 eigensolver is Hessenberg reduction plus implicitly shifted QR, the SVD
 is the standard bidiagonalization algorithm, and orthonormalization is
-Householder QR.
+Householder QR.  ``largest_singular`` is the one iterative kernel: it reads
+an operator only through its products.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ SINGULAR_TOL = 1e-14
 
 #: Unit-norm admission tolerance for vectors that contracts require normalized.
 UNIT_TOL = 1e-13
+
+#: Relative growth of the Golub-Kahan estimate under which ``largest_singular`` stops.
+STALL_TOL = 1e-15
+
+#: Philox key of the start vector of ``largest_singular``.
+START_KEY = 0x6B
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -177,6 +184,55 @@ def _right_singulars(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD failed: {exc}") from exc
     return s, Vh.conj().T
+
+
+def largest_singular(matvec, rmatvec, dim: int) -> float:
+    """``||T||`` of a square operator on ``C^dim`` given only by its products.
+
+    ``matvec(x)`` returns ``T x`` and ``rmatvec(y)`` returns ``T^H y``.
+    Golub-Kahan bidiagonalization with full reorthogonalization starts from
+    a fixed Philox vector (a structured operator can make ``ones`` orthogonal
+    to its top singular vector).  After step ``k`` the top singular value of
+    the k x k bidiagonal is a lower bound on ``||T||`` that only grows; the
+    iteration stops when that growth falls to ``STALL_TOL`` relative, when
+    a new direction is exactly zero (an invariant subspace), or after
+    ``dim`` steps.  The zero operator gives 0.0.
+    """
+    g = np.random.Generator(np.random.Philox(key=START_KEY))
+    v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+    # Row k holds the k-th left (us) or right (vs) Lanczos vector; rows are
+    # written one step at a time, so untouched rows are never paged in.
+    us = np.empty((dim, dim), dtype=np.complex128)
+    vs = np.empty((dim, dim), dtype=np.complex128)
+    vs[0] = v / np.linalg.norm(v)
+    bidiagonal = np.zeros((dim, dim))
+    top = 0.0
+    for k in range(dim):
+        u = matvec(vs[k])
+        if k:
+            u = _reorthogonalized(u - bidiagonal[k - 1, k] * us[k - 1], us[:k])
+        alpha = float(np.linalg.norm(u))
+        if alpha == 0.0:
+            break
+        us[k] = u / alpha
+        bidiagonal[k, k] = alpha
+        prev, top = top, float(np.linalg.svd(bidiagonal[: k + 1, : k + 1], compute_uv=False)[0])
+        if top - prev <= STALL_TOL * top or k + 1 == dim:
+            break
+        w = _reorthogonalized(rmatvec(us[k]) - alpha * vs[k], vs[: k + 1])
+        beta = float(np.linalg.norm(w))
+        if beta == 0.0:
+            break
+        vs[k + 1] = w / beta
+        bidiagonal[k, k + 1] = beta
+    return top
+
+
+def _reorthogonalized(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``w`` less its components along the orthonormal ``rows``, in two passes."""
+    for _ in range(2):
+        w = w - rows.T @ np.conj(rows @ np.conj(w))
+    return w
 
 
 def unitary_completion(v) -> np.ndarray:

@@ -8,8 +8,9 @@ linearization is the 2n x 2n pair
 
 whose eigenpairs ``(lam, [lam*x; x])`` encode the quadratic eigenpairs
 ``(lam, x)``.  This module is the only place that builds it: ``linearize``
-returns the pair and ``companion_matrix`` the matrix ``B^{-1} A``.  All
-types here are immutable value objects.
+returns the pair, ``companion_matrix`` the matrix ``B^{-1} A`` and
+``companion_operator`` the products with ``A - mu B`` without forming it.
+All types here are immutable value objects.
 """
 
 from __future__ import annotations
@@ -162,6 +163,26 @@ def linearize(p: QuadraticPencil) -> tuple[np.ndarray, np.ndarray]:
     A = np.block([[-p.D, -p.K], [eye, zero]])
     B = np.block([[p.M, zero], [zero, eye]])
     return A, B
+
+
+def companion_operator(p: QuadraticPencil, mu: complex):
+    """``(matvec, rmatvec)``: the products with ``A - mu B`` and its adjoint, never forming it.
+
+    ``(A - mu B) [u_t; u_b] = [-(D + mu M) u_t - K u_b; u_t - mu u_b]`` and
+    ``(A - mu B)^H [c_t; c_b] = [c_b - (D + mu M)^H c_t; -K^H c_t - conj(mu) c_b]``.
+    """
+    n = p.n
+    mu = complex(mu)
+    DmuM = p.D + mu * p.M
+
+    def matvec(u):
+        return np.concatenate([-(DmuM @ u[:n]) - p.K @ u[n:], u[:n] - mu * u[n:]])
+
+    def rmatvec(c):
+        ct, cb = c[:n], c[n:]
+        return np.concatenate([cb - DmuM.conj().T @ ct, -(p.K.conj().T @ ct) - mu.conjugate() * cb])
+
+    return matvec, rmatvec
 
 
 def companion_matrix(p: QuadraticPencil) -> np.ndarray:

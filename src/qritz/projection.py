@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteMass, NotOrthonormal, Singular
+from .errors import DimensionMismatch, IndefiniteMass, NotOrthonormal, Singular
 from .kernels import as_matrix, clustered_flags, require_orthonormal
-from .pencil import QuadraticPencil, qep_residual
+from .pencil import QuadraticPencil
 from .solver import solve_full
 
 #: Ritz values closer than this (relative to max |mu|) are flagged clustered:
@@ -57,12 +57,13 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
     """Project the pencil onto span{Q} for orthonormal ``Q``.
 
     Raises:
+        DimensionMismatch: if ``Q`` does not have ``p.n`` rows.
         NotOrthonormal: if ``||Q^H Q - I|| > kernels.BASIS_TOL``.
     """
     Q = as_matrix(Q, "Q")
     n, m = Q.shape
     if n != p.n:
-        raise NotOrthonormal(f"basis has {n} rows but the pencil has dimension {p.n}")
+        raise DimensionMismatch(f"basis has {n} rows but the pencil has dimension {p.n}")
     if m > n:
         raise NotOrthonormal(f"basis has more columns ({m}) than rows ({n})")
     require_orthonormal(Q)
@@ -112,9 +113,3 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
             )
         )
     return out
-
-
-def galerkin_defect(pp: ProjectedPencil, p: QuadraticPencil, pair: RitzPair) -> float:
-    """``||Q^H (mu^2 M + mu D + K) x~||``, zero for an exact Ritz pair."""
-    r, _ = qep_residual(p, pair.value, pair.vector)
-    return float(np.linalg.norm(pp.basis.conj().T @ r))

@@ -163,7 +163,7 @@ def run_study(
     case: StudyCase, eps_list: list[float], seed: int
 ) -> tuple[list[StudyRow], list[str]]:
     """One diagnostics row and verdict per epsilon; failures mark their row
-    with NaN columns and the run continues.  The reference pair is deflated
+    with NaN columns and the run continues.  The reference pair is admitted
     once, before the first row."""
     ref_vector = as_vector(case.ref_vector, "ref_vector")
     ref = reference(case.pencil, case.ref_value, ref_vector / np.linalg.norm(ref_vector))

@@ -11,14 +11,18 @@ one search space span{Q}:
 * how close the refined vector is, conditional only on separation in the
   full-size pencil, which holds whenever ``lam1`` is simple.
 
-``reference`` takes the unit target eigenpair of one pencil and deflates it
-from the full companion pair once; ``full_diagnostics`` reads that
-``Reference`` for each search space.  The bounds read theta1 from its one
-``Angle`` and the residual scale from ``QuadraticPencil.residual_scale``.
+``reference`` takes the unit target eigenpair of one pencil and admits it
+once as an eigenpair of the full companion pair; ``full_diagnostics`` reads
+that ``Reference`` for each search space.  The bounds read theta1 from its
+one ``Angle`` and the residual scale from ``QuadraticPencil.residual_scale``.
 
-``sep(mu, (L, N)) = sigma_min(L - mu N)`` throughout; a vanishing ``sep``
-voids the corresponding hypothesis, which is reported as an infinite bound
-rather than an exception so sweep tables stay rectangular.  A basis
+``sep(mu, (L, N)) = sigma_min(L - mu N)`` throughout.  Only the m-size
+projected pair is deflated (``deflate``); the full-size separation is
+``1 / ||T||`` with ``T`` applied through an (n+1) x (n+1) bordered solve
+(``bordered_sep``), and ``||A||``, ``||A - mu1 B||`` and ``||T||`` come from
+``kernels.largest_singular``, so no 2n x 2n matrix is formed.  A vanishing
+``sep`` voids the corresponding hypothesis, which is reported as an infinite
+bound rather than an exception so sweep tables stay rectangular.  A basis
 orthogonal to ``x1`` (theta1 = pi/2, ``cos == 0``) voids both vector bounds
 the same way.
 """
@@ -39,11 +43,19 @@ from .errors import (
     ZeroBv,
     ZeroEigenvalue,
 )
-from .kernels import as_matrix, as_vector, require_unit, spectral_norm, unitary_completion
+from .kernels import (
+    as_matrix,
+    as_vector,
+    largest_singular,
+    require_unit,
+    spectral_norm,
+    unitary_completion,
+)
 from .pencil import (
     QuadraticPencil,
     _companion,
     companion_matrix,
+    companion_operator,
     linearize,
     qep_residual,
     stack_vector,
@@ -126,40 +138,69 @@ class DiagnosticsReport:
 
 @dataclass(frozen=True)
 class Reference:
-    """The reference eigenpair of one pencil and its full-size deflation.
+    """The reference eigenpair of one pencil, admitted against its companion pair.
 
     Nothing here depends on the search space, so a study builds one
     ``Reference`` and passes it to ``full_diagnostics`` for every basis.
-    ``(A, B)`` is the companion pair of ``pencil``; ``deflation`` deflates
-    ``(value, [value x; x])`` from it, or is None when that pair is not an
-    eigenpair of ``(A, B)`` to ``EIGPAIR_TOL``, in which case the refined
-    bound is left unset.
+    ``v = [value x; x] / sqrt(1 + |value|^2)`` is the stacked eigenvector of
+    the companion pair ``(A, B)`` and ``y1 = B v / ||B v||`` its left vector;
+    the pair ``(v, y1)`` borders ``A - mu B`` in ``bordered_sep``, which is
+    how the full-size deflation enters without being formed.  ``norm_a`` is
+    ``||A||`` from ``kernels.largest_singular``.  ``rejection`` is the
+    ``NotAnEigenpair`` or ``ZeroBv`` that refused the pair under the
+    ``deflate`` rules (``y1`` is then None and the refined bound is left
+    unset), or None when the pair is admitted.
     """
 
     pencil: QuadraticPencil
     value: complex
     vector: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    deflation: Deflation | None
+    v: np.ndarray
+    y1: np.ndarray | None
+    norm_a: float
+    rejection: QritzError | None
 
 
 def reference(p: QuadraticPencil, value: complex, vector) -> Reference:
-    """The reference eigenpair ``(value, vector)`` of ``p`` and its full-size deflation.
+    """The reference eigenpair ``(value, vector)`` of ``p``, admitted once.
 
-    A failed deflation is stored as None, not raised.
+    A refused admission is stored in ``rejection``, not raised.
 
     Raises:
         BadNorm: if ``vector`` is not unit (``kernels.require_unit``).
     """
     lam1 = complex(value)
     x1 = require_unit(vector, "reference vector")
-    A, B = linearize(p)
+    n = p.n
+    v = stack_vector(lam1, x1)
+    norm_a = largest_singular(*companion_operator(p, 0.0), 2 * n)
+    Bv = np.concatenate([p.M @ v[:n], v[n:]])
+    nb = np.linalg.norm(Bv)
+    residual = np.linalg.norm(companion_operator(p, lam1)[0](v))
+    y1 = rejection = None
     try:
-        dl = deflate(A, B, lam1, stack_vector(lam1, x1))
-    except QritzError:
-        dl = None
-    return Reference(pencil=p, value=lam1, vector=x1, A=A, B=B, deflation=dl)
+        _admit(lam1, residual, nb, norm_a, max(p.m0, 1.0))
+        y1 = Bv / nb
+    except (NotAnEigenpair, ZeroBv) as exc:
+        rejection = exc
+    return Reference(
+        pencil=p, value=lam1, vector=x1, v=v, y1=y1, norm_a=norm_a, rejection=rejection
+    )
+
+
+def _admit(lam: complex, residual: float, norm_bv: float, norm_a: float, norm_b: float) -> None:
+    """The admission rules of ``deflate`` for ``(lam, v)`` with unit ``v``.
+
+    Raises:
+        NotAnEigenpair: if ``residual = ||A v - lam B v||`` exceeds
+            ``EIGPAIR_TOL * (||A|| + |lam| ||B||)``.
+        ZeroBv: if ``||B v|| <= 1e-14 ||B||``.
+    """
+    scale = norm_a + abs(lam) * norm_b
+    if residual > EIGPAIR_TOL * scale:
+        raise NotAnEigenpair(f"residual {residual:.3e} exceeds {EIGPAIR_TOL:.1e} * {scale:.3e}")
+    if norm_bv <= 1e-14 * norm_b:
+        raise ZeroBv(f"||B v|| = {norm_bv:.3e} is numerically zero")
 
 
 def deflate(A, B, lam: complex, v) -> Deflation:
@@ -179,16 +220,9 @@ def deflate(A, B, lam: complex, v) -> Deflation:
     v = as_vector(v, "v")
     lam = complex(lam)
     v = v / np.linalg.norm(v)
-    norm_a = spectral_norm(A)
-    norm_b = spectral_norm(B)
-    res = np.linalg.norm(A @ v - lam * (B @ v))
-    scale = norm_a + abs(lam) * norm_b
-    if res > EIGPAIR_TOL * scale:
-        raise NotAnEigenpair(f"residual {res:.3e} exceeds {EIGPAIR_TOL:.1e} * {scale:.3e}")
     Bv = B @ v
     nb = np.linalg.norm(Bv)
-    if nb <= 1e-14 * norm_b:
-        raise ZeroBv(f"||B v|| = {nb:.3e} is numerically zero")
+    _admit(lam, np.linalg.norm(A @ v - lam * Bv), nb, spectral_norm(A), spectral_norm(B))
     y1 = Bv / nb
     X = unitary_completion(v)
     Y = unitary_completion(y1)
@@ -211,6 +245,58 @@ def sep(mu: complex, L, N) -> float:
         return math.inf
     sv = np.linalg.svd(L - complex(mu) * N, compute_uv=False)
     return float(sv[-1])
+
+
+def bordered_sep(ref: Reference, mu: complex) -> float:
+    """``sep(mu, L, N)`` of the full-size deflation of an admitted ``ref``, without ``L`` or ``N``.
+
+    ``X (L - mu N)^{-1} Y^H`` is the top-left 2n x 2n block ``T`` of
+    ``[[A - mu B, y1], [v^H, 0]]^{-1}`` (Govaerts & Pryce, 1993), so the
+    separation is ``1 / ||T||``.  Writing t and b for the top and bottom
+    halves, ``T b`` solves the bordered system; its second block row gives
+    ``z_t = b_b + mu z_b - zeta y1_b`` and leaves the (n+1) x (n+1) matrix
+
+        S(mu) = [[-P(mu), (D + mu M) y1_b + y1_t], [mu v_t^H + v_b^H, -v_t^H y1_b]]
+
+    for ``[z_b; zeta]``, with right-hand side ``[b_t + (D + mu M) b_b; -v_t^H b_b]``.
+    ``T^H`` is applied through ``S(mu)^H`` the same way.  ``S`` is inverted
+    once per call and ``kernels.largest_singular`` takes ``||T||``.  An
+    exactly singular ``S`` means ``mu`` is an eigenvalue of ``(L, N)``: the
+    separation is 0.0.
+
+    Raises:
+        NotAnEigenpair, ZeroBv: the ``rejection`` of a reference that was not admitted.
+    """
+    if ref.rejection is not None:
+        raise ref.rejection
+    p = ref.pencil
+    n = p.n
+    mu = complex(mu)
+    vt, vb = ref.v[:n], ref.v[n:]
+    yt, yb = ref.y1[:n], ref.y1[n:]
+    DmuM = p.D + mu * p.M
+    S = np.empty((n + 1, n + 1), dtype=np.complex128)
+    S[:n, :n] = -p.evaluate(mu)
+    S[:n, n] = DmuM @ yb + yt
+    S[n, :n] = mu * vt.conj() + vb.conj()
+    S[n, n] = -np.vdot(vt, yb)
+    try:
+        S_inv = np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        return 0.0
+    S_inv_h = S_inv.conj().T
+
+    def matvec(b):
+        bt, bb = b[:n], b[n:]
+        z = S_inv @ np.append(bt + DmuM @ bb, -np.vdot(vt, bb))
+        return np.concatenate([bb + mu * z[:n] - z[n] * yb, z[:n]])
+
+    def rmatvec(c):
+        ct, cb = c[:n], c[n:]
+        w = S_inv_h @ np.append(cb + mu.conjugate() * ct, -np.vdot(yb, ct))
+        return np.concatenate([w[:n], ct + DmuM.conj().T @ w[:n] - w[n] * vt])
+
+    return 1.0 / largest_singular(matvec, rmatvec, 2 * n)
 
 
 def perturbation_triple(
@@ -358,8 +444,8 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     p = ref.pencil
     lam1, x1 = ref.value, ref.vector
 
-    theta = subspace_angle(Q, x1)
     pp = project(p, Q)
+    theta = subspace_angle(Q, x1)
 
     mu1 = None
     ritz_err = None
@@ -388,10 +474,6 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
         except QritzError:
             pass
 
-    sep_full = None
-    if mu1 is not None and ref.deflation is not None:
-        sep_full = sep(mu1, ref.deflation.L, ref.deflation.N)
-
     sep_projected = None
     if sel is not None:
         try:
@@ -412,12 +494,15 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     if sep_projected is not None:
         bound_ritz = ritz_vector_bound(p.residual_scale(lam1), theta, sep_projected)
 
+    sep_full = None
     bound_refined = None
-    if sep_full is not None and mu1 is not None:
+    if mu1 is not None and ref.rejection is None:
+        sep_full = bordered_sep(ref, mu1)
+        norm_a_minus = largest_singular(*companion_operator(p, mu1), 2 * p.n)
         # ||diag(M, I)|| = max(||M||, 1).
-        norm_b = max(p.m0, 1.0)
-        norm_a_minus = spectral_norm(ref.A - mu1 * ref.B)
-        bound_refined = refined_vector_bound(lam1, mu1, norm_b, norm_a_minus, theta, sep_full)
+        bound_refined = refined_vector_bound(
+            lam1, mu1, max(p.m0, 1.0), norm_a_minus, theta, sep_full
+        )
 
     return DiagnosticsReport(
         ref_value=lam1,

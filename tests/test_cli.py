@@ -294,6 +294,21 @@ def test_project_basis_orthogonal_to_reference_reports_infinite_bounds(tmp_path,
     assert "refined vec bound  = inf" in out
 
 
+def test_project_basis_with_wrong_row_count_is_a_dimension_mismatch(tmp_path, run_main):
+    mats = {
+        "M": np.diag([1.0, 2.0, 3.0]),
+        "D": np.diag([0.5, 0.1, 0.2]),
+        "K": np.diag([4.0, 1.0, 9.0]),
+        "Q": np.eye(2)[:, :1],
+    }
+    for name, mat in mats.items():
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    code, out, err = run_main(["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx"])
+    assert code == 2
+    assert out == ""
+    assert "DimensionMismatch: basis has 2 rows but the pencil has dimension 3" in err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

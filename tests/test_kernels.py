@@ -6,6 +6,7 @@ from qritz.errors import BadNorm, RankDeficient, Singular
 from qritz.kernels import (
     ORTHO_TOL,
     eig_standard,
+    largest_singular,
     orthonormalize,
     orthonormality_defect,
     solve_linear,
@@ -160,6 +161,61 @@ class TestSvd:
         np.fill_diagonal(S, s)
         assert spectral_norm(G - U @ S @ V.conj().T) <= 1e-12 * spectral_norm(G)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+
+
+def _operator(a, calls=None):
+    """``(matvec, rmatvec)`` of the dense matrix ``a``; ``calls`` counts the matvecs."""
+
+    def matvec(x):
+        if calls is not None:
+            calls.append(x.size)
+        return a @ x
+
+    return matvec, lambda y: a.conj().T @ y
+
+
+class TestLargestSingular:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_dense(self, seed):
+        g = rng(seed + 2300)
+        k = int(g.integers(2, 40))
+        a = cnormal(g, k, k) * 10.0 ** g.uniform(-3, 3)
+        want = np.linalg.norm(a, 2)
+        assert abs(largest_singular(*_operator(a), k) - want) <= 1e-14 * want
+
+    def test_rank_one(self, g):
+        a = np.outer(cnormal(g, 9), cnormal(g, 9))
+        want = np.linalg.norm(a, 2)
+        assert abs(largest_singular(*_operator(a), 9) - want) <= 1e-14 * want
+
+    def test_zero_operator(self):
+        assert largest_singular(*_operator(np.zeros((5, 5), dtype=complex)), 5) == 0.0
+
+    def test_dimension_one(self):
+        assert largest_singular(*_operator(np.array([[3.0 - 4.0j]])), 1) == pytest.approx(5.0, rel=1e-15)
+
+    def test_top_singular_vector_orthogonal_to_ones(self):
+        # ||a|| = 10 along w = (e1 - e2)/sqrt(2), which is orthogonal to ones;
+        # on the complement of w, a is the identity, so a start vector of ones
+        # would never leave it and report 1.
+        w = np.zeros(6)
+        w[:2] = [1.0, -1.0]
+        w /= np.sqrt(2.0)
+        a = np.eye(6) + 9.0 * np.outer(w, w)
+        assert a @ np.ones(6) == pytest.approx(np.ones(6))
+        assert largest_singular(*_operator(a), 6) == pytest.approx(10.0, rel=1e-14)
+
+    def test_runs_every_step(self):
+        # Three distinct singular values and a generic start: the estimate
+        # keeps growing until the Krylov space is the whole space.
+        a = np.diag([1.0, 0.9, 0.8]).astype(complex)
+        calls = []
+        assert largest_singular(*_operator(a, calls), 3) == pytest.approx(1.0, rel=1e-14)
+        assert calls == [3, 3, 3]
+
+    def test_deterministic(self, g):
+        a = cnormal(g, 8, 8)
+        assert largest_singular(*_operator(a), 8) == largest_singular(*_operator(a), 8)
 
 
 class TestUnitaryCompletion:

@@ -8,16 +8,23 @@ from qritz.builtin import (
     example31_pencil,
     example31_projected_mass,
 )
-from qritz.errors import IndefiniteMass, NotOrthonormal, Singular
+from qritz.errors import DimensionMismatch, IndefiniteMass, NotOrthonormal, Singular
 from qritz.kernels import orthonormalize, spectral_norm
-from qritz.pencil import QuadraticPencil
+from qritz.pencil import QuadraticPencil, qep_residual
 from qritz.projection import (
-    galerkin_defect,
+    ProjectedPencil,
+    RitzPair,
     project,
     ritz_pairs,
 )
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
+
+
+def galerkin_defect(pp: ProjectedPencil, p: QuadraticPencil, pair: RitzPair) -> float:
+    """``||Q^H (mu^2 M + mu D + K) x~||``, zero for an exact Ritz pair."""
+    r, _ = qep_residual(p, pair.value, pair.vector)
+    return float(np.linalg.norm(pp.basis.conj().T @ r))
 
 
 class TestProject:
@@ -41,6 +48,11 @@ class TestProject:
         Q = cnormal(g, 4, 2)
         with pytest.raises(NotOrthonormal):
             project(p, Q)
+
+    def test_rejects_wrong_row_count(self, g):
+        p = random_pencil(g, 4)
+        with pytest.raises(DimensionMismatch, match="3 rows"):
+            project(p, np.eye(3)[:, :2])
 
     def test_warns_without_hpd_mass(self):
         p = QuadraticPencil(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), np.eye(2))

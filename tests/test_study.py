@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import numpy as np
+import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
 from conftest import random_pencil, rng
@@ -137,10 +138,15 @@ def _hoist_case():
     return case_from_pencil(p, complex(g.standard_normal(), g.standard_normal()), dim=3)
 
 
-def _oracle_row(case: StudyCase, eps: float, index: int) -> StudyRow:
+def _oracle_row(case: StudyCase, eps: float, index: int) -> tuple[StudyRow, float]:
     """One study row recomputed from the primitives, deflating the reference
-    pair from a freshly built companion pair; the two columns that read that
-    deflation are NaN when it raises ``NotAnEigenpair``."""
+    pair from a freshly built 2n x 2n companion pair; the two columns that
+    read that deflation are NaN when it raises ``NotAnEigenpair``.
+
+    Also returns the allowance of the mixed gate on ``sep_full``,
+    ``1e-12 sep + SEP_FLOOR (||B|| + ||A - mu1 B||)`` (NaN with the columns):
+    the dense oracle is itself only accurate to about eps ||A - mu1 B||.
+    """
     p = case.pencil
     lam1 = case.ref_value
     x1 = case.ref_vector / np.linalg.norm(case.ref_vector)
@@ -156,13 +162,13 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> StudyRow:
     try:
         dl = deflate(A, B, lam1, stack_vector(lam1, x1))
     except NotAnEigenpair:
-        sep_full = bound_refined = math.nan
+        sep_full = bound_refined = allowance = math.nan
     else:
         sep_full = sep(mu1, dl.L, dl.N)
-        bound_refined = refined_vector_bound(
-            lam1, mu1, max(p.m0, 1.0), spectral_norm(A - mu1 * B), theta, sep_full
-        )
-    return StudyRow(
+        norm_b, norm_a_minus = max(p.m0, 1.0), spectral_norm(A - mu1 * B)
+        bound_refined = refined_vector_bound(lam1, mu1, norm_b, norm_a_minus, theta, sep_full)
+        allowance = 1e-12 * sep_full + theory.SEP_FLOOR * (norm_b + norm_a_minus)
+    row = StudyRow(
         epsilon=eps,
         sin_theta=theta.sin,
         ritz_value_err=abs(mu1 - lam1),
@@ -176,17 +182,30 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> StudyRow:
         ritz_vector_bound=ritz_vector_bound(p.residual_scale(lam1), theta, sep_projected),
         refined_vector_bound=bound_refined,
     )
+    return row, allowance
+
+
+#: The columns that read the full-size separation; every other column is
+#: the same arithmetic on the same inputs as the oracle's.
+FULL_SIZE_COLUMNS = ("sep_full", "refined_vector_bound")
 
 
 def test_hoisted_reference_matches_fresh_deflation():
     case = _hoist_case()
     rows, _ = run_study(case, HOIST_EPS, seed=HOIST_SEED)
+    others = [c for c in STUDY_COLUMNS if c not in FULL_SIZE_COLUMNS]
     for i, (row, eps) in enumerate(zip(rows, HOIST_EPS)):
-        expected = _oracle_row(case, eps, i)
+        expected, allowance = _oracle_row(case, eps, i)
         assert math.isfinite(row.sep_full) and row.sep_full > 0
         assert math.isfinite(row.refined_vector_bound)
-        # Same arithmetic on the same inputs: bit-identical, not merely close.
-        assert dataclasses.astuple(row) == dataclasses.astuple(expected)
+        # Bit-identical, not merely close.
+        assert [getattr(row, c) for c in others] == [getattr(expected, c) for c in others]
+        # The bordered solve and the dense deflation agree to the mixed gate,
+        # and the bound, which divides by sep_full, to the matching relative amount.
+        assert abs(row.sep_full - expected.sep_full) <= allowance
+        relative = allowance / expected.sep_full + 1e-12
+        bound_error = abs(row.refined_vector_bound - expected.refined_vector_bound)
+        assert bound_error <= relative * expected.refined_vector_bound
 
 
 @pytest.mark.parametrize("wrong_vector", [False, True])
@@ -202,21 +221,42 @@ def test_reference_deflated_once_per_study(monkeypatch, wrong_vector):
 
     monkeypatch.setattr(theory, "deflate", counting_deflate)
     rows, _ = run_study(case, HOIST_EPS, seed=HOIST_SEED)
-    # One full-size deflation, then one projected (2m x 2m) deflation per row.
-    n, m = case.pencil.n, case.companions.shape[1] + 1
-    assert calls == [(2 * n, 2 * n)] + [(2 * m, 2 * m)] * len(rows)
+    # One projected (2m x 2m) deflation per row; the full-size pair is never deflated.
+    m = case.companions.shape[1] + 1
+    assert calls == [(2 * m, 2 * m)] * len(rows)
 
 
 def test_failed_reference_deflation_keeps_rows():
     case = _hoist_case()
     wrong = dataclasses.replace(case, ref_vector=case.companions[:, 0])
     ref = reference(wrong.pencil, wrong.ref_value, wrong.ref_vector)
-    assert ref.deflation is None
+    assert isinstance(ref.rejection, NotAnEigenpair) and ref.y1 is None
     rows, verdicts = run_study(wrong, HOIST_EPS, seed=HOIST_SEED)
-    others = [c for c in STUDY_COLUMNS if c not in ("sep_full", "refined_vector_bound")]
+    others = [c for c in STUDY_COLUMNS if c not in FULL_SIZE_COLUMNS]
     for i, (row, eps) in enumerate(zip(rows, HOIST_EPS)):
         assert math.isnan(row.sep_full) and math.isnan(row.refined_vector_bound)
         assert not any(math.isnan(getattr(row, c)) for c in others)
-        expected = _oracle_row(wrong, eps, i)
+        expected, _ = _oracle_row(wrong, eps, i)
         assert [getattr(row, c) for c in others] == [getattr(expected, c) for c in others]
     assert "FAILED" not in verdicts
+
+
+def test_study_factorizes_nothing_of_companion_size(monkeypatch):
+    # Every svd, qr and inv a study makes, including the svd inside
+    # np.linalg.norm(a, 2), is of a matrix smaller than the 2n x 2n companion pair.
+    case = _hoist_case()
+    shapes = []
+    for module in (np.linalg, np_linalg_impl):
+        for name in ("svd", "qr", "inv"):
+            factor = getattr(module, name)
+
+            def recording(a, *args, _factor=factor, **kwargs):
+                shapes.append(np.shape(a))
+                return _factor(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+    rows, _ = run_study(case, HOIST_EPS + [0.0], seed=HOIST_SEED)
+    monkeypatch.undo()
+    assert all(math.isfinite(row.sep_full) for row in rows)
+    n = case.pencil.n
+    assert shapes and max(max(shape) for shape in shapes) < 2 * n

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cnormal, random_pencil, rng
+from conftest import cnormal, isolated_eigenpair, random_hpd, random_pencil, rng
 from qritz import kernels
 from qritz.angles import Angle, stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
@@ -15,12 +15,20 @@ from qritz.errors import (
     ZeroEigenvalue,
     ZeroVector,
 )
-from qritz.kernels import eig_standard, orthonormalize, solve_linear, spectral_norm
-from qritz.pencil import linearize, qep_residual
+from qritz.kernels import (
+    eig_standard,
+    largest_singular,
+    orthonormalize,
+    solve_linear,
+    spectral_norm,
+)
+from qritz.pencil import QuadraticPencil, companion_operator, linearize, qep_residual, stack_vector
 from qritz.projection import project
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
 from qritz.theory import (
+    SEP_FLOOR,
+    bordered_sep,
     deflate,
     elsner_bound,
     full_diagnostics,
@@ -198,6 +206,100 @@ class TestSep:
             mu = complex(g.standard_normal(), g.standard_normal())
             nu = mu + complex(g.standard_normal(), g.standard_normal()) * 0.1
             assert abs(sep(mu, L, N) - sep(nu, L, N)) <= abs(mu - nu) * norm_n + 1e-12
+
+
+def _dense_full_size(p, lam1, x1, mu):
+    """The dense oracle on the 2n x 2n companion pair: ``sep(mu, L, N)`` of the
+    deflated reference, ``||A - mu B||`` and ``||A||``."""
+    A, B = linearize(p)
+    dl = deflate(A, B, lam1, stack_vector(lam1, x1))
+    return sep(mu, dl.L, dl.N), spectral_norm(A - mu * B), spectral_norm(A)
+
+
+def _sep_allowance(p, sep_dense, norm_a_minus):
+    """The mixed gate: the dense oracle is itself only accurate to about eps ||A - mu B||."""
+    return 1e-12 * sep_dense + SEP_FLOOR * (max(p.m0, 1.0) + norm_a_minus)
+
+
+def _criterion_3_pencil(index):
+    """The random pencil of the criterion-3 domination instance ``index``."""
+    g = rng((777 << 32) + index)
+    n = int(g.integers(3, 7))
+    g.integers(2, min(4, n) + 1)
+    return random_pencil(g, n)
+
+
+def _graded_mass_pencil(seed):
+    """HPD mass graded over six orders of magnitude."""
+    g = rng(seed + 2600)
+    scale = np.diag(10.0 ** np.linspace(-3.0, 3.0, 7))
+    p = random_pencil(g, 7)
+    return QuadraticPencil(scale @ random_hpd(g, 7) @ scale, p.D, p.K)
+
+
+def _non_hermitian_mass_pencil(seed):
+    g = rng(seed + 2650)
+    return random_pencil(g, int(g.integers(3, 9)), hpd_mass=False)
+
+
+class TestBorderedSeparation:
+    """``bordered_sep`` and the Golub-Kahan norms against the dense 2n x 2n oracle."""
+
+    @pytest.mark.parametrize(
+        "make, index",
+        [(_criterion_3_pencil, i) for i in range(8)]
+        + [(_graded_mass_pencil, i) for i in range(3)]
+        + [(_non_hermitian_mass_pencil, i) for i in range(3)],
+    )
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 0.0])
+    @pytest.mark.filterwarnings("ignore::qritz.errors.IndefiniteMass")
+    def test_matches_dense_deflation(self, make, index, delta):
+        p = make(index)
+        ep, _ = isolated_eigenpair(solve_full(p))
+        ref = reference(p, ep.value, ep.vector)
+        assert ref.rejection is None
+        mu = ep.value + delta * (1 + 1j)
+        sep_dense, norm_dense, norm_a = _dense_full_size(p, ep.value, ep.vector, mu)
+        assert abs(ref.norm_a - norm_a) <= 1e-14 * norm_a
+        norm = largest_singular(*companion_operator(p, mu), 2 * p.n)
+        assert abs(norm - norm_dense) <= 1e-14 * norm_dense
+        assert abs(bordered_sep(ref, mu) - sep_dense) <= _sep_allowance(p, sep_dense, norm_dense)
+
+    @pytest.mark.parametrize("eps", [10.0 ** (-k) for k in range(2, 13)] + [0.0])
+    def test_example31_sweep(self, eps):
+        p = example31_pencil()
+        Q = perturbed_subspace(X1, example31_basis()[:, 1:], eps, seed=1)
+        rep = full_diagnostics(reference(p, 1.0, X1), Q)
+        mu1 = rep.ritz_value
+        sep_dense, norm_dense, _ = _dense_full_size(p, 1.0, X1, mu1)
+        allowance = _sep_allowance(p, sep_dense, norm_dense)
+        assert abs(rep.sep_full - sep_dense) <= allowance
+        theta = subspace_angle(Q, X1)
+        bound = refined_vector_bound(1.0, mu1, max(p.m0, 1.0), norm_dense, theta, sep_dense)
+        if math.isinf(bound):
+            assert rep.refined_vector_bound == math.inf
+        else:
+            relative = allowance / sep_dense + 1e-12
+            assert abs(rep.refined_vector_bound - bound) <= relative * bound
+
+    def test_refuses_a_rejected_reference(self):
+        ref = reference(example31_pencil(), 1.0, np.array([1.0, 0.0, 0.0]))
+        assert isinstance(ref.rejection, NotAnEigenpair) and ref.y1 is None
+        with pytest.raises(NotAnEigenpair):
+            bordered_sep(ref, 1.0)
+
+    def test_exactly_singular_bordered_matrix_means_no_separation(self):
+        # lambda = 1 is a double eigenvalue of example 3.1, so at mu = 1 the
+        # deflated pair (L, N) still has the eigenvalue 1 and S(1) is singular.
+        p = example31_pencil()
+        ref = reference(p, 1.0, X1)
+        assert bordered_sep(ref, 1.0) == 0.0
+        norm = largest_singular(*companion_operator(p, 1.0), 2 * p.n)
+        assert refined_vector_bound(1.0, 1.0, max(p.m0, 1.0), norm, _angle(1e-3), 0.0) == math.inf
+        Q = perturbed_subspace(X1, example31_basis()[:, 1:], 0.0, seed=1)
+        rep = full_diagnostics(ref, Q)
+        assert rep.ritz_value == 1.0
+        assert rep.sep_full == 0.0 and rep.refined_vector_bound == math.inf
 
 
 class TestPerturbationTriple:
