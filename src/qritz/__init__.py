@@ -53,7 +53,6 @@ from .solver import select_eigenpair, solve_full
 from .study import StudyRow, run_study, write_study_csv
 from .subspace import perturbed_subspace
 from .theory import (
-    Deflation,
     DiagnosticsReport,
     PerturbationTriple,
     Reference,
@@ -75,7 +74,6 @@ __all__ = [
     "Angle",
     "AmbiguousMinimizer",
     "BadNorm",
-    "Deflation",
     "DiagnosticsReport",
     "DimensionMismatch",
     "Eigenpair",

@@ -113,8 +113,9 @@ def orthonormalize(V) -> np.ndarray:
         raise ValueError(f"cannot orthonormalize {k} columns in dimension {n}")
     sv = np.linalg.svd(V, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
+        rank = int(np.sum(sv >= RANK_TOL * sv[0])) if sv[0] else 0
         raise RankDeficient(
-            f"numerical rank {int(np.sum(sv >= RANK_TOL * sv[0]))} < {k} "
+            f"numerical rank {rank} < {k} "
             f"(smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e})"
         )
     Q, _ = np.linalg.qr(V)

@@ -16,10 +16,13 @@ once as an eigenpair of the full companion pair; ``full_diagnostics`` reads
 that ``Reference`` for each search space.  The bounds read theta1 from its
 one ``Angle`` and the residual scale from ``QuadraticPencil.residual_scale``.
 
-``sep(mu, (L, N)) = sigma_min(L - mu N)`` throughout.  Only the m-size
-projected pair is deflated (``deflate``); the full-size separation is
-``1 / ||T||`` with ``T`` applied through an (n+1) x (n+1) bordered solve
-(``bordered_sep``), and ``||A||``, ``||A - mu1 B||`` and ``||T||`` come from
+``sep(mu, L, N) = sigma_min(L - mu N)`` throughout, and both separations
+take it through one identity: with ``v`` the deflated unit eigenvector and
+``y1 = B v / ||B v||``, ``1 / sep`` is the norm of the top-left block ``T`` of
+``[[A - mu B, y1], [v^H, 0]]^{-1}``.  For the 2m-size projected pair ``sep``
+inverts that bordered matrix densely; for the full-size pair
+``bordered_sep`` applies ``T`` through an (n+1) x (n+1) solve, and
+``||A||``, ``||A - mu1 B||`` and ``||T||`` come from
 ``kernels.largest_singular``, so no 2n x 2n matrix is formed.  A vanishing
 ``sep`` voids the corresponding hypothesis, which is reported as an infinite
 bound rather than an exception so sweep tables stay rectangular.  A basis
@@ -49,7 +52,6 @@ from .kernels import (
     largest_singular,
     require_unit,
     spectral_norm,
-    unitary_completion,
 )
 from .pencil import (
     QuadraticPencil,
@@ -70,29 +72,6 @@ EIGPAIR_TOL = 1e-8
 #: Relative threshold under which a separation counts as vanished and the
 #: bound that divides by it is reported as +inf.
 SEP_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class Deflation:
-    """Unitary deflation of one eigenvalue from a matrix pair.
-
-    ``[y1, Y]^H A [v1, X] = [[alpha, *], [0, L]]`` and likewise for B with
-    ``(beta, *, N)``; the deflated eigenvalue is ``alpha / beta`` and the
-    complement pair ``(L, N)`` carries the remaining spectrum.  The
-    off-diagonal rows ``*`` enter no bound and are not formed.
-    """
-
-    alpha: complex
-    beta: complex
-    L: np.ndarray
-    N: np.ndarray
-    y1: np.ndarray
-    Y: np.ndarray
-    X: np.ndarray
-
-    @property
-    def eigenvalue(self) -> complex:
-        return self.alpha / self.beta
 
 
 @dataclass(frozen=True)
@@ -145,9 +124,8 @@ class Reference:
     ``v = [value x; x] / sqrt(1 + |value|^2)`` is the stacked eigenvector of
     the companion pair ``(A, B)`` and ``y1 = B v / ||B v||`` its left vector;
     the pair ``(v, y1)`` borders ``A - mu B`` in ``bordered_sep``, which is
-    how the full-size deflation enters without being formed.  ``norm_a`` is
-    ``||A||`` from ``kernels.largest_singular``.  ``rejection`` is the
-    ``NotAnEigenpair`` or ``ZeroBv`` that refused the pair under the
+    how the full-size deflation enters without being formed.  ``rejection``
+    is the ``NotAnEigenpair`` or ``ZeroBv`` that refused the pair under the
     ``deflate`` rules (``y1`` is then None and the refined bound is left
     unset), or None when the pair is admitted.
     """
@@ -157,7 +135,6 @@ class Reference:
     vector: np.ndarray
     v: np.ndarray
     y1: np.ndarray | None
-    norm_a: float
     rejection: QritzError | None
 
 
@@ -183,9 +160,7 @@ def reference(p: QuadraticPencil, value: complex, vector) -> Reference:
         y1 = Bv / nb
     except (NotAnEigenpair, ZeroBv) as exc:
         rejection = exc
-    return Reference(
-        pencil=p, value=lam1, vector=x1, v=v, y1=y1, norm_a=norm_a, rejection=rejection
-    )
+    return Reference(pencil=p, value=lam1, vector=x1, v=v, y1=y1, rejection=rejection)
 
 
 def _admit(lam: complex, residual: float, norm_bv: float, norm_a: float, norm_b: float) -> None:
@@ -203,12 +178,14 @@ def _admit(lam: complex, residual: float, norm_bv: float, norm_a: float, norm_b:
         raise ZeroBv(f"||B v|| = {norm_bv:.3e} is numerically zero")
 
 
-def deflate(A, B, lam: complex, v) -> Deflation:
-    """Deflate the eigenpair ``(lam, v)`` from the pair ``(A, B)``.
+def deflate(A, B, lam: complex, v) -> np.ndarray:
+    """The left vector ``y1 = B v / ||B v||`` that deflates ``(lam, v)`` from ``(A, B)``.
 
-    The left vector is chosen as ``y1 = B v / ||B v||``, which zeroes both
-    lower-left blocks simultaneously for every finite ``lam`` (including 0):
-    ``Y^H B v = 0`` by construction and ``Y^H A v = lam Y^H B v = 0``.
+    For any unitary ``[v, X]`` and ``[y1, Y]`` (``v`` normalized), ``[y1,
+    Y]^H (A, B) [v, X]`` is block upper triangular for every finite ``lam``
+    (including 0): ``Y^H B v = 0`` by construction and ``Y^H A v = lam Y^H B
+    v = 0``.  The complement pair ``(L, N) = (Y^H A X, Y^H B X)`` carries the
+    remaining spectrum; ``sep`` reaches it through ``(v, y1)`` alone.
 
     Raises:
         NotAnEigenpair: if ``||A v - lam B v||`` exceeds
@@ -223,28 +200,35 @@ def deflate(A, B, lam: complex, v) -> Deflation:
     Bv = B @ v
     nb = np.linalg.norm(Bv)
     _admit(lam, np.linalg.norm(A @ v - lam * Bv), nb, spectral_norm(A), spectral_norm(B))
-    y1 = Bv / nb
-    X = unitary_completion(v)
-    Y = unitary_completion(y1)
-    L = Y.conj().T @ A @ X
-    N = Y.conj().T @ B @ X
-    alpha = complex(y1.conj() @ (A @ v))
-    beta = complex(y1.conj() @ Bv)
-    return Deflation(alpha=alpha, beta=beta, L=L, N=N, y1=y1, Y=Y, X=X)
+    return Bv / nb
 
 
-def sep(mu: complex, L, N) -> float:
-    """``sigma_min(L - mu N)``: separation of ``mu`` from the pair (L, N).
+def sep(mu: complex, A, B, lam: complex, v) -> float:
+    """``sep(mu, L, N) = sigma_min(L - mu N)`` of the pair ``deflate(A, B, lam, v)`` leaves.
 
-    Zero means ``mu`` collides with an eigenvalue of (L, N).  An empty pair
-    separates everything, so the value is +inf.
+    ``X (L - mu N)^{-1} Y^H`` is the top-left k x k block ``T`` of
+    ``[[A - mu B, y1], [v^H, 0]]^{-1}`` (Govaerts & Pryce, 1993), so the
+    separation is ``1 / ||T||``; ``bordered_sep`` applies the same identity
+    to the full-size pair without forming it.  An exactly singular bordered
+    matrix means ``mu`` is an eigenvalue of ``(L, N)``: the separation is
+    0.0.  A 1 x 1 pair leaves an empty complement, which separates
+    everything: +inf.
+
+    Raises:
+        NotAnEigenpair, ZeroBv: as ``deflate``.
     """
-    L = np.asarray(L, dtype=np.complex128)
-    N = np.asarray(N, dtype=np.complex128)
-    if L.size == 0:
-        return math.inf
-    sv = np.linalg.svd(L - complex(mu) * N, compute_uv=False)
-    return float(sv[-1])
+    y1 = deflate(A, B, lam, v)
+    v = as_vector(v, "v")
+    k = v.size
+    bordered = np.zeros((k + 1, k + 1), dtype=np.complex128)
+    bordered[:k, :k] = as_matrix(A, "A") - complex(mu) * as_matrix(B, "B")
+    bordered[:k, k] = y1
+    bordered[k, :k] = v.conj() / np.linalg.norm(v)
+    try:
+        norm_t = spectral_norm(np.linalg.inv(bordered)[:k, :k])
+    except np.linalg.LinAlgError:
+        return 0.0
+    return 1.0 / norm_t if norm_t else math.inf
 
 
 def bordered_sep(ref: Reference, mu: complex) -> float:
@@ -427,8 +411,7 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
     mu = complex(mu)
     qz = Q @ z
     w = np.concatenate([mu * qz, qz])
-    A, B = linearize(p)
-    lhs = float(np.linalg.norm(A @ w - mu * (B @ w)))
+    lhs = float(np.linalg.norm(companion_operator(p, mu)[0](w)))
     _, rhs = qep_residual(p, mu, qz)
     scale = max(1.0, p.residual_scale(mu))
     return bool(abs(lhs - rhs) <= 1e-12 * scale)
@@ -478,8 +461,7 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     if sel is not None:
         try:
             vh = stack_vector(mu1, sel.coeff)
-            dl_proj = deflate(*linearize(pp.pencil), mu1, vh)
-            sep_projected = sep(lam1, dl_proj.L, dl_proj.N)
+            sep_projected = sep(lam1, *linearize(pp.pencil), mu1, vh)
         except QritzError:
             pass
 

@@ -1,5 +1,6 @@
 """Shared deterministic generators and the CLI runner for the test suite."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import qritz
+from qritz.kernels import spectral_norm, unitary_completion
 from qritz.pencil import QuadraticPencil
+from qritz.theory import SEP_FLOOR, deflate
 
 #: Directory holding the ``qritz`` package this test process imported
 #: (``src/`` of a checkout, or site-packages of an install).
@@ -56,6 +59,43 @@ def isolated_eigenpair(pairs):
         candidates = list(range(len(pairs)))
     best = max(candidates, key=isolation)
     return pairs[best], isolation(best)
+
+
+class DenseDeflation:
+    """The unitary-frame deflation of ``(lam, v)`` from ``(A, B)``: the dense
+    oracle of ``theory.sep`` and ``theory.bordered_sep``.
+
+    ``v`` is normalized, ``y1`` comes from ``theory.deflate`` (which admits
+    the pair), ``[v, X]`` and ``[y1, Y]`` are unitary by
+    ``kernels.unitary_completion``, and ``(L, N) = (Y^H A X, Y^H B X)`` is
+    the complement pair.
+    """
+
+    def __init__(self, A, B, lam, v):
+        self.A = np.asarray(A, dtype=np.complex128)
+        self.B = np.asarray(B, dtype=np.complex128)
+        self.v = np.asarray(v, dtype=np.complex128) / np.linalg.norm(v)
+        self.y1 = deflate(self.A, self.B, lam, self.v)
+        self.X = unitary_completion(self.v)
+        self.Y = unitary_completion(self.y1)
+        self.L = self.Y.conj().T @ self.A @ self.X
+        self.N = self.Y.conj().T @ self.B @ self.X
+
+    def sep(self, mu):
+        """``sigma_min(L - mu N)``; +inf for an empty complement."""
+        if self.L.size == 0:
+            return math.inf
+        return float(np.linalg.svd(self.L - mu * self.N, compute_uv=False)[-1])
+
+    def norm_minus(self, mu):
+        """``||A - mu B||``."""
+        return spectral_norm(self.A - mu * self.B)
+
+    def allowance(self, mu):
+        """The mixed gate on a separation at ``mu``, ``1e-12 sep + SEP_FLOOR
+        (||B|| + ||A - mu B||)``: the oracle is itself only accurate to about
+        eps ||A - mu B||."""
+        return 1e-12 * self.sep(mu) + SEP_FLOOR * (spectral_norm(self.B) + self.norm_minus(mu))
 
 
 def child_env() -> dict[str, str]:

@@ -309,6 +309,18 @@ def test_project_basis_with_wrong_row_count_is_a_dimension_mismatch(tmp_path, ru
     assert "DimensionMismatch: basis has 2 rows but the pencil has dimension 3" in err
 
 
+def test_project_orthonormalize_zero_basis_reports_rank_zero(tmp_path, run_main):
+    mats = {"M": np.eye(2), "D": np.diag([0.5, 0.1]), "K": np.diag([4.0, 1.0]), "Q": np.zeros((2, 1))}
+    for name, mat in mats.items():
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    code, out, err = run_main(
+        ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--orthonormalize"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "RankDeficient: numerical rank 0 < 1" in err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

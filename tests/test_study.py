@@ -1,15 +1,16 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
-from conftest import random_pencil, rng
+from conftest import DenseDeflation, random_pencil, rng
 from qritz import theory
 from qritz.angles import subspace_angle, vector_angle
+from qritz.builtin import golden_checks
 from qritz.errors import NotAnEigenpair
-from qritz.kernels import spectral_norm
 from qritz.pencil import linearize, stack_vector
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
@@ -139,13 +140,12 @@ def _hoist_case():
 
 
 def _oracle_row(case: StudyCase, eps: float, index: int) -> tuple[StudyRow, float]:
-    """One study row recomputed from the primitives, deflating the reference
-    pair from a freshly built 2n x 2n companion pair; the two columns that
-    read that deflation are NaN when it raises ``NotAnEigenpair``.
+    """One study row recomputed from the primitives, with ``sep_full`` from the
+    unitary-frame deflation of a freshly built 2n x 2n companion pair; the two
+    columns that read that deflation are NaN when it raises ``NotAnEigenpair``.
 
-    Also returns the allowance of the mixed gate on ``sep_full``,
-    ``1e-12 sep + SEP_FLOOR (||B|| + ||A - mu1 B||)`` (NaN with the columns):
-    the dense oracle is itself only accurate to about eps ||A - mu1 B||.
+    Also returns that oracle's mixed-gate allowance on ``sep_full`` (NaN with
+    the columns).
     """
     p = case.pencil
     lam1 = case.ref_value
@@ -156,18 +156,15 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> tuple[StudyRow, floa
     sel = select_eigenpair(ritz_pairs(pp, p), lam1)
     mu1 = sel.value
     rr = refined_ritz(p, Q, mu1)
-    dl_proj = deflate(*linearize(pp.pencil), mu1, stack_vector(mu1, sel.coeff))
-    sep_projected = sep(lam1, dl_proj.L, dl_proj.N)
-    A, B = linearize(p)
+    sep_projected = sep(lam1, *linearize(pp.pencil), mu1, stack_vector(mu1, sel.coeff))
     try:
-        dl = deflate(A, B, lam1, stack_vector(lam1, x1))
+        dl = DenseDeflation(*linearize(p), lam1, stack_vector(lam1, x1))
     except NotAnEigenpair:
         sep_full = bound_refined = allowance = math.nan
     else:
-        sep_full = sep(mu1, dl.L, dl.N)
-        norm_b, norm_a_minus = max(p.m0, 1.0), spectral_norm(A - mu1 * B)
-        bound_refined = refined_vector_bound(lam1, mu1, norm_b, norm_a_minus, theta, sep_full)
-        allowance = 1e-12 * sep_full + theory.SEP_FLOOR * (norm_b + norm_a_minus)
+        sep_full, allowance = dl.sep(mu1), dl.allowance(mu1)
+        norm_b = max(p.m0, 1.0)
+        bound_refined = refined_vector_bound(lam1, mu1, norm_b, dl.norm_minus(mu1), theta, sep_full)
     row = StudyRow(
         epsilon=eps,
         sin_theta=theta.sin,
@@ -260,3 +257,18 @@ def test_study_factorizes_nothing_of_companion_size(monkeypatch):
     assert all(math.isfinite(row.sep_full) for row in rows)
     n = case.pencil.n
     assert shapes and max(max(shape) for shape in shapes) < 2 * n
+
+
+def test_no_unitary_frame_in_study_or_goldens(monkeypatch):
+    # Every qritz module that binds kernels.unitary_completion gets one that
+    # raises; a study row and the built-in goldens must not need it.
+    def refuse(v):
+        raise AssertionError("unitary frame built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qritz" and hasattr(module, "unitary_completion"):
+            monkeypatch.setattr(module, "unitary_completion", refuse)
+    rows, verdicts = run_study(_hoist_case(), HOIST_EPS, seed=HOIST_SEED)
+    assert "FAILED" not in verdicts
+    assert all(math.isfinite(row.sep_projected) and math.isfinite(row.sep_full) for row in rows)
+    assert all(check.passed for check in golden_checks())

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cnormal, isolated_eigenpair, random_hpd, random_pencil, rng
-from qritz import kernels
+from conftest import DenseDeflation, cnormal, isolated_eigenpair, random_hpd, random_pencil, rng
+from qritz import kernels, theory
 from qritz.angles import Angle, stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
 from qritz.errors import (
@@ -12,6 +12,7 @@ from qritz.errors import (
     NotAnEigenpair,
     NotOrthonormal,
     OrthogonalSubspace,
+    ZeroBv,
     ZeroEigenvalue,
     ZeroVector,
 )
@@ -23,11 +24,10 @@ from qritz.kernels import (
     spectral_norm,
 )
 from qritz.pencil import QuadraticPencil, companion_operator, linearize, qep_residual, stack_vector
-from qritz.projection import project
+from qritz.projection import project, ritz_pairs
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
 from qritz.theory import (
-    SEP_FLOOR,
     bordered_sep,
     deflate,
     elsner_bound,
@@ -132,28 +132,32 @@ def make_gep(g, k, values=None):
 
 
 class TestDeflate:
+    def test_left_vector(self, g):
+        A, B, values, v1 = make_gep(g, 4)
+        y1 = deflate(A, B, values[0], 3.0 * v1)
+        assert np.linalg.norm(y1 - B @ v1 / np.linalg.norm(B @ v1)) <= 1e-14
+
     def test_hand_two_by_two(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         B = np.eye(2)
         v = np.array([1.0, 1.0]) / np.sqrt(2)
-        dl = deflate(A, B, 1.0, v)
-        assert dl.alpha == pytest.approx(1.0, abs=1e-14)
-        assert dl.beta == pytest.approx(1.0, abs=1e-14)
+        dl = DenseDeflation(A, B, 1.0, v)
+        assert complex(dl.y1.conj() @ A @ v) == pytest.approx(1.0, abs=1e-14)
+        assert complex(dl.y1.conj() @ B @ v) == pytest.approx(1.0, abs=1e-14)
         assert complex(dl.L[0, 0]) == pytest.approx(-1.0, abs=1e-14)
         assert complex(dl.N[0, 0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        dl = deflate(np.diag([1.0, 2.0]), np.eye(2), 1.0, np.eye(2)[:, 0])
+        dl = DenseDeflation(np.diag([1.0, 2.0]), np.eye(2), 1.0, np.eye(2)[:, 0])
         assert complex(dl.L[0, 0]) == pytest.approx(2.0, abs=1e-14)
         assert complex(dl.N[0, 0]) == pytest.approx(1.0, abs=1e-14)
-        assert dl.eigenvalue == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_block_triangular_and_complement(self, seed):
         g = rng(seed + 2200)
         k = int(g.integers(3, 7))
         A, B, values, v1 = make_gep(g, k)
-        dl = deflate(A, B, values[0], v1)
+        dl = DenseDeflation(A, B, values[0], v1)
         # Unitarity of both frames.
         left = np.column_stack([dl.y1, dl.Y])
         right_v = np.column_stack([v1, dl.X])
@@ -163,7 +167,8 @@ class TestDeflate:
         assert np.linalg.norm(dl.Y.conj().T @ A @ v1) <= 1e-11 * spectral_norm(A)
         assert np.linalg.norm(dl.Y.conj().T @ B @ v1) <= 1e-11 * spectral_norm(B)
         # Deflated value and the complement spectrum.
-        assert abs(dl.eigenvalue - values[0]) <= 1e-10 * max(1.0, abs(values[0]))
+        deflated = (dl.y1.conj() @ A @ v1) / (dl.y1.conj() @ B @ v1)
+        assert abs(deflated - values[0]) <= 1e-10 * max(1.0, abs(values[0]))
         rest = sorted(
             (v for v, _ in eig_standard(solve_linear(dl.N, dl.L))),
             key=lambda z: (z.real, z.imag),
@@ -174,7 +179,7 @@ class TestDeflate:
 
     def test_full_frame_block_structure(self, g):
         A, B, values, v1 = make_gep(g, 5)
-        dl = deflate(A, B, values[0], v1)
+        dl = DenseDeflation(A, B, values[0], v1)
         left = np.column_stack([dl.y1, dl.Y]).conj().T
         right = np.column_stack([v1, dl.X])
         TA = left @ A @ right
@@ -186,39 +191,62 @@ class TestDeflate:
         A, B, values, v1 = make_gep(g, 4)
         with pytest.raises(NotAnEigenpair):
             deflate(A, B, values[0] + 0.5, v1)
+        with pytest.raises(NotAnEigenpair):
+            sep(values[1], A, B, values[0] + 0.5, v1)
+
+    def test_rejects_zero_bv(self):
+        # (0, e2) is an eigenpair of (diag(1, 0), diag(1, 0)), but B e2 = 0.
+        with pytest.raises(ZeroBv):
+            deflate(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), 0.0, np.eye(2)[:, 1])
 
 
 class TestSep:
     def test_diagonal(self):
-        assert sep(1.0, np.diag([2.0, 3.0]), np.eye(2)) == pytest.approx(1.0, abs=1e-14)
+        got = sep(1.0, np.diag([1.0, 2.0, 3.0]), np.eye(3), 1.0, np.eye(3)[:, 0])
+        assert got == pytest.approx(1.0, abs=1e-14)
+
+    def test_empty_complement_separates_everything(self):
+        assert sep(2.0, [[1.0]], [[1.0]], 1.0, [1.0]) == math.inf
 
     def test_vanishes_at_eigenvalue(self, g):
-        L = cnormal(g, 4, 4)
-        N = cnormal(g, 4, 4) + 3.0 * np.eye(4)
-        mu = eig_standard(solve_linear(N, L))[0][0]
-        assert sep(mu, L, N) <= 1e-12 * spectral_norm(L - mu * N + np.eye(4) * 0)
+        A, B, values, v1 = make_gep(g, 4)
+        mu = min((w for w, _ in eig_standard(solve_linear(B, A))), key=lambda w: abs(w - values[1]))
+        assert sep(mu, A, B, values[0], v1) <= 1e-12 * spectral_norm(A - mu * B)
+
+    def test_exactly_singular_bordered_matrix(self):
+        # Deflating (1, e1) from (diag(1, 1, 2), I) leaves (diag(1, 2), I):
+        # at mu = 1 the bordered matrix has a zero row.
+        A, B, e1 = np.diag([1.0, 1.0, 2.0]), np.eye(3), np.eye(3)[:, 0]
+        assert sep(1.0, A, B, 1.0, e1) == 0.0
+        assert sep(1.5, A, B, 1.0, e1) == pytest.approx(0.5, rel=1e-15)
 
     def test_lipschitz_in_mu(self, g):
-        L = cnormal(g, 5, 5)
-        N = cnormal(g, 5, 5)
-        norm_n = spectral_norm(N)
+        A, B, values, v1 = make_gep(g, 5)
+        norm_b = spectral_norm(B)
         for _ in range(20):
             mu = complex(g.standard_normal(), g.standard_normal())
             nu = mu + complex(g.standard_normal(), g.standard_normal()) * 0.1
-            assert abs(sep(mu, L, N) - sep(nu, L, N)) <= abs(mu - nu) * norm_n + 1e-12
+            gap = abs(sep(mu, A, B, values[0], v1) - sep(nu, A, B, values[0], v1))
+            assert gap <= abs(mu - nu) * norm_b + 1e-12
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10])
+    def test_matches_unitary_frame_oracle(self, seed, delta):
+        g = rng(seed + 2300)
+        A, B, values, v1 = make_gep(g, int(g.integers(3, 9)))
+        mu = values[1] + delta * (1 + 1j)
+        dl = DenseDeflation(A, B, values[0], v1)
+        assert abs(sep(mu, A, B, values[0], v1) - dl.sep(mu)) <= dl.allowance(mu)
 
-def _dense_full_size(p, lam1, x1, mu):
-    """The dense oracle on the 2n x 2n companion pair: ``sep(mu, L, N)`` of the
-    deflated reference, ``||A - mu B||`` and ``||A||``."""
-    A, B = linearize(p)
-    dl = deflate(A, B, lam1, stack_vector(lam1, x1))
-    return sep(mu, dl.L, dl.N), spectral_norm(A - mu * B), spectral_norm(A)
-
-
-def _sep_allowance(p, sep_dense, norm_a_minus):
-    """The mixed gate: the dense oracle is itself only accurate to about eps ||A - mu B||."""
-    return 1e-12 * sep_dense + SEP_FLOOR * (max(p.m0, 1.0) + norm_a_minus)
+    @pytest.mark.parametrize("eps", [10.0 ** (-k) for k in range(2, 13)])
+    def test_example31_projected_sweep(self, eps):
+        p = example31_pencil()
+        Q = perturbed_subspace(X1, example31_basis()[:, 1:], eps, seed=1)
+        pp = project(p, Q)
+        sel = select_eigenpair(ritz_pairs(pp, p), 1.0)
+        dl = DenseDeflation(*linearize(pp.pencil), sel.value, stack_vector(sel.value, sel.coeff))
+        rep = full_diagnostics(reference(p, 1.0, X1), Q)
+        assert abs(rep.sep_projected - dl.sep(1.0)) <= dl.allowance(1.0)
 
 
 def _criterion_3_pencil(index):
@@ -259,11 +287,13 @@ class TestBorderedSeparation:
         ref = reference(p, ep.value, ep.vector)
         assert ref.rejection is None
         mu = ep.value + delta * (1 + 1j)
-        sep_dense, norm_dense, norm_a = _dense_full_size(p, ep.value, ep.vector, mu)
-        assert abs(ref.norm_a - norm_a) <= 1e-14 * norm_a
+        A, B = linearize(p)
+        dl = DenseDeflation(A, B, ep.value, stack_vector(ep.value, ep.vector))
+        norm_a = spectral_norm(A)
+        assert abs(largest_singular(*companion_operator(p, 0.0), 2 * p.n) - norm_a) <= 1e-14 * norm_a
         norm = largest_singular(*companion_operator(p, mu), 2 * p.n)
-        assert abs(norm - norm_dense) <= 1e-14 * norm_dense
-        assert abs(bordered_sep(ref, mu) - sep_dense) <= _sep_allowance(p, sep_dense, norm_dense)
+        assert abs(norm - dl.norm_minus(mu)) <= 1e-14 * dl.norm_minus(mu)
+        assert abs(bordered_sep(ref, mu) - dl.sep(mu)) <= dl.allowance(mu)
 
     @pytest.mark.parametrize("eps", [10.0 ** (-k) for k in range(2, 13)] + [0.0])
     def test_example31_sweep(self, eps):
@@ -271,11 +301,11 @@ class TestBorderedSeparation:
         Q = perturbed_subspace(X1, example31_basis()[:, 1:], eps, seed=1)
         rep = full_diagnostics(reference(p, 1.0, X1), Q)
         mu1 = rep.ritz_value
-        sep_dense, norm_dense, _ = _dense_full_size(p, 1.0, X1, mu1)
-        allowance = _sep_allowance(p, sep_dense, norm_dense)
+        dl = DenseDeflation(*linearize(p), 1.0, stack_vector(1.0, X1))
+        sep_dense, allowance = dl.sep(mu1), dl.allowance(mu1)
         assert abs(rep.sep_full - sep_dense) <= allowance
         theta = subspace_angle(Q, X1)
-        bound = refined_vector_bound(1.0, mu1, max(p.m0, 1.0), norm_dense, theta, sep_dense)
+        bound = refined_vector_bound(1.0, mu1, max(p.m0, 1.0), dl.norm_minus(mu1), theta, sep_dense)
         if math.isinf(bound):
             assert rep.refined_vector_bound == math.inf
         else:
@@ -355,8 +385,6 @@ class TestElsnerBound:
         assert elsner_bound(pp, pert) <= 1e-10
 
     def test_dominates_value_error(self, g):
-        from qritz.projection import ritz_pairs
-
         for _ in range(10):
             n = int(g.integers(3, 6))
             p = random_pencil(g, n)
@@ -452,6 +480,14 @@ class TestRefinedResidualIdentity:
         _, rn = qep_residual(p, 1.0, qz)
         assert rn <= 1e-13
         assert refined_residual_identity_check(p, Q, 1.0, z)
+
+    def test_forms_no_companion_pair(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("the identity check formed the 2n x 2n pair")
+
+        monkeypatch.setattr(theory, "linearize", refuse)
+        z = np.array([0.6, 0.8j])
+        assert refined_residual_identity_check(example31_pencil(), example31_basis(), 1.0 + 0.5j, z)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_property(self, seed):
