@@ -217,17 +217,21 @@ def sep(mu: complex, A, B, lam: complex, v) -> float:
     Raises:
         NotAnEigenpair, ZeroBv: as ``deflate``.
     """
-    y1 = deflate(A, B, lam, v)
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
     v = as_vector(v, "v")
+    v = v / np.linalg.norm(v)
+    y1 = deflate(A, B, lam, v)
     k = v.size
     bordered = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    bordered[:k, :k] = as_matrix(A, "A") - complex(mu) * as_matrix(B, "B")
+    bordered[:k, :k] = A - complex(mu) * B
     bordered[:k, k] = y1
-    bordered[k, :k] = v.conj() / np.linalg.norm(v)
+    bordered[k, :k] = v.conj()
     try:
-        norm_t = spectral_norm(np.linalg.inv(bordered)[:k, :k])
+        inverse = np.linalg.inv(bordered)
     except np.linalg.LinAlgError:
         return 0.0
+    norm_t = spectral_norm(inverse[:k, :k])
     return 1.0 / norm_t if norm_t else math.inf
 
 
