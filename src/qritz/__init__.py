@@ -36,14 +36,12 @@ from .kernels import (
     solve_linear,
     spectral_norm,
     svd,
-    unitary_completion,
 )
 from .mmio import read_matrix_market, write_matrix_market
 from .pencil import (
     Eigenpair,
     QuadraticPencil,
     companion_matrix,
-    linearize,
     qep_residual,
     stack_vector,
 )
@@ -105,7 +103,6 @@ __all__ = [
     "eig_standard",
     "elsner_bound",
     "full_diagnostics",
-    "linearize",
     "orthonormalize",
     "perturbation_triple",
     "perturbed_subspace",
@@ -129,7 +126,6 @@ __all__ = [
     "stacked_subspace_angle",
     "subspace_angle",
     "svd",
-    "unitary_completion",
     "vector_angle",
     "write_matrix_market",
     "write_study_csv",

@@ -18,11 +18,11 @@ import numpy as np
 
 from .angles import vector_angle
 from .kernels import spectral_norm
-from .pencil import QuadraticPencil, linearize, stack_vector
+from .pencil import QuadraticPencil
 from .projection import project, ritz_pairs
 from .refined import refined_ritz
 from .solver import select_eigenpair
-from .theory import sep
+from .theory import reference, sep
 
 #: Name accepted by the CLI for this problem.
 BUILTIN_NAME = "example31"
@@ -105,7 +105,7 @@ def golden_checks(p: QuadraticPencil | None = None, Q=None) -> list[GoldenCheck]
     )
 
     sel = select_eigenpair(pairs, EXACT_VALUE)
-    s = sep(EXACT_VALUE, *linearize(pp.pencil), sel.value, stack_vector(sel.value, sel.coeff))
+    s = sep(reference(pp.pencil, sel.value, sel.coeff), EXACT_VALUE)
     checks.append(GoldenCheck("projected-sep-vanishes", s <= 1e-12, s, 1e-12))
 
     return checks

@@ -7,9 +7,10 @@ linearization is the 2n x 2n pair
     A = [[-D, -K], [I, 0]],    B = [[M, 0], [0, I]],
 
 whose eigenpairs ``(lam, [lam*x; x])`` encode the quadratic eigenpairs
-``(lam, x)``.  This module is the only place that builds it: ``linearize``
-returns the pair, ``companion_matrix`` the matrix ``B^{-1} A`` and
-``companion_operator`` the products with ``A - mu B`` without forming it.
+``(lam, x)``.  This module is the only place that builds it:
+``companion_matrix`` returns the matrix ``B^{-1} A``, ``companion_operator``
+the products with ``A - mu B`` without forming it, and ``linearize`` the
+dense pair itself, which no pipeline path needs (it serves dense checks).
 All types here are immutable value objects.
 """
 

@@ -12,22 +12,23 @@ one search space span{Q}:
   full-size pencil, which holds whenever ``lam1`` is simple.
 
 ``reference`` takes the unit target eigenpair of one pencil and admits it
-once as an eigenpair of the full companion pair; ``full_diagnostics`` reads
-that ``Reference`` for each search space.  The bounds read theta1 from its
-one ``Angle`` and the residual scale from ``QuadraticPencil.residual_scale``.
+once, through ``deflate``, as an eigenpair of that pencil's companion pair;
+``full_diagnostics`` reads that ``Reference`` for each search space.  The
+bounds read theta1 from its one ``Angle`` and the residual scale from
+``QuadraticPencil.residual_scale``.
 
-``sep(mu, L, N) = sigma_min(L - mu N)`` throughout, and both separations
-take it through one identity: with ``v`` the deflated unit eigenvector and
-``y1 = B v / ||B v||``, ``1 / sep`` is the norm of the top-left block ``T`` of
-``[[A - mu B, y1], [v^H, 0]]^{-1}``.  For the 2m-size projected pair ``sep``
-inverts that bordered matrix densely; for the full-size pair
-``bordered_sep`` applies ``T`` through an (n+1) x (n+1) solve, and
-``||A||``, ``||A - mu1 B||`` and ``||T||`` come from
-``kernels.largest_singular``, so no 2n x 2n matrix is formed.  A vanishing
-``sep`` voids the corresponding hypothesis, which is reported as an infinite
-bound rather than an exception so sweep tables stay rectangular.  A basis
-orthogonal to ``x1`` (theta1 = pi/2, ``cos == 0``) voids both vector bounds
-the same way.
+``sep(mu, L, N) = sigma_min(L - mu N)`` throughout, and one function takes
+both separations, ``sep(ref, mu)``: on the ``Reference`` of the full pencil
+for the refined-vector bound and on one of the projected pencil, built from
+the selected Ritz pair, for the Ritz-vector bound.  With ``v`` the deflated
+unit eigenvector and ``y1 = B v / ||B v||``, ``1 / sep`` is the norm of the
+top-left block ``T`` of ``[[A - mu B, y1], [v^H, 0]]^{-1}``; ``sep`` applies
+``T`` through an (n+1) x (n+1) solve and takes ``||T||`` with
+``kernels.largest_singular``, which also gives ``||A - mu1 B||``, so no
+companion-size matrix is formed.  A vanishing ``sep`` voids the
+corresponding hypothesis, which is reported as an infinite bound rather
+than an exception so sweep tables stay rectangular.  A basis orthogonal to
+``x1`` (theta1 = pi/2, ``cos == 0``) voids both vector bounds the same way.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .pencil import (
     _companion,
     companion_matrix,
     companion_operator,
-    linearize,
     qep_residual,
     stack_vector,
 )
@@ -66,7 +66,8 @@ from .projection import ProjectedPencil, project, ritz_pairs
 from .refined import refined_ritz
 from .solver import select_eigenpair
 
-#: Residual admission threshold for deflation, relative to ||A|| + |lam| ||B||.
+#: Admission threshold of ``deflate`` on the backward error
+#: ``||P(lam) x|| / residual_scale(lam)`` of a unit pair ``(lam, x)``.
 EIGPAIR_TOL = 1e-8
 
 #: Relative threshold under which a separation counts as vanished and the
@@ -117,29 +118,28 @@ class DiagnosticsReport:
 
 @dataclass(frozen=True)
 class Reference:
-    """The reference eigenpair of one pencil, admitted against its companion pair.
+    """One eigenpair of a pencil, admitted once against its companion pair.
 
-    Nothing here depends on the search space, so a study builds one
-    ``Reference`` and passes it to ``full_diagnostics`` for every basis.
-    ``v = [value x; x] / sqrt(1 + |value|^2)`` is the stacked eigenvector of
-    the companion pair ``(A, B)`` and ``y1 = B v / ||B v||`` its left vector;
-    the pair ``(v, y1)`` borders ``A - mu B`` in ``bordered_sep``, which is
-    how the full-size deflation enters without being formed.  ``rejection``
-    is the ``NotAnEigenpair`` or ``ZeroBv`` that refused the pair under the
-    ``deflate`` rules (``y1`` is then None and the refined bound is left
-    unset), or None when the pair is admitted.
+    Nothing here depends on a search space: a study builds the full-size
+    ``Reference`` once and passes it to ``full_diagnostics`` for every basis,
+    and each row builds one for the selected Ritz pair of its projected
+    pencil.  ``y1 = B v / ||B v||`` is the left vector of the stacked
+    eigenvector ``v = stack_vector(value, vector)`` of the companion pair
+    ``(A, B)``; ``(v, y1)`` borders ``A - mu B`` in ``sep``, which is how the
+    deflation enters without being formed.  ``rejection`` is the
+    ``NotAnEigenpair`` or ``ZeroBv`` that ``deflate`` raised (``y1`` is then
+    None and ``sep`` raises it), or None when the pair is admitted.
     """
 
     pencil: QuadraticPencil
     value: complex
     vector: np.ndarray
-    v: np.ndarray
     y1: np.ndarray | None
     rejection: QritzError | None
 
 
 def reference(p: QuadraticPencil, value: complex, vector) -> Reference:
-    """The reference eigenpair ``(value, vector)`` of ``p``, admitted once.
+    """The eigenpair ``(value, vector)`` of ``p``, admitted once by ``deflate``.
 
     A refused admission is stored in ``rejection``, not raised.
 
@@ -148,109 +148,69 @@ def reference(p: QuadraticPencil, value: complex, vector) -> Reference:
     """
     lam1 = complex(value)
     x1 = require_unit(vector, "reference vector")
-    n = p.n
-    v = stack_vector(lam1, x1)
-    norm_a = largest_singular(*companion_operator(p, 0.0), 2 * n)
-    Bv = np.concatenate([p.M @ v[:n], v[n:]])
-    nb = np.linalg.norm(Bv)
-    residual = np.linalg.norm(companion_operator(p, lam1)[0](v))
     y1 = rejection = None
     try:
-        _admit(lam1, residual, nb, norm_a, max(p.m0, 1.0))
-        y1 = Bv / nb
+        y1 = deflate(p, lam1, x1)
     except (NotAnEigenpair, ZeroBv) as exc:
         rejection = exc
-    return Reference(pencil=p, value=lam1, vector=x1, v=v, y1=y1, rejection=rejection)
+    return Reference(pencil=p, value=lam1, vector=x1, y1=y1, rejection=rejection)
 
 
-def _admit(lam: complex, residual: float, norm_bv: float, norm_a: float, norm_b: float) -> None:
-    """The admission rules of ``deflate`` for ``(lam, v)`` with unit ``v``.
+def deflate(p: QuadraticPencil, lam: complex, x) -> np.ndarray:
+    """The left vector ``y1 = B v / ||B v||`` that deflates ``(lam, v)`` from the companion pair of ``p``.
+
+    ``v = stack_vector(lam, x)``.  For any unitary ``[v, X]`` and ``[y1,
+    Y]``, ``[y1, Y]^H (A, B) [v, X]`` is block upper triangular for every
+    finite ``lam`` (including 0): ``Y^H B v = 0`` by construction and ``Y^H
+    A v = lam Y^H B v = 0``.  The complement pair ``(L, N) = (Y^H A X, Y^H B
+    X)`` carries the remaining spectrum; ``sep`` reaches it through ``(v,
+    y1)`` alone.
 
     Raises:
-        NotAnEigenpair: if ``residual = ||A v - lam B v||`` exceeds
-            ``EIGPAIR_TOL * (||A|| + |lam| ||B||)``.
-        ZeroBv: if ``||B v|| <= 1e-14 ||B||``.
+        BadNorm: if ``x`` is not unit (``kernels.require_unit``).
+        NotAnEigenpair: if the backward error ``||P(lam) x|| /
+            p.residual_scale(lam)`` exceeds ``EIGPAIR_TOL``.
+        ZeroBv: if ``||B v|| <= 1e-14 ||B||``, with ``||B|| = max(||M||, 1)``
+            (no left vector available).
     """
-    scale = norm_a + abs(lam) * norm_b
+    lam = complex(lam)
+    v = stack_vector(lam, x)
+    _, residual = qep_residual(p, lam, x)
+    scale = p.residual_scale(lam)
     if residual > EIGPAIR_TOL * scale:
         raise NotAnEigenpair(f"residual {residual:.3e} exceeds {EIGPAIR_TOL:.1e} * {scale:.3e}")
-    if norm_bv <= 1e-14 * norm_b:
-        raise ZeroBv(f"||B v|| = {norm_bv:.3e} is numerically zero")
-
-
-def deflate(A, B, lam: complex, v) -> np.ndarray:
-    """The left vector ``y1 = B v / ||B v||`` that deflates ``(lam, v)`` from ``(A, B)``.
-
-    For any unitary ``[v, X]`` and ``[y1, Y]`` (``v`` normalized), ``[y1,
-    Y]^H (A, B) [v, X]`` is block upper triangular for every finite ``lam``
-    (including 0): ``Y^H B v = 0`` by construction and ``Y^H A v = lam Y^H B
-    v = 0``.  The complement pair ``(L, N) = (Y^H A X, Y^H B X)`` carries the
-    remaining spectrum; ``sep`` reaches it through ``(v, y1)`` alone.
-
-    Raises:
-        NotAnEigenpair: if ``||A v - lam B v||`` exceeds
-            ``EIGPAIR_TOL * (||A|| + |lam| ||B||)``.
-        ZeroBv: if ``||B v|| <= 1e-14 ||B||`` (no left vector available).
-    """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    v = as_vector(v, "v")
-    lam = complex(lam)
-    v = v / np.linalg.norm(v)
-    Bv = B @ v
+    n = p.n
+    Bv = np.concatenate([p.M @ v[:n], v[n:]])
     nb = np.linalg.norm(Bv)
-    _admit(lam, np.linalg.norm(A @ v - lam * Bv), nb, spectral_norm(A), spectral_norm(B))
+    if nb <= 1e-14 * max(p.m0, 1.0):
+        raise ZeroBv(f"||B v|| = {nb:.3e} is numerically zero")
     return Bv / nb
 
 
-def sep(mu: complex, A, B, lam: complex, v) -> float:
-    """``sep(mu, L, N) = sigma_min(L - mu N)`` of the pair ``deflate(A, B, lam, v)`` leaves.
-
-    ``X (L - mu N)^{-1} Y^H`` is the top-left k x k block ``T`` of
-    ``[[A - mu B, y1], [v^H, 0]]^{-1}`` (Govaerts & Pryce, 1993), so the
-    separation is ``1 / ||T||``; ``bordered_sep`` applies the same identity
-    to the full-size pair without forming it.  An exactly singular bordered
-    matrix means ``mu`` is an eigenvalue of ``(L, N)``: the separation is
-    0.0.  A 1 x 1 pair leaves an empty complement, which separates
-    everything: +inf.
-
-    Raises:
-        NotAnEigenpair, ZeroBv: as ``deflate``.
-    """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    v = as_vector(v, "v")
-    v = v / np.linalg.norm(v)
-    y1 = deflate(A, B, lam, v)
-    k = v.size
-    bordered = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    bordered[:k, :k] = A - complex(mu) * B
-    bordered[:k, k] = y1
-    bordered[k, :k] = v.conj()
-    try:
-        inverse = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError:
-        return 0.0
-    norm_t = spectral_norm(inverse[:k, :k])
-    return 1.0 / norm_t if norm_t else math.inf
-
-
-def bordered_sep(ref: Reference, mu: complex) -> float:
-    """``sep(mu, L, N)`` of the full-size deflation of an admitted ``ref``, without ``L`` or ``N``.
+def sep(ref: Reference, mu: complex) -> float:
+    """``sep(mu, L, N) = sigma_min(L - mu N)`` of the deflation of an admitted ``ref``, without ``L`` or ``N``.
 
     ``X (L - mu N)^{-1} Y^H`` is the top-left 2n x 2n block ``T`` of
     ``[[A - mu B, y1], [v^H, 0]]^{-1}`` (Govaerts & Pryce, 1993), so the
     separation is ``1 / ||T||``.  Writing t and b for the top and bottom
-    halves, ``T b`` solves the bordered system; its second block row gives
-    ``z_t = b_b + mu z_b - zeta y1_b`` and leaves the (n+1) x (n+1) matrix
+    halves, ``T b = z`` solves the bordered system with right-hand side
+    ``[b; 0]``, whose second block row is ``z_t - mu z_b + zeta y1_b = b_b``.
+    For ``|mu| <= 1`` it eliminates ``z_t = b_b + mu z_b - zeta y1_b`` and
+    leaves, for ``[z_b; zeta]``, the (n+1) x (n+1) matrix
 
         S(mu) = [[-P(mu), (D + mu M) y1_b + y1_t], [mu v_t^H + v_b^H, -v_t^H y1_b]]
 
-    for ``[z_b; zeta]``, with right-hand side ``[b_t + (D + mu M) b_b; -v_t^H b_b]``.
-    ``T^H`` is applied through ``S(mu)^H`` the same way.  ``S`` is inverted
-    once per call and ``kernels.largest_singular`` takes ``||T||``.  An
-    exactly singular ``S`` means ``mu`` is an eigenvalue of ``(L, N)``: the
-    separation is 0.0.
+    with right-hand side ``[b_t + (D + mu M) b_b; -v_t^H b_b]``.  For
+    ``|mu| > 1`` it eliminates ``z_b = (z_t - b_b + zeta y1_b) / mu`` instead,
+    so the error of the kept half is divided by ``mu`` rather than multiplied;
+    for ``[z_t; zeta]`` that leaves
+
+        S(mu) = [[-P(mu), mu y1_t - K y1_b], [mu v_t^H + v_b^H, v_b^H y1_b]]
+
+    with right-hand side ``[mu b_t - K b_b; v_b^H b_b]``.  ``T^H`` is applied
+    through ``S(mu)^H`` the same way.  ``S`` is inverted once per call and
+    ``kernels.largest_singular`` takes ``||T||``.  An exactly singular ``S``
+    means ``mu`` is an eigenvalue of ``(L, N)``: the separation is 0.0.
 
     Raises:
         NotAnEigenpair, ZeroBv: the ``rejection`` of a reference that was not admitted.
@@ -260,14 +220,19 @@ def bordered_sep(ref: Reference, mu: complex) -> float:
     p = ref.pencil
     n = p.n
     mu = complex(mu)
-    vt, vb = ref.v[:n], ref.v[n:]
+    mu_h = mu.conjugate()
+    v = stack_vector(ref.value, ref.vector)
+    vt, vb = v[:n], v[n:]
     yt, yb = ref.y1[:n], ref.y1[n:]
-    DmuM = p.D + mu * p.M
+    # The right-hand side of S is [a b_t + G b_b; h^H b_b]; its last column is that map of y1.
+    small = abs(mu) <= 1.0
+    a, G, h = (1.0, p.D + mu * p.M, -vt) if small else (mu, -p.K, vb)
+    G_h = G.conj().T
     S = np.empty((n + 1, n + 1), dtype=np.complex128)
     S[:n, :n] = -p.evaluate(mu)
-    S[:n, n] = DmuM @ yb + yt
+    S[:n, n] = G @ yb + a * yt
     S[n, :n] = mu * vt.conj() + vb.conj()
-    S[n, n] = -np.vdot(vt, yb)
+    S[n, n] = np.vdot(h, yb)
     try:
         S_inv = np.linalg.inv(S)
     except np.linalg.LinAlgError:
@@ -276,13 +241,18 @@ def bordered_sep(ref: Reference, mu: complex) -> float:
 
     def matvec(b):
         bt, bb = b[:n], b[n:]
-        z = S_inv @ np.append(bt + DmuM @ bb, -np.vdot(vt, bb))
-        return np.concatenate([bb + mu * z[:n] - z[n] * yb, z[:n]])
+        z = S_inv @ np.append(a * bt + G @ bb, np.vdot(h, bb))
+        if small:
+            return np.concatenate([bb + mu * z[:n] - z[n] * yb, z[:n]])
+        return np.concatenate([z[:n], (z[:n] - bb + z[n] * yb) / mu])
 
     def rmatvec(c):
         ct, cb = c[:n], c[n:]
-        w = S_inv_h @ np.append(cb + mu.conjugate() * ct, -np.vdot(yb, ct))
-        return np.concatenate([w[:n], ct + DmuM.conj().T @ w[:n] - w[n] * vt])
+        if small:
+            w = S_inv_h @ np.append(cb + mu_h * ct, -np.vdot(yb, ct))
+            return np.concatenate([w[:n], ct + G_h @ w[:n] + w[n] * h])
+        w = S_inv_h @ np.append(ct + cb / mu_h, np.vdot(yb, cb) / mu_h)
+        return np.concatenate([mu_h * w[:n], G_h @ w[:n] + w[n] * h - cb / mu_h])
 
     return 1.0 / largest_singular(matvec, rmatvec, 2 * n)
 
@@ -464,8 +434,7 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     sep_projected = None
     if sel is not None:
         try:
-            vh = stack_vector(mu1, sel.coeff)
-            sep_projected = sep(lam1, *linearize(pp.pencil), mu1, vh)
+            sep_projected = sep(reference(pp.pencil, mu1, sel.coeff), lam1)
         except QritzError:
             pass
 
@@ -483,7 +452,7 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     sep_full = None
     bound_refined = None
     if mu1 is not None and ref.rejection is None:
-        sep_full = bordered_sep(ref, mu1)
+        sep_full = sep(ref, mu1)
         norm_a_minus = largest_singular(*companion_operator(p, mu1), 2 * p.n)
         # ||diag(M, I)|| = max(||M||, 1).
         bound_refined = refined_vector_bound(

@@ -1,6 +1,5 @@
 """Shared deterministic generators and the CLI runner for the test suite."""
 
-import math
 import os
 import subprocess
 import sys
@@ -12,7 +11,7 @@ import pytest
 import qritz
 from qritz.kernels import spectral_norm, unitary_completion
 from qritz.pencil import QuadraticPencil
-from qritz.theory import SEP_FLOOR, deflate
+from qritz.theory import SEP_FLOOR
 
 #: Directory holding the ``qritz`` package this test process imported
 #: (``src/`` of a checkout, or site-packages of an install).
@@ -62,29 +61,29 @@ def isolated_eigenpair(pairs):
 
 
 class DenseDeflation:
-    """The unitary-frame deflation of ``(lam, v)`` from ``(A, B)``: the dense
-    oracle of ``theory.sep`` and ``theory.bordered_sep``.
+    """The unitary-frame deflation of the eigenvector ``v`` from ``(A, B)``:
+    the dense oracle of ``theory.sep``.
 
-    ``v`` is normalized, ``y1`` comes from ``theory.deflate`` (which admits
-    the pair), ``[v, X]`` and ``[y1, Y]`` are unitary by
-    ``kernels.unitary_completion``, and ``(L, N) = (Y^H A X, Y^H B X)`` is
-    the complement pair.
+    ``v`` is normalized, ``y1 = B v / ||B v||`` is formed here (the oracle
+    admits nothing and calls nothing it checks), ``[v, X]`` and ``[y1, Y]``
+    are unitary by ``kernels.unitary_completion``, and ``(L, N) = (Y^H A X,
+    Y^H B X)`` is the complement pair.  The frame is block triangular when
+    ``v`` is an eigenvector of ``(A, B)``.
     """
 
-    def __init__(self, A, B, lam, v):
+    def __init__(self, A, B, v):
         self.A = np.asarray(A, dtype=np.complex128)
         self.B = np.asarray(B, dtype=np.complex128)
         self.v = np.asarray(v, dtype=np.complex128) / np.linalg.norm(v)
-        self.y1 = deflate(self.A, self.B, lam, self.v)
+        Bv = self.B @ self.v
+        self.y1 = Bv / np.linalg.norm(Bv)
         self.X = unitary_completion(self.v)
         self.Y = unitary_completion(self.y1)
         self.L = self.Y.conj().T @ self.A @ self.X
         self.N = self.Y.conj().T @ self.B @ self.X
 
     def sep(self, mu):
-        """``sigma_min(L - mu N)``; +inf for an empty complement."""
-        if self.L.size == 0:
-            return math.inf
+        """``sigma_min(L - mu N)``."""
         return float(np.linalg.svd(self.L - mu * self.N, compute_uv=False)[-1])
 
     def norm_minus(self, mu):

@@ -11,7 +11,7 @@ from qritz import theory
 from qritz.angles import subspace_angle, vector_angle
 from qritz.builtin import golden_checks
 from qritz.errors import NotAnEigenpair
-from qritz.pencil import linearize, stack_vector
+from qritz.pencil import linearize, qep_residual, stack_vector
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
 from qritz.solver import select_eigenpair, solve_full
@@ -29,6 +29,7 @@ from qritz.study import (
 )
 from qritz.subspace import perturbed_subspace
 from qritz.theory import (
+    EIGPAIR_TOL,
     deflate,
     elsner_bound,
     perturbation_triple,
@@ -142,7 +143,8 @@ def _hoist_case():
 def _oracle_row(case: StudyCase, eps: float, index: int) -> tuple[StudyRow, float]:
     """One study row recomputed from the primitives, with ``sep_full`` from the
     unitary-frame deflation of a freshly built 2n x 2n companion pair; the two
-    columns that read that deflation are NaN when it raises ``NotAnEigenpair``.
+    columns that read that deflation are NaN when the reference pair's
+    backward error exceeds ``EIGPAIR_TOL``.
 
     Also returns that oracle's mixed-gate allowance on ``sep_full`` (NaN with
     the columns).
@@ -156,12 +158,11 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> tuple[StudyRow, floa
     sel = select_eigenpair(ritz_pairs(pp, p), lam1)
     mu1 = sel.value
     rr = refined_ritz(p, Q, mu1)
-    sep_projected = sep(lam1, *linearize(pp.pencil), mu1, stack_vector(mu1, sel.coeff))
-    try:
-        dl = DenseDeflation(*linearize(p), lam1, stack_vector(lam1, x1))
-    except NotAnEigenpair:
+    sep_projected = sep(reference(pp.pencil, mu1, sel.coeff), lam1)
+    if qep_residual(p, lam1, x1)[1] > EIGPAIR_TOL * p.residual_scale(lam1):
         sep_full = bound_refined = allowance = math.nan
     else:
+        dl = DenseDeflation(*linearize(p), stack_vector(lam1, x1))
         sep_full, allowance = dl.sep(mu1), dl.allowance(mu1)
         norm_b = max(p.m0, 1.0)
         bound_refined = refined_vector_bound(lam1, mu1, norm_b, dl.norm_minus(mu1), theta, sep_full)
@@ -212,15 +213,15 @@ def test_reference_deflated_once_per_study(monkeypatch, wrong_vector):
         case = dataclasses.replace(case, ref_vector=case.companions[:, 0])
     calls = []
 
-    def counting_deflate(*args, **kwargs):
-        calls.append(args[0].shape)
-        return deflate(*args, **kwargs)
+    def counting_deflate(p, *args, **kwargs):
+        calls.append(p.n)
+        return deflate(p, *args, **kwargs)
 
     monkeypatch.setattr(theory, "deflate", counting_deflate)
     rows, _ = run_study(case, HOIST_EPS, seed=HOIST_SEED)
-    # One projected (2m x 2m) deflation per row; the full-size pair is never deflated.
+    # The full pencil is deflated once per study, the projected one once per row.
     m = case.companions.shape[1] + 1
-    assert calls == [(2 * m, 2 * m)] * len(rows)
+    assert calls == [case.pencil.n] + [m] * len(rows)
 
 
 def test_failed_reference_deflation_keeps_rows():
@@ -260,14 +261,16 @@ def test_study_factorizes_nothing_of_companion_size(monkeypatch):
 
 
 def test_no_unitary_frame_in_study_or_goldens(monkeypatch):
-    # Every qritz module that binds kernels.unitary_completion gets one that
-    # raises; a study row and the built-in goldens must not need it.
-    def refuse(v):
-        raise AssertionError("unitary frame built")
+    # Every qritz module that binds kernels.unitary_completion or
+    # pencil.linearize gets one that raises; a study row and the built-in
+    # goldens need neither the frame nor the dense companion pair.
+    def refuse(*args):
+        raise AssertionError("unitary frame or companion pair built")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qritz" and hasattr(module, "unitary_completion"):
-            monkeypatch.setattr(module, "unitary_completion", refuse)
+        for attr in ("unitary_completion", "linearize"):
+            if name.split(".")[0] == "qritz" and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
     rows, verdicts = run_study(_hoist_case(), HOIST_EPS, seed=HOIST_SEED)
     assert "FAILED" not in verdicts
     assert all(math.isfinite(row.sep_projected) and math.isfinite(row.sep_full) for row in rows)

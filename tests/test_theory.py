@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import DenseDeflation, cnormal, isolated_eigenpair, random_hpd, random_pencil, rng
-from qritz import kernels, theory
+from qritz import kernels
 from qritz.angles import Angle, stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
 from qritz.errors import (
@@ -12,6 +13,7 @@ from qritz.errors import (
     NotAnEigenpair,
     NotOrthonormal,
     OrthogonalSubspace,
+    Singular,
     ZeroBv,
     ZeroEigenvalue,
     ZeroVector,
@@ -28,7 +30,6 @@ from qritz.projection import project, ritz_pairs
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
 from qritz.theory import (
-    bordered_sep,
     deflate,
     elsner_bound,
     full_diagnostics,
@@ -131,24 +132,42 @@ def make_gep(g, k, values=None):
     return A, B, np.asarray(values), v1 / np.linalg.norm(v1)
 
 
+def _dense(p, lam, x):
+    """The unitary-frame oracle for the eigenpair ``(lam, x)`` of ``p``."""
+    return DenseDeflation(*linearize(p), stack_vector(lam, x))
+
+
+def _isolated(p):
+    """The most isolated eigenpair of ``p`` and the eigenvalue nearest it."""
+    pairs = solve_full(p)
+    ep, _ = isolated_eigenpair(pairs)
+    nearest = min((e.value for e in pairs if e is not ep), key=lambda w: abs(w - ep.value))
+    return ep, nearest
+
+
 class TestDeflate:
     def test_left_vector(self, g):
-        A, B, values, v1 = make_gep(g, 4)
-        y1 = deflate(A, B, values[0], 3.0 * v1)
-        assert np.linalg.norm(y1 - B @ v1 / np.linalg.norm(B @ v1)) <= 1e-14
+        p = random_pencil(g, 3)
+        ep, _ = _isolated(p)
+        y1 = deflate(p, ep.value, ep.vector)
+        A, B = linearize(p)
+        v = stack_vector(ep.value, ep.vector)
+        assert np.linalg.norm(y1 - B @ v / np.linalg.norm(B @ v)) <= 1e-14
+        with pytest.raises(BadNorm):
+            deflate(p, ep.value, 3.0 * ep.vector)
 
     def test_hand_two_by_two(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         B = np.eye(2)
         v = np.array([1.0, 1.0]) / np.sqrt(2)
-        dl = DenseDeflation(A, B, 1.0, v)
+        dl = DenseDeflation(A, B, v)
         assert complex(dl.y1.conj() @ A @ v) == pytest.approx(1.0, abs=1e-14)
         assert complex(dl.y1.conj() @ B @ v) == pytest.approx(1.0, abs=1e-14)
         assert complex(dl.L[0, 0]) == pytest.approx(-1.0, abs=1e-14)
         assert complex(dl.N[0, 0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        dl = DenseDeflation(np.diag([1.0, 2.0]), np.eye(2), 1.0, np.eye(2)[:, 0])
+        dl = DenseDeflation(np.diag([1.0, 2.0]), np.eye(2), np.eye(2)[:, 0])
         assert complex(dl.L[0, 0]) == pytest.approx(2.0, abs=1e-14)
         assert complex(dl.N[0, 0]) == pytest.approx(1.0, abs=1e-14)
 
@@ -157,7 +176,7 @@ class TestDeflate:
         g = rng(seed + 2200)
         k = int(g.integers(3, 7))
         A, B, values, v1 = make_gep(g, k)
-        dl = DenseDeflation(A, B, values[0], v1)
+        dl = DenseDeflation(A, B, v1)
         # Unitarity of both frames.
         left = np.column_stack([dl.y1, dl.Y])
         right_v = np.column_stack([v1, dl.X])
@@ -179,7 +198,7 @@ class TestDeflate:
 
     def test_full_frame_block_structure(self, g):
         A, B, values, v1 = make_gep(g, 5)
-        dl = DenseDeflation(A, B, values[0], v1)
+        dl = DenseDeflation(A, B, v1)
         left = np.column_stack([dl.y1, dl.Y]).conj().T
         right = np.column_stack([v1, dl.X])
         TA = left @ A @ right
@@ -188,56 +207,81 @@ class TestDeflate:
         assert np.linalg.norm(TB[1:, 0]) <= 1e-11 * spectral_norm(B)
 
     def test_rejects_non_eigenpair(self, g):
-        A, B, values, v1 = make_gep(g, 4)
+        p = random_pencil(g, 3)
+        ep, nearest = _isolated(p)
         with pytest.raises(NotAnEigenpair):
-            deflate(A, B, values[0] + 0.5, v1)
+            deflate(p, ep.value + 0.5, ep.vector)
         with pytest.raises(NotAnEigenpair):
-            sep(values[1], A, B, values[0] + 0.5, v1)
+            sep(reference(p, ep.value + 0.5, ep.vector), nearest)
 
     def test_rejects_zero_bv(self):
-        # (0, e2) is an eigenpair of (diag(1, 0), diag(1, 0)), but B e2 = 0.
+        # 1e-16 lam^2 + lam + 1 has the root lam ~ -1e16 with x = 1, where
+        # B v = [1e-16 lam; 1] / sqrt(1 + lam^2) has norm ~1.4e-16.
+        p = QuadraticPencil([[1e-16]], [[1.0]], [[1.0]])
+        lam = (-1.0 - math.sqrt(1.0 - 4e-16)) / 2e-16
         with pytest.raises(ZeroBv):
-            deflate(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), 0.0, np.eye(2)[:, 1])
+            deflate(p, lam, [1.0])
+
+    @pytest.mark.parametrize("eta, admitted", [(2e-8, False), (0.5e-8, True)])
+    def test_admits_on_the_backward_error(self, g, eta, admitted):
+        p = random_pencil(g, 4)
+        ep, _ = _isolated(p)
+
+        def backward_error(lam):
+            return qep_residual(p, lam, ep.vector)[1] / p.residual_scale(lam)
+
+        # The backward error grows linearly with a small shift of the value.
+        step = 1e-6 * (1 + 1j)
+        lam = ep.value + step * eta / backward_error(ep.value + step)
+        assert backward_error(lam) == pytest.approx(eta, rel=1e-3)
+        ref = reference(p, lam, ep.vector)
+        assert (ref.rejection is None) == admitted
+        if not admitted:
+            assert isinstance(ref.rejection, NotAnEigenpair) and ref.y1 is None
 
 
 class TestSep:
     def test_diagonal(self):
-        got = sep(1.0, np.diag([1.0, 2.0, 3.0]), np.eye(3), 1.0, np.eye(3)[:, 0])
-        assert got == pytest.approx(1.0, abs=1e-14)
-
-    def test_empty_complement_separates_everything(self):
-        assert sep(2.0, [[1.0]], [[1.0]], 1.0, [1.0]) == math.inf
+        # (lam - 1)(lam - 2): deflating 1 leaves the 1 x 1 pair with the
+        # eigenvalue 2, and B = I gives |N| = 1, so sep(mu) = |2 - mu|.
+        p = QuadraticPencil([[1.0]], [[-3.0]], [[2.0]])
+        assert sep(reference(p, 1.0, [1.0]), 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_vanishes_at_eigenvalue(self, g):
-        A, B, values, v1 = make_gep(g, 4)
-        mu = min((w for w, _ in eig_standard(solve_linear(B, A))), key=lambda w: abs(w - values[1]))
-        dl = DenseDeflation(A, B, values[0], v1)
-        assert sep(mu, A, B, values[0], v1) <= 1e-12 * spectral_norm(dl.L - mu * dl.N)
+        p = random_pencil(g, 2)
+        ep, mu = _isolated(p)
+        dl = _dense(p, ep.value, ep.vector)
+        got = sep(reference(p, ep.value, ep.vector), mu)
+        assert got <= 1e-12 * spectral_norm(dl.L - mu * dl.N)
 
     def test_exactly_singular_bordered_matrix(self):
-        # Deflating (1, e1) from (diag(1, 1, 2), I) leaves (diag(1, 2), I):
-        # at mu = 1 the bordered matrix has a zero row.
-        A, B, e1 = np.diag([1.0, 1.0, 2.0]), np.eye(3), np.eye(3)[:, 0]
-        assert sep(1.0, A, B, 1.0, e1) == 0.0
-        assert sep(1.5, A, B, 1.0, e1) == pytest.approx(0.5, rel=1e-15)
+        # (lam - 1)^2: deflating (1, 1) leaves the 1 x 1 pair with the
+        # eigenvalue 1, and at mu = 1 the bordered S(1) has a zero row.
+        # B = I gives |N| = 1, so sep(mu) = |1 - mu|.
+        ref = reference(QuadraticPencil([[1.0]], [[-2.0]], [[1.0]]), 1.0, [1.0])
+        assert sep(ref, 1.0) == 0.0
+        assert sep(ref, 1.5) == pytest.approx(0.5, rel=1e-15)
 
     def test_lipschitz_in_mu(self, g):
-        A, B, values, v1 = make_gep(g, 5)
-        norm_n = spectral_norm(DenseDeflation(A, B, values[0], v1).N)
+        p = random_pencil(g, 3)
+        ep, _ = _isolated(p)
+        ref = reference(p, ep.value, ep.vector)
+        norm_n = spectral_norm(_dense(p, ep.value, ep.vector).N)
         for _ in range(20):
             mu = complex(g.standard_normal(), g.standard_normal())
             nu = mu + complex(g.standard_normal(), g.standard_normal()) * 0.1
-            gap = abs(sep(mu, A, B, values[0], v1) - sep(nu, A, B, values[0], v1))
+            gap = abs(sep(ref, mu) - sep(ref, nu))
             assert gap <= abs(mu - nu) * norm_n + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10])
     def test_matches_unitary_frame_oracle(self, seed, delta):
         g = rng(seed + 2300)
-        A, B, values, v1 = make_gep(g, int(g.integers(3, 9)))
-        mu = values[1] + delta * (1 + 1j)
-        dl = DenseDeflation(A, B, values[0], v1)
-        assert abs(sep(mu, A, B, values[0], v1) - dl.sep(mu)) <= dl.allowance(mu)
+        p = random_pencil(g, int(g.integers(2, 5)))
+        ep, nearest = _isolated(p)
+        mu = nearest + delta * (1 + 1j)
+        dl = _dense(p, ep.value, ep.vector)
+        assert abs(sep(reference(p, ep.value, ep.vector), mu) - dl.sep(mu)) <= dl.allowance(mu)
 
     @pytest.mark.parametrize("eps", [10.0 ** (-k) for k in range(2, 13)])
     def test_example31_projected_sweep(self, eps):
@@ -245,7 +289,7 @@ class TestSep:
         Q = perturbed_subspace(X1, example31_basis()[:, 1:], eps, seed=1)
         pp = project(p, Q)
         sel = select_eigenpair(ritz_pairs(pp, p), 1.0)
-        dl = DenseDeflation(*linearize(pp.pencil), sel.value, stack_vector(sel.value, sel.coeff))
+        dl = _dense(pp.pencil, sel.value, sel.coeff)
         rep = full_diagnostics(reference(p, 1.0, X1), Q)
         assert abs(rep.sep_projected - dl.sep(1.0)) <= dl.allowance(1.0)
 
@@ -272,7 +316,7 @@ def _non_hermitian_mass_pencil(seed):
 
 
 class TestBorderedSeparation:
-    """``bordered_sep`` and the Golub-Kahan norms against the dense 2n x 2n oracle."""
+    """``sep`` and the Golub-Kahan norms against the dense companion-size oracle."""
 
     @pytest.mark.parametrize(
         "make, index",
@@ -289,12 +333,45 @@ class TestBorderedSeparation:
         assert ref.rejection is None
         mu = ep.value + delta * (1 + 1j)
         A, B = linearize(p)
-        dl = DenseDeflation(A, B, ep.value, stack_vector(ep.value, ep.vector))
+        dl = DenseDeflation(A, B, stack_vector(ep.value, ep.vector))
         norm_a = spectral_norm(A)
         assert abs(largest_singular(*companion_operator(p, 0.0), 2 * p.n) - norm_a) <= 1e-14 * norm_a
         norm = largest_singular(*companion_operator(p, mu), 2 * p.n)
         assert abs(norm - dl.norm_minus(mu)) <= 1e-14 * dl.norm_minus(mu)
-        assert abs(bordered_sep(ref, mu) - dl.sep(mu)) <= dl.allowance(mu)
+        assert abs(sep(ref, mu) - dl.sep(mu)) <= dl.allowance(mu)
+
+    @pytest.mark.parametrize(
+        "make, index",
+        [(_criterion_3_pencil, i) for i in range(8)]
+        + [(_graded_mass_pencil, i) for i in range(3)]
+        + [(_non_hermitian_mass_pencil, i) for i in range(3)],
+    )
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10])
+    @pytest.mark.filterwarnings("ignore::qritz.errors.IndefiniteMass")
+    def test_projected_matches_dense_deflation(self, make, index, eps):
+        # The Ritz-vector bound's separation, for every eigenpair (lam1, x1):
+        # sep at lam1 of the 2m-size companion pair of the projected pencil,
+        # deflated at the selected Ritz pair.  The graded pencils put |lam1|
+        # up to 1e5, where only the elimination of z_b keeps sep accurate.
+        p = make(index)
+        m = min(3, p.n - 1)
+        companions = cnormal(rng(index + 2800), p.n, m - 1)
+        checked = 0
+        for ep in solve_full(p):
+            pp = project(p, perturbed_subspace(ep.vector, companions, eps, seed=index))
+            try:
+                sel = select_eigenpair(ritz_pairs(pp, p), ep.value)
+            except Singular:
+                continue
+            ref = reference(pp.pencil, sel.value, sel.coeff)
+            assert ref.rejection is None
+            dl = _dense(pp.pencil, sel.value, sel.coeff)
+            got = sep(ref, ep.value)
+            assert abs(got - dl.sep(ep.value)) <= dl.allowance(ep.value)
+            rep = full_diagnostics(reference(p, ep.value, ep.vector), pp.basis)
+            assert rep.sep_projected == got
+            checked += 1
+        assert checked >= p.n
 
     @pytest.mark.parametrize("eps", [10.0 ** (-k) for k in range(2, 13)] + [0.0])
     def test_example31_sweep(self, eps):
@@ -302,7 +379,7 @@ class TestBorderedSeparation:
         Q = perturbed_subspace(X1, example31_basis()[:, 1:], eps, seed=1)
         rep = full_diagnostics(reference(p, 1.0, X1), Q)
         mu1 = rep.ritz_value
-        dl = DenseDeflation(*linearize(p), 1.0, stack_vector(1.0, X1))
+        dl = _dense(p, 1.0, X1)
         sep_dense, allowance = dl.sep(mu1), dl.allowance(mu1)
         assert abs(rep.sep_full - sep_dense) <= allowance
         theta = subspace_angle(Q, X1)
@@ -317,14 +394,14 @@ class TestBorderedSeparation:
         ref = reference(example31_pencil(), 1.0, np.array([1.0, 0.0, 0.0]))
         assert isinstance(ref.rejection, NotAnEigenpair) and ref.y1 is None
         with pytest.raises(NotAnEigenpair):
-            bordered_sep(ref, 1.0)
+            sep(ref, 1.0)
 
     def test_exactly_singular_bordered_matrix_means_no_separation(self):
         # lambda = 1 is a double eigenvalue of example 3.1, so at mu = 1 the
         # deflated pair (L, N) still has the eigenvalue 1 and S(1) is singular.
         p = example31_pencil()
         ref = reference(p, 1.0, X1)
-        assert bordered_sep(ref, 1.0) == 0.0
+        assert sep(ref, 1.0) == 0.0
         norm = largest_singular(*companion_operator(p, 1.0), 2 * p.n)
         assert refined_vector_bound(1.0, 1.0, max(p.m0, 1.0), norm, _angle(1e-3), 0.0) == math.inf
         Q = perturbed_subspace(X1, example31_basis()[:, 1:], 0.0, seed=1)
@@ -486,7 +563,9 @@ class TestRefinedResidualIdentity:
         def refuse(p):
             raise AssertionError("the identity check formed the 2n x 2n pair")
 
-        monkeypatch.setattr(theory, "linearize", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qritz" and hasattr(module, "linearize"):
+                monkeypatch.setattr(module, "linearize", refuse)
         z = np.array([0.6, 0.8j])
         assert refined_residual_identity_check(example31_pencil(), example31_basis(), 1.0 + 0.5j, z)
 
