@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands:
-    solve      full dense solve, print pairs nearest a target
+    solve      dense solve, print the pairs nearest a target
     project    project onto a basis file, print Ritz/refined diagnostics
     study      perturbation sweep, verdict lines + CSV
     example31  golden checks of the built-in showcase problem
@@ -28,7 +28,7 @@ from .kernels import orthonormalize, require_orthonormal
 from .pencil import QuadraticPencil
 from .projection import project, ritz_pairs
 from .refined import refined_ritz
-from .solver import nearest_first, select_eigenpair, solve_full
+from .solver import select_eigenpair, solve_full
 from .study import format_float
 from .theory import full_diagnostics, reference
 
@@ -108,13 +108,12 @@ def _load_pencil(m_path, d_path, k_path) -> QuadraticPencil:
 
 def _cmd_solve(args) -> int:
     p = _load_pencil(args.M, args.D, args.K)
-    pairs = solve_full(p)
-    count = min(args.count, len(pairs))
+    pairs = solve_full(p, args.target, args.count)
     print(
-        f"solve: n={p.n} eigenvalues={len(pairs)} "
-        f"target={fmt_complex(args.target)} count={count}"
+        f"solve: n={p.n} eigenvalues={2 * p.n} "
+        f"target={fmt_complex(args.target)} count={len(pairs)}"
     )
-    for rank, ep in enumerate(nearest_first(pairs, args.target)[:count], start=1):
+    for rank, ep in enumerate(pairs, start=1):
         print(f"pair {rank}: lambda={fmt_complex(ep.value)} residual={format_float(ep.residual_norm)}")
         for k, entry in enumerate(ep.vector):
             print(f"  x[{k}] = {fmt_complex(entry)}")
@@ -134,7 +133,7 @@ def _cmd_project(args) -> int:
             ) from exc
         Q = orthonormalize(Q)
     if p.n <= FULL_SOLVE_LIMIT:
-        ep = select_eigenpair(solve_full(p), args.target)
+        ep = solve_full(p, args.target, 1)[0]
         rep = full_diagnostics(reference(p, ep.value, ep.vector), Q)
         print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)}")
         print(f"reference lambda   = {fmt_complex(rep.ref_value)}")

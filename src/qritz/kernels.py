@@ -33,8 +33,8 @@ UNIT_TOL = 1e-13
 #: Relative growth of the Golub-Kahan estimate under which ``largest_singular`` stops.
 STALL_TOL = 1e-15
 
-#: Philox key of the start vector of ``largest_singular``.
-START_KEY = 0x6B
+#: The golden ratio: ``largest_singular`` starts from ``exp(2 pi i frac(k GOLDEN))``.
+GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -46,6 +46,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must have at least one row and column, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def as_square(a, name: str = "C") -> np.ndarray:
+    """``as_matrix`` of ``a``, which must also be square."""
+    m = as_matrix(a, name)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got {m.shape}")
     return m
 
 
@@ -134,9 +142,7 @@ def eig_standard(C) -> list[tuple[complex, np.ndarray]]:
     Raises:
         NoConvergence: if the QR iteration exhausts its sweep budget.
     """
-    C = as_matrix(C, "C")
-    if C.shape[0] != C.shape[1]:
-        raise ValueError(f"expected a square matrix, got {C.shape}")
+    C = as_square(C)
     try:
         w, V = np.linalg.eig(C)
     except np.linalg.LinAlgError as exc:
@@ -147,6 +153,21 @@ def eig_standard(C) -> list[tuple[complex, np.ndarray]]:
         v = v / np.linalg.norm(v)
         pairs.append((complex(w[i]), v))
     return pairs
+
+
+def eigenvalues(C) -> np.ndarray:
+    """All ``k`` eigenvalues of a dense complex matrix, with multiplicity, and no eigenvectors.
+
+    The QR iteration of ``eig_standard`` without the eigenvector work.
+
+    Raises:
+        NoConvergence: if the QR iteration exhausts its sweep budget.
+    """
+    C = as_square(C)
+    try:
+        return np.linalg.eigvals(C)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def clustered_flags(values, tol: float) -> list[bool]:
@@ -192,15 +213,17 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
 
     ``matvec(x)`` returns ``T x`` and ``rmatvec(y)`` returns ``T^H y``.
     Golub-Kahan bidiagonalization with full reorthogonalization starts from
-    a fixed Philox vector (a structured operator can make ``ones`` orthogonal
-    to its top singular vector).  After step ``k`` the top singular value of
-    the k x k bidiagonal is a lower bound on ``||T||`` that only grows; the
-    iteration stops when that growth falls to ``STALL_TOL`` relative, when
-    a new direction is exactly zero (an invariant subspace), or after
-    ``dim`` steps.  The zero operator gives 0.0.
+    the fixed unit-modulus vector with phases ``2 pi frac(k GOLDEN)``,
+    k = 1..dim.  Unlike ``ones``, which a structured operator can make
+    orthogonal to its top singular vector, these equidistributed phases
+    follow no pattern of the operator, and they need no random generator.
+    After step ``k`` the top singular value of the k x k bidiagonal is a
+    lower bound on ``||T||`` that only grows; the iteration stops when that
+    growth falls to ``STALL_TOL`` relative, when a new direction is exactly
+    zero (an invariant subspace), or after ``dim`` steps.  The zero operator
+    gives 0.0.
     """
-    g = np.random.Generator(np.random.Philox(key=START_KEY))
-    v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+    v = np.exp(2j * np.pi * (np.arange(1, dim + 1) * GOLDEN % 1.0))
     # Row k holds the k-th left (us) or right (vs) Lanczos vector; rows are
     # written one step at a time, so untouched rows are never paged in.
     us = np.empty((dim, dim), dtype=np.complex128)
@@ -258,9 +281,7 @@ def solve_linear(C, b) -> np.ndarray:
     Raises:
         Singular: if ``sigma_min(C) <= SINGULAR_TOL * ||C||``.
     """
-    C = as_matrix(C, "C")
-    if C.shape[0] != C.shape[1]:
-        raise ValueError(f"expected a square matrix, got {C.shape}")
+    C = as_square(C)
     b_arr = np.asarray(b, dtype=np.complex128)
     if b_arr.shape[0] != C.shape[0]:
         raise ValueError(f"shape mismatch: {C.shape} vs {b_arr.shape}")

@@ -12,6 +12,7 @@ from qritz.builtin import example31_basis, example31_pencil
 from qritz.errors import IndefiniteMass
 from qritz.kernels import orthonormalize
 from qritz.mmio import write_matrix_market
+from qritz.solver import nearest_first, solve_full
 
 
 @pytest.fixture
@@ -63,6 +64,40 @@ def test_solve_finds_unit_eigenvalue(builtin_files, run_main):
     # Eigenvector concentrates on the third coordinate (up to phase).
     x2 = _parse_complex_field(next(l for l in out if l.strip().startswith("x[2]")))
     assert abs(abs(x2) - 1.0) <= 1e-6
+
+
+def test_solve_count_clamps_to_2n_and_is_deterministic(tmp_path):
+    g = rng(9400)
+    p = random_pencil(g, 2)
+    for name, mat in (("M", p.M), ("D", p.D), ("K", p.K)):
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    args = ["solve", "M.mtx", "D.mtx", "K.mtx", "--target", "0.2-0.1j", "--count", "9"]
+    r1 = run_cli(args, cwd=tmp_path)
+    r2 = run_cli(args, cwd=tmp_path)
+    assert r1.returncode == 0, r1.stderr
+    assert r1.stdout == r2.stdout
+    out = r1.stdout.decode().splitlines()
+    assert out[0].startswith("solve: n=2 eigenvalues=4 ") and out[0].endswith(" count=4")
+    assert sum(line.startswith("pair ") for line in out) == 4
+
+
+@pytest.mark.parametrize("count", ["1", "3"])
+def test_solve_prints_refined_pairs_nearest_the_target(tmp_path, run_main, count):
+    g = rng(9401)
+    p = random_pencil(g, 6)
+    for name, mat in (("M", p.M), ("D", p.D), ("K", p.K)):
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    code, stdout, _ = run_main(["solve", "M.mtx", "D.mtx", "K.mtx", "--target", "0.5j", "--count", count])
+    assert code == 0
+    out = stdout.splitlines()
+    assert out[0].endswith(f" eigenvalues=12 target={cli.fmt_complex(0.5j)} count={count}")
+    want = nearest_first(solve_full(p), 0.5j)
+    for rank in range(int(count)):
+        line = next(l for l in out if l.startswith(f"pair {rank + 1}: lambda="))
+        lam = complex(line.split("lambda=")[1].split(" ")[0])
+        printed = float(line.split("residual=")[1])
+        assert abs(lam - want[rank].value) <= 1e-12 * max(1.0, abs(lam))
+        assert printed <= want[rank].residual_norm + 1e-14 * p.residual_scale(lam)
 
 
 def test_solve_singular_mass_exits_2(tmp_path, run_main):

@@ -23,7 +23,9 @@ read every field (the ``StudyRow`` columns).  Passing it to the constructor
 or storing it does not count.
 
 numpy is the package's only runtime dependency: a fresh interpreter that
-imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.
+imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.  Nor does
+``qritz example31`` load ``numpy.random``, which numpy imports lazily and
+which no golden check needs.
 """
 
 import ast
@@ -258,3 +260,17 @@ def test_import_loads_no_scipy():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.decode().strip() == "[]"
+
+
+def test_example31_loads_no_numpy_random():
+    probe = (
+        "import contextlib, io, sys; from qritz import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['example31'])\n"
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=child_env(), timeout=120
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().strip() == "0 False"

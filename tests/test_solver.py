@@ -1,19 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import random_pencil, rng
+from conftest import cnormal, random_pencil, random_unitary, rng
+from qritz import solver
 from qritz.builtin import example31_pencil
-from qritz.errors import EmptyList, Singular
-from qritz.kernels import eig_standard, solve_linear
-from qritz.pencil import Eigenpair, QuadraticPencil, linearize
-from qritz.solver import select_eigenpair, solve_full
+from qritz.errors import EmptyList, IndefiniteMass, Singular
+from qritz.kernels import eig_standard, eigenvalues, solve_linear
+from qritz.pencil import Eigenpair, QuadraticPencil, companion_matrix, linearize, qep_residual
+from qritz.solver import REFINED_MAX, nearest_first, select_eigenpair, solve_full
 
 
-def test_plus_minus_one_double():
+@pytest.mark.parametrize("route", [(), (1.0, 2)], ids=["all-pairs", "value-only"])
+def test_plus_minus_one_double(route):
     p = QuadraticPencil(np.eye(2), np.zeros((2, 2)), -np.eye(2))
-    pairs = solve_full(p)
+    pairs = solve_full(p, *route)
     values = sorted(round(ep.value.real, 9) for ep in pairs)
-    assert values == [-1.0, -1.0, 1.0, 1.0]
+    assert values == ([-1.0, -1.0, 1.0, 1.0] if not route else [1.0, 1.0])
     # Eigenvectors span the whole space for each of the two eigenvalues.
     plus = np.column_stack([ep.vector for ep in pairs if ep.value.real > 0])
     assert np.linalg.matrix_rank(plus, tol=1e-8) == 2
@@ -35,18 +39,20 @@ def test_residual_contract_random_hpd(g):
         assert ep.residual_norm <= 1e-9 * p.residual_scale(ep.value)
 
 
-def test_singular_mass_rejected():
+@pytest.mark.parametrize("route", [(), (0.0, 1)], ids=["all-pairs", "value-only"])
+def test_singular_mass_rejected(route):
     p = QuadraticPencil(np.zeros((2, 2)), np.eye(2), np.eye(2))
-    with pytest.raises(Singular), pytest.warns():
-        solve_full(p)
+    with pytest.raises(Singular), pytest.warns(IndefiniteMass):
+        solve_full(p, *route)
 
 
-def test_huge_eigenvalue_extraction_fallback():
+@pytest.mark.parametrize("route", [(), (-1e10, 1)], ids=["all-pairs", "value-only"])
+def test_huge_eigenvalue_extraction_fallback(route):
     # A nearly singular (but still HPD) mass matrix pushes two eigenvalues
     # to ~1e10; their linearized eigenvectors have negligible lower blocks
     # and the quadratic eigenvector must come out of the upper one.
     p = QuadraticPencil(np.diag([1.0, 1e-10]), np.eye(2), np.eye(2))
-    pairs = solve_full(p)
+    pairs = solve_full(p, *route)
     big = [ep for ep in pairs if abs(ep.value) > 1e6]
     assert big
     for ep in big:
@@ -100,3 +106,95 @@ class TestSelect:
     def test_empty_rejected(self):
         with pytest.raises(EmptyList):
             select_eigenpair([], 0.0)
+
+
+def graded_pencil(k: int, n: int = 40) -> QuadraticPencil:
+    """Graded HPD mass ``U diag(logspace(0, -k)) U^H``, random complex D and K."""
+    g = rng(9300 + k)
+    U = random_unitary(g, n)
+    M = (U * np.logspace(0, -k, n)) @ U.conj().T
+    return QuadraticPencil(M, cnormal(g, n, n) / np.sqrt(n), cnormal(g, n, n) / np.sqrt(n))
+
+
+class TestValueRoute:
+    """``solve_full(p, target, count)``: companion eigenvalues, then refined vectors."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_selects_the_all_pairs_values(self, seed):
+        g = rng(seed + 9200)
+        p = random_pencil(g, int(g.integers(3, 9)))
+        for count in range(1, REFINED_MAX + 1):
+            tau = complex(*(2.0 * g.standard_normal(2)))
+            want = nearest_first(solve_full(p), tau)[:count]
+            got = solve_full(p, tau, count)
+            assert len(got) == count
+            for a, b in zip(got, want):
+                assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(b.value))
+                assert a.residual_norm <= 1e-9 * p.residual_scale(a.value)
+
+    @pytest.mark.parametrize("k", [2, 8, 12])
+    def test_residual_never_above_the_companion_vector(self, k):
+        with warnings.catch_warnings():
+            # At k = 12 the smallest eigenvalue of M sits at the HPD tolerance.
+            warnings.simplefilter("ignore", IndefiniteMass)
+            p = graded_pencil(k)
+            pairs = solve_full(p)
+            values = np.array([ep.value for ep in pairs])
+            for i in np.argsort(np.abs(values))[::4]:
+                tau = values[i] * (1.0 + 1e-9)
+                want = nearest_first(pairs, tau)[0]
+                got = solve_full(p, tau, 1)[0]
+                assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+                slack = 1e-14 * p.residual_scale(want.value)
+                assert got.residual_norm <= want.residual_norm + slack
+
+    def test_printed_residual_is_the_vectors(self, g):
+        p = random_pencil(g, 6)
+        for ep in solve_full(p, 0.3 - 0.2j, 3):
+            _, rn = qep_residual(p, ep.value, ep.vector)
+            assert ep.residual_norm == pytest.approx(rn, rel=1e-12, abs=1e-15)
+
+    def test_no_companion_eigenvectors(self, g, monkeypatch):
+        p = random_pencil(g, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        for count in range(1, REFINED_MAX + 1):
+            assert len(solve_full(p, 0.0, count)) == count
+
+    def test_equidistant_conjugates_break_on_the_residual(self, monkeypatch):
+        # Real pencils and real targets: the companion eigenvalues of a
+        # conjugate pair are often exactly equidistant from the target.  Both
+        # are candidates for count 1, in either eigensolver order, and the
+        # one with the smaller residual comes first.
+        ties = 0
+        for reverse in (False, True):
+            if reverse:
+                monkeypatch.setattr(solver, "eigenvalues", lambda C: eigenvalues(C)[::-1])
+            for seed in range(60):
+                g = rng(7000 + seed)
+                R, D, K = (g.standard_normal((3, 3)) for _ in range(3))
+                p = QuadraticPencil(R @ R.T + 3.0 * np.eye(3), D, K)
+                for tau in (lam.real for lam in eigenvalues(companion_matrix(p)) if lam.imag > 0):
+                    first, second = solve_full(p, tau, 2)
+                    if abs(first.value - tau) != abs(second.value - tau):
+                        continue
+                    if first.residual_norm == second.residual_norm:
+                        continue
+                    assert first.value == pytest.approx(second.value.conjugate(), rel=1e-10)
+                    assert first.residual_norm < second.residual_norm
+                    assert solve_full(p, tau, 1)[0].value == first.value
+                    ties += 1
+        assert ties >= 2
+
+    def test_count_clamps_to_2n(self, g):
+        p = random_pencil(g, 2)
+        pairs = solve_full(p, 0.5, 9)
+        assert [ep.value for ep in pairs] == [ep.value for ep in nearest_first(solve_full(p), 0.5)]
+
+    @pytest.mark.parametrize("target, count", [(None, 1), (0.0, 0)])
+    def test_bad_arguments(self, g, target, count):
+        with pytest.raises(ValueError):
+            solve_full(random_pencil(g, 2), target, count)
