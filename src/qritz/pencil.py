@@ -28,12 +28,24 @@ HPD_TOL = 1e-12
 
 
 def _detect_hpd(M: np.ndarray, m0: float) -> bool:
+    """``||M - M^H|| <= HPD_TOL m0`` and ``lambda_min(H) > HPD_TOL m0`` for ``H = (M + M^H)/2``.
+
+    The second test is one Cholesky factorization of ``H - HPD_TOL m0 I``,
+    which exists exactly when that matrix is positive definite.
+    """
     if m0 == 0.0:
         return False
-    if spectral_norm(M - M.conj().T) > HPD_TOL * m0:
+    H = M.conj().T
+    if spectral_norm(M - H) > HPD_TOL * m0:
         return False
-    w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    return bool(w[0] > HPD_TOL * m0)
+    H += M
+    H *= 0.5
+    H[np.diag_indices_from(H)] -= HPD_TOL * m0
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -63,14 +75,16 @@ class BasisImage:
 
 
 class QuadraticPencil:
-    """The triple (M, D, K) with cached exact spectral norms.
+    """The triple (M, D, K) with cached spectral norms.
 
     Attributes:
         M, D, K: n x n complex matrices (validated, copied).
         n: dimension.
-        m0, d0, k0: spectral norms of M, D, K, recomputed on construction.
+        m0, d0, k0: spectral norms of M, D, K (``kernels.spectral_norm``),
+            recomputed on construction.
         hermitian_pd: True when M is verified Hermitian positive definite
-            (smallest eigenvalue of the Hermitian part above ``HPD_TOL * m0``).
+            (``||M - M^H|| <= HPD_TOL * m0`` and smallest eigenvalue of the
+            Hermitian part above ``HPD_TOL * m0``, decided by Cholesky).
             The solve/projection paths warn, but still work, when this is
             False and M is merely nonsingular.
 
@@ -170,7 +184,8 @@ def companion_operator(p: QuadraticPencil, mu: complex):
     """``(matvec, rmatvec)``: the products with ``A - mu B`` and its adjoint, never forming it.
 
     ``(A - mu B) [u_t; u_b] = [-(D + mu M) u_t - K u_b; u_t - mu u_b]`` and
-    ``(A - mu B)^H [c_t; c_b] = [c_b - (D + mu M)^H c_t; -K^H c_t - conj(mu) c_b]``.
+    ``(A - mu B)^H [c_t; c_b] = [c_b - (D + mu M)^H c_t; -K^H c_t - conj(mu) c_b]``,
+    with each ``X^H c`` taken as ``conj(conj(c) @ X)`` so that no adjoint is copied.
     """
     n = p.n
     mu = complex(mu)
@@ -181,7 +196,8 @@ def companion_operator(p: QuadraticPencil, mu: complex):
 
     def rmatvec(c):
         ct, cb = c[:n], c[n:]
-        return np.concatenate([cb - DmuM.conj().T @ ct, -(p.K.conj().T @ ct) - mu.conjugate() * cb])
+        ctc = np.conj(ct)
+        return np.concatenate([cb - np.conj(ctc @ DmuM), -np.conj(ctc @ p.K) - mu.conjugate() * cb])
 
     return matvec, rmatvec
 

@@ -36,6 +36,13 @@ def random_hpd(g: np.random.Generator, n: int) -> np.ndarray:
     return R @ R.conj().T + 0.5 * np.eye(n)
 
 
+def hermitian_with_spectrum(g: np.random.Generator, w) -> np.ndarray:
+    """``U diag(w) U^H`` for a random unitary ``U``, made exactly Hermitian."""
+    U = random_unitary(g, len(w))
+    H = (U * w) @ U.conj().T
+    return 0.5 * (H + H.conj().T)
+
+
 def random_pencil(g: np.random.Generator, n: int, hpd_mass: bool = True) -> QuadraticPencil:
     M = random_hpd(g, n) if hpd_mass else cnormal(g, n, n)
     D = cnormal(g, n, n) / np.sqrt(n)

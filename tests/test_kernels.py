@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import cnormal, rng
+from conftest import cnormal, hermitian_with_spectrum, random_hpd, rng
+from qritz import kernels
 from qritz.errors import BadNorm, RankDeficient, Singular
 from qritz.kernels import (
+    ITERATIVE_NORM_MIN,
     ORTHO_TOL,
     eig_standard,
     largest_singular,
@@ -216,6 +218,72 @@ class TestLargestSingular:
     def test_deterministic(self, g):
         a = cnormal(g, 8, 8)
         assert largest_singular(*_operator(a), 8) == largest_singular(*_operator(a), 8)
+
+
+#: Matrix families of the route tests; the clustered top (every singular
+#: value in [1, 2], gaps about 1/n) is the slowest one for Golub-Kahan.
+NORM_FAMILIES = {
+    "ginibre": lambda g, n: cnormal(g, n, n),
+    "wishart": random_hpd,
+    "clustered-top": lambda g, n: hermitian_with_spectrum(g, g.uniform(1.0, 2.0, n)),
+}
+
+
+@pytest.fixture
+def route_log(monkeypatch):
+    """Orders passed to ``kernels.largest_singular`` and the products it takes."""
+    log = {"dims": [], "products": 0}
+    iterative = kernels.largest_singular
+
+    def spy(matvec, rmatvec, dim):
+        def counted(x):
+            log["products"] += 1
+            return matvec(x)
+
+        log["dims"].append(dim)
+        return iterative(counted, rmatvec, dim)
+
+    monkeypatch.setattr(kernels, "largest_singular", spy)
+    return log
+
+
+class TestSpectralNormRoutes:
+    @pytest.mark.parametrize("n", [ITERATIVE_NORM_MIN - 1, ITERATIVE_NORM_MIN])
+    @pytest.mark.parametrize("family", NORM_FAMILIES)
+    def test_matches_dense_across_crossover(self, family, n, route_log):
+        a = NORM_FAMILIES[family](rng(2500 + n), n)
+        want = float(np.linalg.norm(a, 2))
+        if n < ITERATIVE_NORM_MIN:
+            assert spectral_norm(a) == want
+            assert route_log["dims"] == []
+        else:
+            assert abs(spectral_norm(a) - want) <= 1e-14 * want
+            assert route_log["dims"] == [n]
+
+    def test_zero_matrix(self, route_log):
+        n = ITERATIVE_NORM_MIN
+        assert spectral_norm(np.zeros((n, n), dtype=complex)) == 0.0
+        assert route_log["dims"] == [n]
+
+    def test_exactly_hermitian_skew_part(self, g, route_log):
+        # M - M^H of an exactly Hermitian M is the zero matrix bit for bit.
+        H = hermitian_with_spectrum(g, g.uniform(1.0, 2.0, ITERATIVE_NORM_MIN))
+        assert spectral_norm(H - H.conj().T) == 0.0
+        assert route_log["dims"] == [ITERATIVE_NORM_MIN]
+
+    def test_rank_one_stops_at_its_krylov_space(self, g, route_log):
+        # The Krylov space of a rank-one matrix has dimension 2: the second
+        # new direction vanishes up to rounding and the estimate stalls.
+        n = ITERATIVE_NORM_MIN
+        a = np.outer(cnormal(g, n), cnormal(g, n))
+        want = np.linalg.norm(a, 2)
+        assert abs(spectral_norm(a) - want) <= 1e-14 * want
+        assert route_log["products"] <= 3
+
+    def test_rectangular_stays_dense(self, g, route_log):
+        a = cnormal(g, ITERATIVE_NORM_MIN, 600)
+        assert spectral_norm(a) == float(np.linalg.norm(a, 2))
+        assert route_log["dims"] == []
 
 
 class TestUnitaryCompletion:

@@ -1,11 +1,13 @@
 import numpy as np
+import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
-from conftest import cnormal, random_pencil, rng
+from conftest import cnormal, hermitian_with_spectrum, random_hpd, random_pencil, rng
 from qritz.builtin import example31_pencil
 from qritz.errors import BadNorm, DimensionMismatch
-from qritz.kernels import eig_standard, solve_linear, spectral_norm
+from qritz.kernels import ITERATIVE_NORM_MIN, eig_standard, solve_linear, spectral_norm
 from qritz.pencil import (
+    HPD_TOL,
     QuadraticPencil,
     companion_matrix,
     linearize,
@@ -21,11 +23,33 @@ def sorted_values(pairs):
 
 
 class TestQuadraticPencil:
-    def test_norms_cached(self, g):
-        p = random_pencil(g, 4)
-        assert p.m0 == pytest.approx(spectral_norm(p.M), rel=1e-12)
-        assert p.d0 == pytest.approx(spectral_norm(p.D), rel=1e-12)
-        assert p.k0 == pytest.approx(spectral_norm(p.K), rel=1e-12)
+    @pytest.mark.parametrize("n", [4, ITERATIVE_NORM_MIN])
+    def test_norms_cached(self, g, n):
+        p = random_pencil(g, n)
+        assert p.m0 == pytest.approx(np.linalg.norm(p.M, 2), rel=1e-12)
+        assert p.d0 == pytest.approx(np.linalg.norm(p.D, 2), rel=1e-12)
+        assert p.k0 == pytest.approx(np.linalg.norm(p.K, 2), rel=1e-12)
+
+    def test_large_pencil_factorizes_nothing_of_its_size(self, g, monkeypatch):
+        # From ITERATIVE_NORM_MIN on, the three norms and the skew test run
+        # Golub-Kahan and definiteness is one Cholesky: no SVD or Hermitian
+        # eigensolve sees an n x n matrix.
+        n = ITERATIVE_NORM_MIN
+        M, D, K = random_hpd(g, n), cnormal(g, n, n), cnormal(g, n, n)
+        shapes = []
+        for module in (np.linalg, np_linalg_impl):
+            for name in ("svd", "eigvalsh", "eigh"):
+                factor = getattr(module, name)
+
+                def recording(a, *args, _factor=factor, **kwargs):
+                    shapes.append(np.shape(a))
+                    return _factor(a, *args, **kwargs)
+
+                monkeypatch.setattr(module, name, recording)
+        p = QuadraticPencil(M, D, K)
+        monkeypatch.undo()
+        assert p.hermitian_pd
+        assert shapes and max(max(shape) for shape in shapes) < n
 
     def test_hpd_detection(self, g):
         assert random_pencil(g, 3, hpd_mass=True).hermitian_pd
@@ -35,6 +59,37 @@ class TestQuadraticPencil:
         assert not skew.hermitian_pd
         indef = QuadraticPencil(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
         assert not indef.hermitian_pd
+
+    @pytest.mark.parametrize("factor, hpd", [(2.0, True), (0.5, False)])
+    def test_hpd_smallest_eigenvalue_boundary(self, g, factor, hpd):
+        # m0 = 1 up to rounding; the smallest eigenvalue sits a factor
+        # 2 above or below the HPD_TOL * m0 threshold.
+        lowest = factor * HPD_TOL
+        for M in (np.diag([1.0, lowest]), hermitian_with_spectrum(g, [1.0, 0.7, 0.3, lowest])):
+            n = M.shape[0]
+            p = QuadraticPencil(M, np.eye(n), np.eye(n))
+            assert p.m0 == pytest.approx(1.0, rel=1e-14)
+            assert p.hermitian_pd is hpd
+
+    @pytest.mark.parametrize("factor, hpd", [(0.5, True), (2.0, False)])
+    def test_hpd_skew_part_boundary(self, g, factor, hpd):
+        # ||M - M^H|| = 2 ||S|| is a factor 2 below or above HPD_TOL * m0.
+        H = hermitian_with_spectrum(g, [2.0, 1.5, 1.0, 0.5])
+        G = cnormal(g, 4, 4)
+        S = G - G.conj().T
+        S *= factor * HPD_TOL * spectral_norm(H) / (2.0 * spectral_norm(S))
+        p = QuadraticPencil(H + S, np.eye(4), np.eye(4))
+        assert spectral_norm(p.M - p.M.conj().T) == pytest.approx(factor * HPD_TOL * p.m0, rel=1e-3)
+        assert p.hermitian_pd is hpd
+
+    def test_hpd_large_indefinite(self, g):
+        n = ITERATIVE_NORM_MIN
+        w = g.uniform(1.0, 2.0, n)
+        p = QuadraticPencil(hermitian_with_spectrum(g, w), np.eye(n), np.eye(n))
+        assert p.hermitian_pd
+        w[n // 2] = -1e-3
+        p = QuadraticPencil(hermitian_with_spectrum(g, w), np.eye(n), np.eye(n))
+        assert not p.hermitian_pd
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
