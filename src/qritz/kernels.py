@@ -6,9 +6,11 @@ concurrently.  Factorizations are delegated to LAPACK through numpy: the
 eigensolver is Hessenberg reduction plus implicitly shifted QR, the SVD
 is the standard bidiagonalization algorithm, and orthonormalization is
 Householder QR.  ``largest_singular`` is the one iterative kernel: it reads
-an operator only through its products.  ``spectral_norm`` takes a square
-matrix of order ``ITERATIVE_NORM_MIN`` or more through it, and every other
-matrix through the values-only SVD.
+an operator only through its products, running Lanczos on ``T^H T`` over
+one orthonormal basis, and it takes the three operator norms of each
+diagnostics row: both separations and ``||A - mu B||``.  ``spectral_norm``
+takes a square matrix of order ``ITERATIVE_NORM_MIN`` or more through it,
+and every other matrix through the values-only SVD.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ SINGULAR_TOL = 1e-14
 #: Unit-norm admission tolerance for vectors that contracts require normalized.
 UNIT_TOL = 1e-13
 
-#: Relative growth of the Golub-Kahan estimate under which ``largest_singular`` stops.
+#: Relative growth of the norm estimate under which ``largest_singular``
+#: stops; the Lanczos estimate of ``||T||^2`` is held to twice this.
 STALL_TOL = 1e-15
 
-#: Order from which ``spectral_norm`` of a square matrix runs Golub-Kahan
-#: instead of the dense SVD: at one BLAS thread, a clustered top of the
-#: singular spectrum, the slowest case measured for Golub-Kahan, breaks even
-#: with the dense SVD near this order.
+#: Order from which ``spectral_norm`` of a square matrix runs
+#: ``largest_singular`` instead of the dense SVD: at one BLAS thread, a
+#: clustered top of the singular spectrum, the slowest case measured for
+#: the iteration, breaks even with the dense SVD near this order.
 ITERATIVE_NORM_MIN = 512
 
 #: The golden ratio: ``largest_singular`` starts from ``exp(2 pi i frac(k GOLDEN))``.
@@ -230,51 +233,54 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
     """``||T||`` of a square operator on ``C^dim`` given only by its products.
 
     ``matvec(x)`` returns ``T x`` and ``rmatvec(y)`` returns ``T^H y``.
-    Golub-Kahan bidiagonalization with full reorthogonalization starts from
-    the fixed unit-modulus vector with phases ``2 pi frac(k GOLDEN)``,
-    k = 1..dim.  Unlike ``ones``, which a structured operator can make
-    orthogonal to its top singular vector, these equidistributed phases
-    follow no pattern of the operator, and they need no random generator.
-    After step ``k`` the top singular value of the k x k bidiagonal is a
-    lower bound on ``||T||`` that only grows; the iteration stops when that
-    growth falls to ``STALL_TOL`` relative, when a new direction is exactly
-    zero (an invariant subspace), or after ``dim`` steps.  The zero operator
-    gives 0.0.
+    Lanczos on ``T^H T``, with full reorthogonalization, starts from the
+    fixed unit-modulus vector with phases ``2 pi frac(k GOLDEN)``, k = 1..dim.
+    Unlike ``ones``, which a structured operator can make orthogonal to its
+    top singular vector, these equidistributed phases follow no pattern of
+    the operator, and they need no random generator.  This is Golub-Kahan
+    bidiagonalization over one basis instead of two (Paige, 1974): each step
+    takes one product with ``T`` and one with ``T^H``.  ``T`` is divided by
+    the first ``||T v_0||`` so that squaring neither overflows nor
+    underflows; that norm is taken of ``T v_0`` over its largest modulus,
+    since numpy squares a vector's entries without scaling.  After step
+    ``k`` the top eigenvalue of the k x k tridiagonal, whose diagonal
+    entries are ``||T v_k||^2``, is a lower bound on ``||T||^2`` that only
+    grows; the iteration stops when that growth falls to ``2 STALL_TOL``
+    relative (``STALL_TOL`` relative growth of ``||T||``), when a new
+    direction is exactly zero (an invariant subspace), or after ``dim``
+    steps, and returns the square root.  The zero operator gives 0.0.
     """
     v = np.exp(2j * np.pi * (np.arange(1, dim + 1) * GOLDEN % 1.0))
-    # Row k holds the k-th left (us) or right (vs) Lanczos vector; rows are
-    # written one step at a time, so untouched rows are never paged in.
-    us = np.empty((dim, dim), dtype=np.complex128)
-    vs = np.empty((dim, dim), dtype=np.complex128)
-    vs[0] = v / np.linalg.norm(v)
-    bidiagonal = np.zeros((dim, dim))
-    top = 0.0
+    # Row k holds the k-th Lanczos vector and its conjugate, so a Gram-Schmidt
+    # pass is two matrix-vector products; rows are written one step at a time,
+    # so untouched rows are never paged in.
+    rows = np.empty((dim, dim), dtype=np.complex128)
+    conj_rows = np.empty((dim, dim), dtype=np.complex128)
+    rows[0] = v / np.linalg.norm(v)
+    tridiagonal = np.zeros((dim, dim))
+    scale = top = 0.0
     for k in range(dim):
-        u = matvec(vs[k])
-        if k:
-            u = _reorthogonalized(u - bidiagonal[k - 1, k] * us[k - 1], us[:k])
-        alpha = float(np.linalg.norm(u))
-        if alpha == 0.0:
+        conj_rows[k] = np.conj(rows[k])
+        w = matvec(rows[k])
+        if k == 0:
+            peak = float(np.max(np.abs(w)))
+            if peak == 0.0:
+                return 0.0
+            scale = peak * float(np.linalg.norm(w / peak))
+        w = w / scale
+        tridiagonal[k, k] = np.linalg.norm(w) ** 2
+        prev, top = top, float(np.linalg.eigvalsh(tridiagonal[: k + 1, : k + 1])[-1])
+        if top - prev <= 2.0 * STALL_TOL * top or k + 1 == dim:
             break
-        us[k] = u / alpha
-        bidiagonal[k, k] = alpha
-        prev, top = top, float(np.linalg.svd(bidiagonal[: k + 1, : k + 1], compute_uv=False)[0])
-        if top - prev <= STALL_TOL * top or k + 1 == dim:
-            break
-        w = _reorthogonalized(rmatvec(us[k]) - alpha * vs[k], vs[: k + 1])
-        beta = float(np.linalg.norm(w))
+        r = rmatvec(w) / scale
+        for _ in range(2):
+            r -= rows[: k + 1].T @ (conj_rows[: k + 1] @ r)
+        beta = float(np.linalg.norm(r))
         if beta == 0.0:
             break
-        vs[k + 1] = w / beta
-        bidiagonal[k, k + 1] = beta
-    return top
-
-
-def _reorthogonalized(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``w`` less its components along the orthonormal ``rows``, in two passes."""
-    for _ in range(2):
-        w = w - rows.T @ np.conj(rows @ np.conj(w))
-    return w
+        rows[k + 1] = r / beta
+        tridiagonal[k + 1, k] = beta
+    return scale * top**0.5
 
 
 def unitary_completion(v) -> np.ndarray:
@@ -293,20 +299,26 @@ def unitary_completion(v) -> np.ndarray:
     return Qfull[:, 1:]
 
 
-def solve_linear(C, b) -> np.ndarray:
+def solve_linear(C, b, *, certified: bool = False) -> np.ndarray:
     """Solve ``C x = b`` with LAPACK ``gesv``; ``b`` may be a vector or a matrix.
 
+    ``certified`` skips the values-only SVD of the ``sigma_min`` gate, for a
+    caller that has proved the gate cannot fire (``companion_matrix`` of a
+    certified Hermitian positive definite mass); the solution is the same.
+
     Raises:
-        Singular: if ``sigma_min(C) <= SINGULAR_TOL * ||C||``.
+        Singular: if ``sigma_min(C) <= SINGULAR_TOL * ||C||``, or if ``gesv``
+            meets an exactly zero pivot.
     """
     C = as_square(C)
     b_arr = np.asarray(b, dtype=np.complex128)
     if b_arr.shape[0] != C.shape[0]:
         raise ValueError(f"shape mismatch: {C.shape} vs {b_arr.shape}")
-    sv = np.linalg.svd(C, compute_uv=False)
-    threshold = SINGULAR_TOL * sv[0]
-    if sv[-1] <= threshold:
-        raise Singular(f"smallest singular value {sv[-1]:.3e} below threshold {threshold:.3e}")
+    if not certified:
+        sv = np.linalg.svd(C, compute_uv=False)
+        threshold = SINGULAR_TOL * sv[0]
+        if sv[-1] <= threshold:
+            raise Singular(f"smallest singular value {sv[-1]:.3e} below threshold {threshold:.3e}")
     try:
         return np.linalg.solve(C, b_arr)
     except np.linalg.LinAlgError as exc:

@@ -206,17 +206,21 @@ def companion_matrix(p: QuadraticPencil) -> np.ndarray:
     """The companion matrix ``B^{-1} A = [[-M^{-1} D, -M^{-1} K], [I, 0]]``.
 
     Only ``M`` is factored, since the lower-right block of ``B`` is ``I``.
+    When ``p.hermitian_pd`` holds, ``solve_linear`` skips its ``sigma_min``
+    gate (``certified``): the field of values gives ``sigma_min(M) >=
+    lambda_min((M + M^H)/2) > HPD_TOL ||M|| = 1e-12 ||M||``, so the gate's
+    ``1e-14 ||M||`` cannot fire, and its values-only SVD of ``M`` is saved.
 
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||`` (``solve_linear``).
     """
-    return _companion(p.M, p.D, p.K)
+    return _companion(p.M, p.D, p.K, certified=p.hermitian_pd)
 
 
-def _companion(M: np.ndarray, D: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """``companion_matrix`` of the raw blocks, for callers that hold no pencil."""
+def _companion(M: np.ndarray, D: np.ndarray, K: np.ndarray, certified: bool = False) -> np.ndarray:
+    """``companion_matrix`` of the raw blocks; an uncertified ``M`` keeps the ``sigma_min`` gate."""
     n = M.shape[0]
-    top = solve_linear(M, np.hstack([-D, -K]))
+    top = solve_linear(M, np.hstack([-D, -K]), certified=certified)
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     return np.block([[top], [eye, zero]])

@@ -165,15 +165,20 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
 
-def _operator(a, calls=None):
-    """``(matvec, rmatvec)`` of the dense matrix ``a``; ``calls`` counts the matvecs."""
+def _operator(a, calls=None, rcalls=None):
+    """``(matvec, rmatvec)`` of the dense matrix ``a``; ``calls`` and ``rcalls`` log their sizes."""
 
     def matvec(x):
         if calls is not None:
             calls.append(x.size)
         return a @ x
 
-    return matvec, lambda y: a.conj().T @ y
+    def rmatvec(y):
+        if rcalls is not None:
+            rcalls.append(y.size)
+        return a.conj().T @ y
+
+    return matvec, rmatvec
 
 
 class TestLargestSingular:
@@ -218,6 +223,36 @@ class TestLargestSingular:
     def test_deterministic(self, g):
         a = cnormal(g, 8, 8)
         assert largest_singular(*_operator(a), 8) == largest_singular(*_operator(a), 8)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scales(self, g, scale):
+        # ||T v||^2 of these operators underflows or overflows; the kernel
+        # squares only products divided by ||T v_0||, and takes that norm
+        # of T v_0 over its largest modulus.
+        a = cnormal(g, 30, 30) * scale
+        want = np.linalg.norm(a, 2)
+        assert abs(largest_singular(*_operator(a), 30) - want) <= 1e-14 * want
+
+    def test_runs_every_step_of_a_larger_diagonal(self):
+        # Twelve distinct singular values, gaps 0.05: the estimate grows at
+        # every step, so each of the 12 steps takes a product with T and all
+        # but the last one with T^H.
+        a = np.diag(1.0 - 0.05 * np.arange(12)).astype(complex)
+        calls, rcalls = [], []
+        assert largest_singular(*_operator(a, calls, rcalls), 12) == pytest.approx(1.0, rel=1e-14)
+        assert len(calls) == 12 and len(rcalls) == 11
+
+    @pytest.mark.parametrize("n", [200, 513])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [lambda g, n: g.uniform(1.0, 2.0, n), lambda g, n: 10.0 ** -g.uniform(0.0, 12.0, n)],
+        ids=["clustered-top", "graded"],
+    )
+    def test_hard_spectra_match_dense(self, spectrum, n):
+        g = rng(2600 + n)
+        a = hermitian_with_spectrum(g, spectrum(g, n))
+        want = np.linalg.norm(a, 2)
+        assert abs(largest_singular(*_operator(a), n) - want) <= 1e-14 * want
 
 
 #: Matrix families of the route tests; the clustered top (every singular

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import cnormal, hermitian_with_spectrum, random_hpd, random_pencil, rng
 from qritz.builtin import example31_pencil
-from qritz.errors import BadNorm, DimensionMismatch
+from qritz.errors import BadNorm, DimensionMismatch, Singular
 from qritz.kernels import ITERATIVE_NORM_MIN, eig_standard, solve_linear, spectral_norm
 from qritz.pencil import (
     HPD_TOL,
@@ -170,6 +170,43 @@ class TestCompanionMatrix:
             C = companion_matrix(p)
             assert C.shape == (2 * n, 2 * n)
             assert spectral_norm(C - solve_linear(B, A)) <= 1e-13 * spectral_norm(C)
+
+    def _svd_shapes(self, monkeypatch):
+        shapes = []
+        for module in (np.linalg, np_linalg_impl):
+            factor = module.svd
+
+            def recording(a, *args, _factor=factor, **kwargs):
+                shapes.append(np.shape(a))
+                return _factor(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, "svd", recording)
+        return shapes
+
+    def test_certified_mass_skips_the_sigma_min_svd(self, g, monkeypatch):
+        # sigma_min(M) >= lambda_min((M + M^H)/2) > HPD_TOL ||M|| for a
+        # certified mass, so the SINGULAR_TOL gate cannot fire and its SVD is not taken.
+        n = 160
+        p = random_pencil(g, n)
+        assert p.hermitian_pd
+        shapes = self._svd_shapes(monkeypatch)
+        C = companion_matrix(p)
+        monkeypatch.undo()
+        assert (n, n) not in shapes
+        assert np.array_equal(C[:n], solve_linear(p.M, np.hstack([-p.D, -p.K])))
+
+    def test_uncertified_near_singular_mass_is_refused(self, g, monkeypatch):
+        n = 160
+        U, V = (np.linalg.qr(cnormal(g, n, n))[0] for _ in range(2))
+        s = np.linspace(1.0, 2.0, n)
+        s[-1] = 1e-16
+        p = QuadraticPencil((U * s) @ V.conj().T, cnormal(g, n, n), cnormal(g, n, n))
+        assert not p.hermitian_pd
+        shapes = self._svd_shapes(monkeypatch)
+        with pytest.raises(Singular):
+            companion_matrix(p)
+        monkeypatch.undo()
+        assert (n, n) in shapes
 
 
 class TestStackVector:

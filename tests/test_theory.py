@@ -630,6 +630,29 @@ class TestFullDiagnostics:
         assert rep.refined_angle is not None and rep.elsner_bound is not None
         assert len(calls) == 3
 
+    def test_three_operator_norms_per_row(self, g, monkeypatch):
+        # sep_projected (order 2m), sep_full and ||A - mu1 B|| (order 2n):
+        # the whole per-row budget of iterative norms.
+        n, m = 10, 3
+        p = random_pencil(g, n)
+        ep = select_eigenpair(solve_full(p), 0.5)
+        ref = reference(p, ep.value, ep.vector)
+        assert ref.rejection is None
+        Q = perturbed_subspace(ep.vector, cnormal(g, n, m - 1), 1e-4, seed=3)
+        dims = []
+        iterative = kernels.largest_singular
+
+        def counting(matvec, rmatvec, dim):
+            dims.append(dim)
+            return iterative(matvec, rmatvec, dim)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qritz" and hasattr(module, "largest_singular"):
+                monkeypatch.setattr(module, "largest_singular", counting)
+        rep = full_diagnostics(ref, Q)
+        assert math.isfinite(rep.sep_projected) and math.isfinite(rep.refined_vector_bound)
+        assert sorted(dims) == [2 * m, 2 * n, 2 * n]
+
     def test_reference_computed_when_absent(self):
         p = example31_pencil()
         ep = select_eigenpair(solve_full(p), 1.05)
