@@ -18,6 +18,7 @@ output is deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -56,9 +57,12 @@ def _env(name: str, fallback):
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_eps_list(text: str) -> list[float]:

@@ -11,6 +11,7 @@ of the companion eigenvector for the same value.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 
 import numpy as np
@@ -18,10 +19,6 @@ import numpy as np
 from .errors import EmptyList, IndefiniteMass
 from .kernels import _right_singulars, eig_standard, eigenvalues
 from .pencil import Eigenpair, QuadraticPencil, companion_matrix
-
-#: When the lower block of a linearized eigenvector is smaller than this, the
-#: eigenvalue is huge in magnitude and the upper block carries the vector.
-LOWER_BLOCK_MIN = 1e-8
 
 #: ``solve_full`` refines at most this many values, one n x n SVD each; past
 #: this, the companion eigenvectors of all 2n pairs cost less (measured at
@@ -36,11 +33,13 @@ def _quadratic_vectors(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     forms the residuals, which keeps the peak memory of the solve down.
     """
     pairs = eig_standard(C)
+    lams = np.array([lam for lam, _ in pairs])
     V = np.column_stack([v for _, v in pairs])
-    # The lower block of [lam x; x] carries x unless lam is huge in magnitude.
-    X = np.where(np.linalg.norm(V[n:], axis=0) >= LOWER_BLOCK_MIN, V[n:], V[:n])
+    # The least-squares x of [lam x; x] ~ v is proportional to conj(lam) v_t + v_b.
+    X = V[:n] * lams.conj()
+    X += V[n:]
     X /= np.linalg.norm(X, axis=0)
-    return np.array([lam for lam, _ in pairs]), X
+    return lams, X
 
 
 def _all_pairs(p: QuadraticPencil, C: np.ndarray) -> list[Eigenpair]:
@@ -84,9 +83,9 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     """Eigenpairs of the pencil with unit vectors: all 2n, or the ``count`` nearest ``target``.
 
     Without ``count``, the 2n pairs come in the eigensolver's order.  Each
-    vector is read off the lower block of the linearized eigenvector
-    ``[lam*x; x]``, or off the upper block when the lower one underflows
-    (eigenvalue near infinity in magnitude).
+    vector is the least-squares x of ``[lam*x; x] ~ v`` for the companion
+    eigenvector ``v``, the unit multiple of ``conj(lam) v_t + v_b``, so the
+    larger of the two blocks carries it at every ``|lam|``.
 
     With ``count`` (clamped to 2n), the result is the first ``count`` pairs
     of ``nearest_first(pairs, target)``, and the eigenvalues come first,
@@ -101,7 +100,8 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
         NoConvergence: from the underlying eigensolver or SVD.
-        ValueError: if ``count`` is below 1, or given without ``target``.
+        ValueError: if ``count`` is below 1, or given without ``target``,
+            or if ``target`` is not finite (``nearest_first``).
     """
     if count is not None:
         if target is None:
@@ -136,8 +136,13 @@ def nearest_first(pairs: list, target: complex) -> list:
     Works on any pair with ``.value`` and ``.residual_norm`` (``Eigenpair``,
     ``RitzPair``).  Ties break toward the smaller residual norm, then the
     earlier index (the sort is stable).
+
+    Raises:
+        ValueError: if ``target`` is not finite (no pair is nearest it).
     """
     target = complex(target)
+    if not cmath.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     return sorted(pairs, key=lambda ep: (abs(ep.value - target), ep.residual_norm))
 
 
@@ -146,6 +151,7 @@ def select_eigenpair(pairs: list, target: complex):
 
     Raises:
         EmptyList: if ``pairs`` is empty.
+        ValueError: if ``target`` is not finite (``nearest_first``).
     """
     if not pairs:
         raise EmptyList("no eigenpairs to select from")

@@ -73,20 +73,9 @@ def _num(value) -> float:
 
 
 def row_from_report(epsilon: float, rep: DiagnosticsReport) -> StudyRow:
-    return StudyRow(
-        epsilon=epsilon,
-        sin_theta=rep.sin_theta1,
-        ritz_value_err=_num(rep.ritz_value_error),
-        ritz_angle=_num(rep.ritz_angle),
-        refined_angle=_num(rep.refined_angle),
-        ritz_residual=_num(rep.ritz_residual),
-        refined_residual=_num(rep.refined_residual),
-        sep_projected=_num(rep.sep_projected),
-        sep_full=_num(rep.sep_full),
-        elsner_bound=_num(rep.elsner_bound),
-        ritz_vector_bound=_num(rep.ritz_vector_bound),
-        refined_vector_bound=_num(rep.refined_vector_bound),
-    )
+    """The row of ``rep``: each column reads the report field of its name, or of its alias."""
+    alias = {"sin_theta": "sin_theta1", "ritz_value_err": "ritz_value_error"}
+    return StudyRow(epsilon, *(_num(getattr(rep, alias.get(c, c))) for c in STUDY_COLUMNS[1:]))
 
 
 def failed_row(epsilon: float) -> StudyRow:

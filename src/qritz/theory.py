@@ -22,10 +22,11 @@ both separations, ``sep(ref, mu)``: on the ``Reference`` of the full pencil
 for the refined-vector bound and on one of the projected pencil, built from
 the selected Ritz pair, for the Ritz-vector bound.  With ``v`` the deflated
 unit eigenvector and ``y1 = B v / ||B v||``, ``1 / sep`` is the norm of the
-top-left block ``T`` of ``[[A - mu B, y1], [v^H, 0]]^{-1}``; ``sep`` applies
-``T`` through an (n+1) x (n+1) solve and takes ``||T||`` with
-``kernels.largest_singular``, which also gives ``||A - mu1 B||``, so no
-companion-size matrix is formed.  A vanishing ``sep`` voids the
+top-left block ``T`` of ``[[A - mu B, y1], [v^H, 0]]^{-1}``; ``sep`` splits
+the stacked unknown along the orthogonal ``[mu; 1]`` and ``[1; -conj(mu)]``,
+applies ``T`` through one (n+1) x (n+1) solve for every ``mu`` and takes
+``||T||`` with ``kernels.largest_singular``, which also gives ``||A - mu1
+B||``, so no companion-size matrix is formed.  A vanishing ``sep`` voids the
 corresponding hypothesis, which is reported as an infinite bound rather
 than an exception so sweep tables stay rectangular.  A basis orthogonal to
 ``x1`` (theta1 = pi/2, ``cos == 0``) voids both vector bounds the same way.
@@ -194,20 +195,19 @@ def sep(ref: Reference, mu: complex) -> float:
     ``[[A - mu B, y1], [v^H, 0]]^{-1}`` (Govaerts & Pryce, 1993), so the
     separation is ``1 / ||T||``.  Writing t and b for the top and bottom
     halves, ``T b = z`` solves the bordered system with right-hand side
-    ``[b; 0]``, whose second block row is ``z_t - mu z_b + zeta y1_b = b_b``.
-    For ``|mu| <= 1`` it eliminates ``z_t = b_b + mu z_b - zeta y1_b`` and
-    leaves, for ``[z_b; zeta]``, the (n+1) x (n+1) matrix
+    ``[b; 0]``, whose second block row is ``z_t - mu z_b = w`` with ``w =
+    b_b - zeta y1_b``.  Every ``mu`` splits ``z`` along the orthogonal
+    directions ``[mu; 1]`` and ``[1; -conj(mu)]``:
 
-        S(mu) = [[-P(mu), (D + mu M) y1_b + y1_t], [mu v_t^H + v_b^H, -v_t^H y1_b]]
+        z = [mu u + c w; u - conj(mu) c w],    c = 1 / (1 + |mu|^2),
 
-    with right-hand side ``[b_t + (D + mu M) b_b; -v_t^H b_b]``.  For
-    ``|mu| > 1`` it eliminates ``z_b = (z_t - b_b + zeta y1_b) / mu`` instead,
-    so the error of the kept half is divided by ``mu`` rather than multiplied;
-    for ``[z_t; zeta]`` that leaves
+    so neither part cancels the other at any ``|mu|``.  With ``G = c (D +
+    mu M - conj(mu) K)`` and ``h = c (mu v_b - v_t)``, ``[u; zeta]`` solves
+    the (n+1) x (n+1) system
 
-        S(mu) = [[-P(mu), mu y1_t - K y1_b], [mu v_t^H + v_b^H, v_b^H y1_b]]
+        S(mu) = [[-P(mu), y1_t + G y1_b], [mu v_t^H + v_b^H, h^H y1_b]]
 
-    with right-hand side ``[mu b_t - K b_b; v_b^H b_b]``.  ``T^H`` is applied
+    with right-hand side ``[b_t + G b_b; h^H b_b]``.  ``T^H`` is applied
     through ``S(mu)^H`` the same way.  ``S`` is inverted once per call and
     ``kernels.largest_singular`` takes ``||T||``.  An exactly singular ``S``
     means ``mu`` is an eigenvalue of ``(L, N)``: the separation is 0.0.
@@ -221,38 +221,34 @@ def sep(ref: Reference, mu: complex) -> float:
     n = p.n
     mu = complex(mu)
     mu_h = mu.conjugate()
+    c = 1.0 / (1.0 + abs(mu) ** 2)
     v = stack_vector(ref.value, ref.vector)
     vt, vb = v[:n], v[n:]
     yt, yb = ref.y1[:n], ref.y1[n:]
-    # The right-hand side of S is [a b_t + G b_b; h^H b_b]; its last column is that map of y1.
-    small = abs(mu) <= 1.0
-    a, G, h = (1.0, p.D + mu * p.M, -vt) if small else (mu, -p.K, vb)
-    G_h = G.conj().T
+    G = c * (p.D + mu * p.M - mu_h * p.K)
+    h = c * (mu * vb - vt)
     S = np.empty((n + 1, n + 1), dtype=np.complex128)
     S[:n, :n] = -p.evaluate(mu)
-    S[:n, n] = G @ yb + a * yt
+    S[:n, n] = yt + G @ yb
     S[n, :n] = mu * vt.conj() + vb.conj()
     S[n, n] = np.vdot(h, yb)
     try:
         S_inv = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         return 0.0
-    S_inv_h = S_inv.conj().T
 
     def matvec(b):
         bt, bb = b[:n], b[n:]
-        z = S_inv @ np.append(a * bt + G @ bb, np.vdot(h, bb))
-        if small:
-            return np.concatenate([bb + mu * z[:n] - z[n] * yb, z[:n]])
-        return np.concatenate([z[:n], (z[:n] - bb + z[n] * yb) / mu])
+        z = S_inv @ np.append(bt + G @ bb, np.vdot(h, bb))
+        w = c * (bb - z[n] * yb)
+        return np.concatenate([mu * z[:n] + w, z[:n] - mu_h * w])
 
-    def rmatvec(c):
-        ct, cb = c[:n], c[n:]
-        if small:
-            w = S_inv_h @ np.append(cb + mu_h * ct, -np.vdot(yb, ct))
-            return np.concatenate([w[:n], ct + G_h @ w[:n] + w[n] * h])
-        w = S_inv_h @ np.append(ct + cb / mu_h, np.vdot(yb, cb) / mu_h)
-        return np.concatenate([mu_h * w[:n], G_h @ w[:n] + w[n] * h - cb / mu_h])
+    def rmatvec(r):
+        rt, rb = r[:n], r[n:]
+        d = c * (rt - mu * rb)
+        # Each X^H r is taken as conj(conj(r) @ X), so no adjoint is copied.
+        q = np.conj(np.conj(np.append(mu_h * rt + rb, -np.vdot(yb, d))) @ S_inv)
+        return np.concatenate([q[:n], np.conj(np.conj(q[:n]) @ G) + q[n] * h + d])
 
     return 1.0 / largest_singular(matvec, rmatvec, 2 * n)
 

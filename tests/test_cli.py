@@ -294,6 +294,10 @@ def test_malformed_env_fallback_is_read_only_by_its_subcommand(monkeypatch, run_
         ("study", "--seed", str(2**96)),
         ("study", "--eps-list", "nan"),
         ("study", "--eps-list", "1e-3,-1e-3"),
+        ("solve", "--target", "nan"),
+        ("solve", "--target", "inf"),
+        ("project", "--target", "nan"),
+        ("study", "--target", "1e400"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(
@@ -302,6 +306,8 @@ def test_out_of_range_option_is_a_usage_error(
     args = [command, builtin_files["M"], builtin_files["D"], builtin_files["K"]]
     if command == "study":
         args += ["--out", "o.csv"]
+    if command == "project":
+        args += ["--subspace", builtin_files["Q"]]
     if source == "flag":
         args.append(f"{option}={value}")
     else:

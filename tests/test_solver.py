@@ -31,8 +31,18 @@ def test_builtin_exact_pair_recovered():
     assert np.sqrt(max(0.0, 1.0 - overlap**2)) <= 1e-7
 
 
-def test_residual_contract_random_hpd(g):
+def _huge_value_pencil(g):
+    """HPD mass with eigenvalues 1e-4 to 1e-7: half the pairs have ``|lam|`` ~ 1e4 to 1e7."""
     p = random_pencil(g, 5)
+    U = random_unitary(g, 5)
+    return QuadraticPencil((U * np.logspace(-4, -7, 5)) @ U.conj().T, p.D, p.K)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda g: random_pencil(g, 5), _huge_value_pencil], ids=["random", "huge-values"]
+)
+def test_residual_contract_random_hpd(g, make):
+    p = make(g)
     pairs = solve_full(p)
     assert len(pairs) == 10
     for ep in pairs:
@@ -106,6 +116,11 @@ class TestSelect:
     def test_empty_rejected(self):
         with pytest.raises(EmptyList):
             select_eigenpair([], 0.0)
+
+    @pytest.mark.parametrize("target", [np.inf, np.nan, complex(0.0, -np.inf)])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="finite"):
+            select_eigenpair([self._pair(1.0)], target)
 
 
 def graded_pencil(k: int, n: int = 40) -> QuadraticPencil:
@@ -194,7 +209,7 @@ class TestValueRoute:
         pairs = solve_full(p, 0.5, 9)
         assert [ep.value for ep in pairs] == [ep.value for ep in nearest_first(solve_full(p), 0.5)]
 
-    @pytest.mark.parametrize("target, count", [(None, 1), (0.0, 0)])
+    @pytest.mark.parametrize("target, count", [(None, 1), (0.0, 0), (np.nan, 1), (np.inf, 9)])
     def test_bad_arguments(self, g, target, count):
         with pytest.raises(ValueError):
             solve_full(random_pencil(g, 2), target, count)

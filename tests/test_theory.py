@@ -315,6 +315,13 @@ def _non_hermitian_mass_pencil(seed):
     return random_pencil(g, int(g.integers(3, 9)), hpd_mass=False)
 
 
+def _stiff_pencil(seed):
+    """``||K|| ~ 1e6``: the eigenvalues sit near ``|lam| ~ 1e3``."""
+    g = rng(seed + 2675)
+    p = random_pencil(g, int(g.integers(3, 9)))
+    return QuadraticPencil(p.M, p.D, 1e6 * p.K)
+
+
 class TestBorderedSeparation:
     """``sep`` and the Golub-Kahan norms against the dense companion-size oracle."""
 
@@ -322,16 +329,22 @@ class TestBorderedSeparation:
         "make, index",
         [(_criterion_3_pencil, i) for i in range(8)]
         + [(_graded_mass_pencil, i) for i in range(3)]
-        + [(_non_hermitian_mass_pencil, i) for i in range(3)],
+        + [(_non_hermitian_mass_pencil, i) for i in range(3)]
+        + [(_stiff_pencil, i) for i in range(3)],
     )
-    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 0.0])
+    # mu at ``delta (1 + 1j)`` from the eigenvalue, or far from it at ``|mu| = modulus``.
+    @pytest.mark.parametrize(
+        "delta, modulus",
+        [pytest.param(d, None, id=str(d)) for d in (1e-2, 1e-6, 1e-10, 0.0)]
+        + [pytest.param(None, r, id=f"abs{r}") for r in (0.999, 1.001, 30.0, 1e3)],
+    )
     @pytest.mark.filterwarnings("ignore::qritz.errors.IndefiniteMass")
-    def test_matches_dense_deflation(self, make, index, delta):
+    def test_matches_dense_deflation(self, make, index, delta, modulus):
         p = make(index)
         ep, _ = isolated_eigenpair(solve_full(p))
         ref = reference(p, ep.value, ep.vector)
         assert ref.rejection is None
-        mu = ep.value + delta * (1 + 1j)
+        mu = ep.value + delta * (1 + 1j) if modulus is None else modulus * (0.6 + 0.8j)
         A, B = linearize(p)
         dl = DenseDeflation(A, B, stack_vector(ep.value, ep.vector))
         norm_a = spectral_norm(A)
@@ -352,7 +365,7 @@ class TestBorderedSeparation:
         # The Ritz-vector bound's separation, for every eigenpair (lam1, x1):
         # sep at lam1 of the 2m-size companion pair of the projected pencil,
         # deflated at the selected Ritz pair.  The graded pencils put |lam1|
-        # up to 1e5, where only the elimination of z_b keeps sep accurate.
+        # up to 1e5, where a split of z that degenerates with |mu| loses sep.
         p = make(index)
         m = min(3, p.n - 1)
         companions = cnormal(rng(index + 2800), p.n, m - 1)
