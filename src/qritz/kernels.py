@@ -15,6 +15,8 @@ and every other matrix through the values-only SVD.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadNorm, NoConvergence, NotOrthonormal, RankDeficient, Singular
@@ -55,7 +57,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -73,7 +75,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     v = np.array(a, dtype=np.complex128).reshape(-1)
     if v.size < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -106,7 +108,10 @@ def spectral_norm(a) -> float:
     n = a.shape[0]
     if n >= ITERATIVE_NORM_MIN and a.shape == (n, n):
         return largest_singular(lambda x: a @ x, lambda y: np.conj(np.conj(y) @ a), n)
-    return float(np.linalg.norm(a, 2))
+    # The first of LAPACK's descending singular values: the bits of
+    # np.linalg.norm(a, 2), which takes their maximum after moving axes.
+    sv = np.linalg.svd(a, compute_uv=False)
+    return float(sv[0]) if sv.size else 0.0
 
 
 def orthonormality_defect(Q: np.ndarray) -> float:
@@ -192,16 +197,16 @@ def eigenvalues(C) -> np.ndarray:
 
 
 def clustered_flags(values, tol: float) -> list[bool]:
-    """Flag each value that has another value within ``tol * max|value|``."""
+    """Flag each value that has another value within ``tol * max|value|``.
+
+    One matrix of the pairwise distances ``|v_j - v_i|`` decides every flag.
+    """
     vals = np.asarray(list(values), dtype=np.complex128)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    thr = tol * scale
-    flags = []
-    for i, v in enumerate(vals):
-        d = np.abs(vals - v)
-        d[i] = np.inf
-        flags.append(bool(np.min(d) <= thr))
-    return flags
+    if not vals.size:
+        return []
+    dist = np.abs(vals[None, :] - vals[:, None])
+    np.fill_diagonal(dist, np.inf)
+    return (dist.min(axis=1) <= tol * float(np.max(np.abs(vals)))).tolist()
 
 
 def svd(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,37 +253,42 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
     grows; the iteration stops when that growth falls to ``2 STALL_TOL``
     relative (``STALL_TOL`` relative growth of ``||T||``), when a new
     direction is exactly zero (an invariant subspace), or after ``dim``
-    steps, and returns the square root.  The zero operator gives 0.0.
+    steps, and returns the square root.  The zero operator gives 0.0.  The
+    kernel never writes into an array that ``matvec`` or ``rmatvec``
+    returned, so either may return a view of the operator's own state.
     """
     v = np.exp(2j * np.pi * (np.arange(1, dim + 1) * GOLDEN % 1.0))
-    # Row k holds the k-th Lanczos vector and its conjugate, so a Gram-Schmidt
-    # pass is two matrix-vector products; rows are written one step at a time,
-    # so untouched rows are never paged in.
+    # Row k holds the k-th Lanczos vector and conj_rows[k] its conjugate, both
+    # written once when the vector is made, so a Gram-Schmidt pass is two
+    # matrix-vector products; untouched rows are never paged in.
     rows = np.empty((dim, dim), dtype=np.complex128)
     conj_rows = np.empty((dim, dim), dtype=np.complex128)
-    rows[0] = v / np.linalg.norm(v)
+    np.divide(v, np.linalg.norm(v), out=rows[0])
+    np.conjugate(rows[0], out=conj_rows[0])
     tridiagonal = np.zeros((dim, dim))
     scale = top = 0.0
     for k in range(dim):
-        conj_rows[k] = np.conj(rows[k])
         w = matvec(rows[k])
         if k == 0:
             peak = float(np.max(np.abs(w)))
             if peak == 0.0:
                 return 0.0
             scale = peak * float(np.linalg.norm(w / peak))
+        # Each product is divided into a new array, never in place: the
+        # operator may return a view of its own state.
         w = w / scale
-        tridiagonal[k, k] = np.linalg.norm(w) ** 2
+        tridiagonal[k, k] = np.vdot(w, w).real
         prev, top = top, float(np.linalg.eigvalsh(tridiagonal[: k + 1, : k + 1])[-1])
         if top - prev <= 2.0 * STALL_TOL * top or k + 1 == dim:
             break
         r = rmatvec(w) / scale
         for _ in range(2):
             r -= rows[: k + 1].T @ (conj_rows[: k + 1] @ r)
-        beta = float(np.linalg.norm(r))
+        beta = math.sqrt(np.vdot(r, r).real)
         if beta == 0.0:
             break
-        rows[k + 1] = r / beta
+        np.divide(r, beta, out=rows[k + 1])
+        np.conjugate(rows[k + 1], out=conj_rows[k + 1])
         tridiagonal[k + 1, k] = beta
     return scale * top**0.5
 

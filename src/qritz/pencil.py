@@ -89,7 +89,8 @@ class QuadraticPencil:
             False and M is merely nonsingular.
 
     The pencil also memoizes the ``BasisImage`` of the last basis passed to
-    ``image``; the memo never changes a result, only whether it is recomputed.
+    ``image`` and its ``companion_matrix``; a memo never changes a result,
+    only whether it is recomputed.
     """
 
     def __init__(self, M, D, K):
@@ -111,6 +112,7 @@ class QuadraticPencil:
         self.k0 = spectral_norm(K)
         self.hermitian_pd = _detect_hpd(M, self.m0)
         self._image: BasisImage | None = None
+        self._companion_matrix: np.ndarray | None = None
 
     def __repr__(self):
         return (
@@ -183,38 +185,55 @@ def linearize(p: QuadraticPencil) -> tuple[np.ndarray, np.ndarray]:
 def companion_operator(p: QuadraticPencil, mu: complex):
     """``(matvec, rmatvec)``: the products with ``A - mu B`` and its adjoint, never forming it.
 
-    ``(A - mu B) [u_t; u_b] = [-(D + mu M) u_t - K u_b; u_t - mu u_b]`` and
-    ``(A - mu B)^H [c_t; c_b] = [c_b - (D + mu M)^H c_t; -K^H c_t - conj(mu) c_b]``,
-    with each ``X^H c`` taken as ``conj(conj(c) @ X)`` so that no adjoint is copied.
+    With the n x 2n block ``E = [D + mu M, K]``, built in place once per ``mu``,
+    ``(A - mu B) u = [-E u; u_t - mu u_b]`` and
+    ``(A - mu B)^H c = [c_b; -conj(mu) c_b] - E^H c_t``: one product with ``E``
+    each way, ``E^H c_t`` taken as ``conj(conj(c_t) @ E)`` so that no adjoint
+    is copied.
     """
     n = p.n
     mu = complex(mu)
-    DmuM = p.D + mu * p.M
+    mu_h = mu.conjugate()
+    E = np.empty((n, 2 * n), dtype=np.complex128)
+    np.multiply(p.M, mu, out=E[:, :n])
+    E[:, :n] += p.D
+    E[:, n:] = p.K
 
     def matvec(u):
-        return np.concatenate([-(DmuM @ u[:n]) - p.K @ u[n:], u[:n] - mu * u[n:]])
+        return np.concatenate([-(E @ u), u[:n] - mu * u[n:]])
 
     def rmatvec(c):
-        ct, cb = c[:n], c[n:]
-        ctc = np.conj(ct)
-        return np.concatenate([cb - np.conj(ctc @ DmuM), -np.conj(ctc @ p.K) - mu.conjugate() * cb])
+        cb = c[n:]
+        out = np.conj(np.conj(c[:n]) @ E)
+        np.negative(out, out=out)
+        out[:n] += cb
+        out[n:] -= mu_h * cb
+        return out
 
     return matvec, rmatvec
 
 
 def companion_matrix(p: QuadraticPencil) -> np.ndarray:
-    """The companion matrix ``B^{-1} A = [[-M^{-1} D, -M^{-1} K], [I, 0]]``.
+    """The companion matrix ``B^{-1} A = [[-M^{-1} D, -M^{-1} K], [I, 0]]``, memoized on ``p``.
 
     Only ``M`` is factored, since the lower-right block of ``B`` is ``I``.
     When ``p.hermitian_pd`` holds, ``solve_linear`` skips its ``sigma_min``
     gate (``certified``): the field of values gives ``sigma_min(M) >=
     lambda_min((M + M^H)/2) > HPD_TOL ||M|| = 1e-12 ||M||``, so the gate's
     ``1e-14 ||M||`` cannot fire, and its values-only SVD of ``M`` is saved.
+    The first call stores the matrix, read-only, as one attribute of the
+    pencil, and later calls return it, so a study row's Ritz pairs and its
+    Elsner bound share one solve.
 
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||`` (``solve_linear``).
     """
-    return _companion(p.M, p.D, p.K, certified=p.hermitian_pd)
+    C = p._companion_matrix
+    if C is None:
+        C = _companion(p.M, p.D, p.K, certified=p.hermitian_pd)
+        C.flags.writeable = False
+        p._companion_matrix = C
+    return C
 
 
 def _companion(M: np.ndarray, D: np.ndarray, K: np.ndarray, certified: bool = False) -> np.ndarray:

@@ -99,17 +99,22 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
             f"(sigma_min = {sv[-1]:.3e} against scale {scale:.3e})"
         )
     inner_pairs = solve_full(pp.pencil)
-    flags = clustered_flags([ep.value for ep in inner_pairs], CLUSTER_TOL)
-    image = p.image(pp.basis)
-    out = []
-    for ep, flag in zip(inner_pairs, flags):
-        out.append(
-            RitzPair(
-                value=ep.value,
-                coeff=ep.vector,
-                vector=pp.basis @ ep.vector,
-                residual_norm=image.residual_norm(ep.value, ep.vector),
-                clustered=flag,
-            )
+    values = np.array([ep.value for ep in inner_pairs])
+    X = np.column_stack([ep.vector for ep in inner_pairs])
+    # Each stage takes all 2m pairs at once: one lift Q X, one product with the
+    # basis image W for the residuals P(mu) Q x = W [mu^2 x; mu x; x], and one
+    # pairwise distance matrix for the flags.
+    lifted = pp.basis @ X
+    W = p.image(pp.basis).W
+    residuals = np.linalg.norm(W @ np.concatenate([X * (values * values), X * values, X]), axis=0)
+    flags = clustered_flags(values, CLUSTER_TOL)
+    return [
+        RitzPair(
+            value=ep.value,
+            coeff=ep.vector,
+            vector=lifted[:, i],
+            residual_norm=float(residuals[i]),
+            clustered=flags[i],
         )
-    return out
+        for i, ep in enumerate(inner_pairs)
+    ]

@@ -101,13 +101,14 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
         NoConvergence: from the underlying eigensolver or SVD.
         ValueError: if ``count`` is below 1, or given without ``target``,
-            or if ``target`` is not finite (``nearest_first``).
+            or if ``target`` is not finite; each is refused before any solve.
     """
     if count is not None:
         if target is None:
             raise ValueError("count needs a target")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        target = _finite(target)
     if not p.hermitian_pd:
         warnings.warn(
             "mass matrix not verified Hermitian positive definite; "
@@ -122,12 +123,20 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
         values = [complex(lam) for lam in eigenvalues(C)]
         # The distances of nearest_first: numpy's complex abs can differ in
         # the last bit and split a tie that nearest_first would see.
-        dist = [abs(lam - complex(target)) for lam in values]
+        dist = [abs(lam - target) for lam in values]
         radius = sorted(dist)[min(count, len(values)) - 1]
         candidates = [lam for lam, d in zip(values, dist) if d <= radius]
         if len(candidates) <= REFINED_MAX:
             return nearest_first(_refined_pairs(p, candidates), target)[:count]
     return nearest_first(_all_pairs(p, C), target)[:count]
+
+
+def _finite(target) -> complex:
+    """``target`` as a complex number; ``ValueError`` if it is not finite (no pair is nearest it)."""
+    target = complex(target)
+    if not cmath.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    return target
 
 
 def nearest_first(pairs: list, target: complex) -> list:
@@ -140,9 +149,7 @@ def nearest_first(pairs: list, target: complex) -> list:
     Raises:
         ValueError: if ``target`` is not finite (no pair is nearest it).
     """
-    target = complex(target)
-    if not cmath.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
+    target = _finite(target)
     return sorted(pairs, key=lambda ep: (abs(ep.value - target), ep.residual_norm))
 
 

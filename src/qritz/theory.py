@@ -237,17 +237,25 @@ def sep(ref: Reference, mu: complex) -> float:
     except np.linalg.LinAlgError:
         return 0.0
 
+    # The (n+1)-vectors the solves read, filled in place at every product.
+    rhs = np.empty(n + 1, dtype=np.complex128)
+    lhs = np.empty(n + 1, dtype=np.complex128)
+
     def matvec(b):
         bt, bb = b[:n], b[n:]
-        z = S_inv @ np.append(bt + G @ bb, np.vdot(h, bb))
+        np.add(bt, G @ bb, out=rhs[:n])
+        rhs[n] = np.vdot(h, bb)
+        z = S_inv @ rhs
         w = c * (bb - z[n] * yb)
         return np.concatenate([mu * z[:n] + w, z[:n] - mu_h * w])
 
     def rmatvec(r):
         rt, rb = r[:n], r[n:]
         d = c * (rt - mu * rb)
+        np.add(mu_h * rt, rb, out=lhs[:n])
+        lhs[n] = -np.vdot(yb, d)
         # Each X^H r is taken as conj(conj(r) @ X), so no adjoint is copied.
-        q = np.conj(np.conj(np.append(mu_h * rt + rb, -np.vdot(yb, d))) @ S_inv)
+        q = np.conj(np.conj(lhs) @ S_inv)
         return np.concatenate([q[:n], np.conj(np.conj(q[:n]) @ G) + q[n] * h + d])
 
     return 1.0 / largest_singular(matvec, rmatvec, 2 * n)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cnormal, hermitian_with_spectrum, random_hpd, rng
 from qritz import kernels
@@ -7,6 +9,7 @@ from qritz.errors import BadNorm, RankDeficient, Singular
 from qritz.kernels import (
     ITERATIVE_NORM_MIN,
     ORTHO_TOL,
+    clustered_flags,
     eig_standard,
     largest_singular,
     orthonormalize,
@@ -253,6 +256,62 @@ class TestLargestSingular:
         a = hermitian_with_spectrum(g, spectrum(g, n))
         want = np.linalg.norm(a, 2)
         assert abs(largest_singular(*_operator(a), n) - want) <= 1e-14 * want
+
+    def test_leaves_the_operators_arrays_untouched(self, g):
+        # Every product is a view of the operator's one state buffer; each
+        # call first checks that the kernel left the previous product as it
+        # was returned.
+        a = cnormal(g, 7, 7)
+        state = np.zeros(7, dtype=complex)
+        snapshot = state.copy()
+        calls = []
+
+        def keeping(product):
+            assert np.array_equal(state, snapshot)
+            state[:] = product
+            snapshot[:] = product
+            calls.append(1)
+            return state[:]
+
+        norm = largest_singular(lambda x: keeping(a @ x), lambda y: keeping(a.conj().T @ y), 7)
+        assert np.array_equal(state, snapshot)
+        assert len(calls) >= 4
+        want = np.linalg.norm(a, 2)
+        assert abs(norm - want) <= 1e-14 * want
+
+
+def _clustered_loop(values, tol):
+    """The pairwise loop that ``clustered_flags`` replaces: one distance vector per value."""
+    vals = np.asarray(list(values), dtype=np.complex128)
+    thr = tol * (float(np.max(np.abs(vals))) if vals.size else 0.0)
+    flags = []
+    for i, v in enumerate(vals):
+        d = np.abs(vals - v)
+        d[i] = np.inf
+        flags.append(bool(np.min(d) <= thr))
+    return flags
+
+
+#: Few distinct parts, so that drawn lists hold exact ties and near ties.
+_PART = st.sampled_from([0.0, 1.0, -1.0, 1.0 + 1e-9, 1e-300, 3.5, -2.25e8])
+
+
+class TestClusteredFlags:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.builds(complex, _PART, _PART), max_size=9),
+        st.sampled_from([0.0, 1e-8, 0.5]),
+    )
+    def test_matches_the_pairwise_loop(self, values, tol):
+        flags = clustered_flags(values, tol)
+        assert flags == _clustered_loop(values, tol)
+        assert all(type(f) is bool for f in flags)
+
+    def test_edge_lists(self):
+        assert clustered_flags([], 1e-8) == []
+        assert clustered_flags([2.0 + 1j], 1e-8) == [False]
+        assert clustered_flags([0.0, 0.0, 0.0], 1e-8) == [True, True, True]
+        assert clustered_flags([1.0, 1.0, 3.0], 1e-8) == [True, True, False]
 
 
 #: Matrix families of the route tests; the clustered top (every singular

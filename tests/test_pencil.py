@@ -3,6 +3,7 @@ import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
 from conftest import cnormal, hermitian_with_spectrum, random_hpd, random_pencil, rng
+from qritz import pencil as pencil_module
 from qritz.builtin import example31_pencil
 from qritz.errors import BadNorm, DimensionMismatch, Singular
 from qritz.kernels import ITERATIVE_NORM_MIN, eig_standard, solve_linear, spectral_norm
@@ -10,6 +11,7 @@ from qritz.pencil import (
     HPD_TOL,
     QuadraticPencil,
     companion_matrix,
+    companion_operator,
     linearize,
     qep_residual,
     stack_vector,
@@ -207,6 +209,47 @@ class TestCompanionMatrix:
             companion_matrix(p)
         monkeypatch.undo()
         assert (n, n) in shapes
+
+    def test_memoized_read_only(self, g, monkeypatch):
+        p = random_pencil(g, 6)
+        solves = []
+        solve = pencil_module.solve_linear
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pencil_module, "solve_linear", counting)
+        C = companion_matrix(p)
+        assert companion_matrix(p) is C
+        assert len(solves) == 1
+        assert not C.flags.writeable
+        with pytest.raises(ValueError):
+            C[0, 0] = 0.0
+        # The memo holds the bits a fresh pencil computes.
+        assert np.array_equal(C, companion_matrix(QuadraticPencil(p.M, p.D, p.K)))
+
+    def test_refusal_is_not_memoized(self):
+        p = QuadraticPencil(np.zeros((2, 2)), np.eye(2), np.eye(2))
+        for _ in range(2):
+            with pytest.raises(Singular):
+                companion_matrix(p)
+
+
+class TestCompanionOperator:
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 3 + 4j, 1e6])
+    @pytest.mark.parametrize("hpd", [True, False])
+    def test_matches_the_dense_pencil(self, g, mu, hpd):
+        p = random_pencil(g, 7, hpd_mass=hpd)
+        A, B = linearize(p)
+        dense = A - mu * B
+        matvec, rmatvec = companion_operator(p, mu)
+        tol = 1e-14 * np.linalg.norm(dense, 2)
+        for _ in range(3):
+            u = cnormal(g, 14)
+            u /= np.linalg.norm(u)
+            assert np.linalg.norm(matvec(u) - dense @ u) <= tol
+            assert np.linalg.norm(rmatvec(u) - dense.conj().T @ u) <= tol
 
 
 class TestStackVector:

@@ -10,7 +10,7 @@ from qritz.builtin import (
 )
 from qritz.errors import DimensionMismatch, IndefiniteMass, NotOrthonormal, Singular
 from qritz.kernels import orthonormalize, spectral_norm
-from qritz.pencil import QuadraticPencil, qep_residual
+from qritz.pencil import BasisImage, QuadraticPencil, qep_residual
 from qritz.projection import (
     ProjectedPencil,
     RitzPair,
@@ -131,6 +131,38 @@ class TestRitzPairs:
         assert abs(sel.value - ep.value) <= 1e-8
         if not sel.clustered:
             assert vector_angle(sel.vector, ep.vector).sin <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residuals_match_the_basis_image(self, seed):
+        g = rng(seed + 1400)
+        p = random_pencil(g, 12)
+        Q = orthonormalize(cnormal(g, 12, 4))
+        pairs = ritz_pairs(project(p, Q), p)
+        image = p.image(Q)
+        for rp in pairs:
+            want = image.residual_norm(rp.value, rp.coeff)
+            assert abs(rp.residual_norm - want) <= 1e-14 * p.residual_scale(rp.value)
+
+    def test_one_product_with_the_basis_image(self, g, monkeypatch):
+        # All 2m residuals come from one product with W = [MQ, DQ, KQ].
+        p = random_pencil(g, 9)
+        Q = orthonormalize(cnormal(g, 9, 3))
+        pp = project(p, Q)
+        image = p.image(Q)
+        products = []
+
+        class CountedW(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(1)
+                plain = [np.asarray(x) if isinstance(x, CountedW) else x for x in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        counted = BasisImage(basis=image.basis, W=image.W.view(CountedW), R=image.R)
+        monkeypatch.setattr(p, "image", lambda basis: counted)
+        pairs = ritz_pairs(pp, p)
+        assert len(pairs) == 6
+        assert len(products) == 1
 
 
 class TestSelectRitz:

@@ -209,7 +209,17 @@ class TestValueRoute:
         pairs = solve_full(p, 0.5, 9)
         assert [ep.value for ep in pairs] == [ep.value for ep in nearest_first(solve_full(p), 0.5)]
 
-    @pytest.mark.parametrize("target, count", [(None, 1), (0.0, 0), (np.nan, 1), (np.inf, 9)])
-    def test_bad_arguments(self, g, target, count):
+    @pytest.mark.parametrize(
+        "target, count",
+        [(None, 1), (0.0, 0), (np.nan, 1), (np.inf, 9), (complex(1.0, -np.inf), REFINED_MAX + 1)],
+    )
+    def test_bad_arguments(self, g, monkeypatch, target, count):
+        # Every refusal comes before the companion solve and any eigensolve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve reached")
+
+        p = random_pencil(g, 2)
+        for name in ("companion_matrix", "eigenvalues", "eig_standard"):
+            monkeypatch.setattr(solver, name, refuse)
         with pytest.raises(ValueError):
-            solve_full(random_pencil(g, 2), target, count)
+            solve_full(p, target, count)

@@ -643,6 +643,30 @@ class TestFullDiagnostics:
         assert rep.refined_angle is not None and rep.elsner_bound is not None
         assert len(calls) == 3
 
+    def test_one_projected_mass_solve_per_row(self, g, monkeypatch):
+        # The Ritz pairs and the Elsner bound share the memoized companion
+        # matrix of the projected pencil; the perturbed mass is solved apart.
+        n, m = 10, 3
+        p = random_pencil(g, n)
+        ep = select_eigenpair(solve_full(p), 0.5)
+        ref = reference(p, ep.value, ep.vector)
+        Q = perturbed_subspace(ep.vector, cnormal(g, n, m - 1), 1e-4, seed=5)
+        mass = project(p, Q).pencil.M
+        solved = []
+        solve = kernels.solve_linear
+
+        def counting(C, b, **kwargs):
+            solved.append(np.array(C))
+            return solve(C, b, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qritz" and hasattr(module, "solve_linear"):
+                monkeypatch.setattr(module, "solve_linear", counting)
+        rep = full_diagnostics(ref, Q)
+        assert rep.ritz_value is not None and rep.elsner_bound is not None
+        assert sum(np.array_equal(C, mass) for C in solved) == 1
+        assert len(solved) == 2
+
     def test_three_operator_norms_per_row(self, g, monkeypatch):
         # sep_projected (order 2m), sep_full and ||A - mu1 B|| (order 2n):
         # the whole per-row budget of iterative norms.
