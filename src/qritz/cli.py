@@ -181,6 +181,9 @@ def _opt_complex(z) -> str:
 
 def _cmd_study(args) -> int:
     if args.builtin is not None:
+        if args.M or args.D or args.K:
+            print("study: give --builtin or three matrix files, not both", file=sys.stderr)
+            return USAGE_EXIT
         if args.builtin != builtin.BUILTIN_NAME:
             print(f"study: unknown builtin {args.builtin!r}", file=sys.stderr)
             return USAGE_EXIT

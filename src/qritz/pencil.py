@@ -11,7 +11,8 @@ whose eigenpairs ``(lam, [lam*x; x])`` encode the quadratic eigenpairs
 ``companion_matrix`` returns the matrix ``B^{-1} A``, ``companion_operator``
 the products with ``A - mu B`` without forming it, and ``linearize`` the
 dense pair itself, which no pipeline path needs (it serves dense checks).
-All types here are immutable value objects.
+The pencil keeps one memo, the ``BasisImage`` of its last basis; every
+other type here is an immutable value object.
 """
 
 from __future__ import annotations
@@ -88,9 +89,8 @@ class QuadraticPencil:
             The solve/projection paths warn, but still work, when this is
             False and M is merely nonsingular.
 
-    The pencil also memoizes the ``BasisImage`` of the last basis passed to
-    ``image`` and its ``companion_matrix``; a memo never changes a result,
-    only whether it is recomputed.
+    The pencil's one memo is the ``BasisImage`` of the last basis passed to
+    ``image``; it never changes a result, only whether it is recomputed.
     """
 
     def __init__(self, M, D, K):
@@ -112,7 +112,6 @@ class QuadraticPencil:
         self.k0 = spectral_norm(K)
         self.hermitian_pd = _detect_hpd(M, self.m0)
         self._image: BasisImage | None = None
-        self._companion_matrix: np.ndarray | None = None
 
     def __repr__(self):
         return (
@@ -214,26 +213,19 @@ def companion_operator(p: QuadraticPencil, mu: complex):
 
 
 def companion_matrix(p: QuadraticPencil) -> np.ndarray:
-    """The companion matrix ``B^{-1} A = [[-M^{-1} D, -M^{-1} K], [I, 0]]``, memoized on ``p``.
+    """The companion matrix ``B^{-1} A = [[-M^{-1} D, -M^{-1} K], [I, 0]]``, built afresh.
 
     Only ``M`` is factored, since the lower-right block of ``B`` is ``I``.
     When ``p.hermitian_pd`` holds, ``solve_linear`` skips its ``sigma_min``
     gate (``certified``): the field of values gives ``sigma_min(M) >=
     lambda_min((M + M^H)/2) > HPD_TOL ||M|| = 1e-12 ||M||``, so the gate's
     ``1e-14 ||M||`` cannot fire, and its values-only SVD of ``M`` is saved.
-    The first call stores the matrix, read-only, as one attribute of the
-    pencil, and later calls return it, so a study row's Ritz pairs and its
-    Elsner bound share one solve.
+    Nothing is kept on ``p``: each caller owns its 2n x 2n matrix.
 
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||`` (``solve_linear``).
     """
-    C = p._companion_matrix
-    if C is None:
-        C = _companion(p.M, p.D, p.K, certified=p.hermitian_pd)
-        C.flags.writeable = False
-        p._companion_matrix = C
-    return C
+    return _companion(p.M, p.D, p.K, certified=p.hermitian_pd)
 
 
 def _companion(M: np.ndarray, D: np.ndarray, K: np.ndarray, certified: bool = False) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndefiniteMass, NotOrthonormal, Singular
 from .kernels import as_matrix, clustered_flags, require_orthonormal
-from .pencil import QuadraticPencil
-from .solver import solve_full
+from .pencil import QuadraticPencil, companion_matrix
+from .solver import _quadratic_vectors
 
 #: Ritz values closer than this (relative to max |mu|) are flagged clustered:
 #: the associated coefficient vectors are ill-posed and essentially arbitrary.
@@ -87,6 +87,10 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
 def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
     """All 2m Ritz pairs of ``p`` with respect to the basis of ``pp``.
 
+    The values and unit coefficient vectors are read from the 2m x 2m
+    companion matrix of the projected pencil as ``solve_full`` reads them
+    (``solver._quadratic_vectors``), in the eigensolver's order.
+
     Raises:
         Singular: if the projected mass matrix is numerically singular, the
             regime in which the projection method itself breaks down.
@@ -98,9 +102,7 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
             f"projected mass matrix numerically singular "
             f"(sigma_min = {sv[-1]:.3e} against scale {scale:.3e})"
         )
-    inner_pairs = solve_full(pp.pencil)
-    values = np.array([ep.value for ep in inner_pairs])
-    X = np.column_stack([ep.vector for ep in inner_pairs])
+    values, X = _quadratic_vectors(companion_matrix(pp.pencil), pp.pencil.n)
     # Each stage takes all 2m pairs at once: one lift Q X, one product with the
     # basis image W for the residuals P(mu) Q x = W [mu^2 x; mu x; x], and one
     # pairwise distance matrix for the flags.
@@ -110,11 +112,11 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
     flags = clustered_flags(values, CLUSTER_TOL)
     return [
         RitzPair(
-            value=ep.value,
-            coeff=ep.vector,
+            value=complex(values[i]),
+            coeff=coeff,
             vector=lifted[:, i],
             residual_norm=float(residuals[i]),
             clustered=flags[i],
         )
-        for i, ep in enumerate(inner_pairs)
+        for i, coeff in enumerate(X.T.copy())
     ]

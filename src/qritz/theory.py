@@ -296,8 +296,8 @@ def perturbation_triple(
 def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
     """Eigenvalue-distance bound between the projected pencil and its perturbation.
 
-    Forms the companion matrices ``C = Bh^{-1} Ah`` of the projected pencil
-    and ``Ct`` of the perturbed one (``pencil.companion_matrix``) and returns
+    From its own 2m x 2m companions ``C = Bh^{-1} Ah`` of the projected pencil
+    (``pencil.companion_matrix``) and ``Ct`` of the perturbed one, returns
 
         (||C|| + ||Ct||)^(1 - 1/(2m)) * ||C - Ct||^(1/(2m)),
 

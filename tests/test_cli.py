@@ -256,6 +256,21 @@ def test_env_fallback_beats_default_flags_beat_env(tmp_path, monkeypatch, run_ma
     assert "seed=4" in out2
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_study_builtin_with_matrix_files_is_a_usage_error(
+    builtin_files, monkeypatch, run_main, source
+):
+    args = ["study", builtin_files["M"], builtin_files["D"], builtin_files["K"]]
+    if source == "flag":
+        args += ["--builtin", "example31"]
+    else:
+        monkeypatch.setenv("QRITZ_BUILTIN", "example31")
+    code, out, err = run_main(args)
+    assert code == 1
+    assert "--builtin" in err
+    assert out == ""
+
+
 def test_study_unknown_builtin_exits_1(run_main):
     code, _, err = run_main(["study", "--builtin", "nonsense"])
     assert code == 1

@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from qritz.builtin import (
 )
 from qritz.errors import DimensionMismatch, IndefiniteMass, NotOrthonormal, Singular
 from qritz.kernels import orthonormalize, spectral_norm
-from qritz.pencil import BasisImage, QuadraticPencil, qep_residual
+from qritz.pencil import BasisImage, Eigenpair, QuadraticPencil, qep_residual
 from qritz.projection import (
     ProjectedPencil,
     RitzPair,
@@ -144,12 +147,10 @@ class TestRitzPairs:
             assert abs(rp.residual_norm - want) <= 1e-14 * p.residual_scale(rp.value)
 
     def test_one_product_with_the_basis_image(self, g, monkeypatch):
-        # All 2m residuals come from one product with W = [MQ, DQ, KQ].
-        p = random_pencil(g, 9)
-        Q = orthonormalize(cnormal(g, 9, 3))
-        pp = project(p, Q)
-        image = p.image(Q)
-        products = []
+        # All 2m residuals come from one product with W = [MQ, DQ, KQ].  The
+        # values and coefficient vectors are read from the projected companion
+        # matrix, without solve_full or any Eigenpair, with solve_full's bits.
+        products, solves, built = [], [], []
 
         class CountedW(np.ndarray):
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -158,11 +159,38 @@ class TestRitzPairs:
                 plain = [np.asarray(x) if isinstance(x, CountedW) else x for x in inputs]
                 return getattr(ufunc, method)(*plain, **kwargs)
 
-        counted = BasisImage(basis=image.basis, W=image.W.view(CountedW), R=image.R)
-        monkeypatch.setattr(p, "image", lambda basis: counted)
-        pairs = ritz_pairs(pp, p)
-        assert len(pairs) == 6
-        assert len(products) == 1
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve_full(*args, **kwargs)
+
+        def counting_post_init(self, _post_init=Eigenpair.__post_init__):
+            built.append(1)
+            _post_init(self)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qritz" and hasattr(module, "solve_full"):
+                monkeypatch.setattr(module, "solve_full", counting_solve)
+        monkeypatch.setattr(Eigenpair, "__post_init__", counting_post_init)
+        cases = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IndefiniteMass)
+            for hpd in (True, False):
+                p = random_pencil(g, 9, hpd_mass=hpd)
+                Q = orthonormalize(cnormal(g, 9, 3))
+                pp = project(p, Q)
+                assert pp.pencil.hermitian_pd == hpd
+                image = p.image(Q)
+                counted = BasisImage(basis=image.basis, W=image.W.view(CountedW), R=image.R)
+                monkeypatch.setattr(p, "image", lambda basis, counted=counted: counted)
+                cases.append((pp, ritz_pairs(pp, p)))
+            assert len(products) == 2
+            assert not solves and not built
+            monkeypatch.undo()
+            for pp, pairs in cases:
+                want = solve_full(pp.pencil)
+                assert len(pairs) == len(want) == 6
+                assert [rp.value for rp in pairs] == [ep.value for ep in want]
+                assert all(np.array_equal(rp.coeff, ep.vector) for rp, ep in zip(pairs, want))
 
 
 class TestSelectRitz:

@@ -275,3 +275,20 @@ def test_no_unitary_frame_in_study_or_goldens(monkeypatch):
     assert "FAILED" not in verdicts
     assert all(math.isfinite(row.sep_projected) and math.isfinite(row.sep_full) for row in rows)
     assert all(check.passed for check in golden_checks())
+
+
+def test_pencil_keeps_no_companion_sized_array():
+    # The companion matrix is built where it is read: after a full solve, a
+    # case and its study, no attribute of the pencil holds a 2n x 2n array.
+    n = 8
+    p = random_pencil(rng(1900), n)
+
+    def companion_sized():
+        return [name for name, value in vars(p).items() if np.shape(value) == (2 * n, 2 * n)]
+
+    solve_full(p)
+    assert companion_sized() == []
+    case = case_from_pencil(p, 0.5, 3)
+    assert case.pencil is p and companion_sized() == []
+    rows, _ = run_study(case, [1e-4], seed=1)
+    assert len(rows) == 1 and companion_sized() == []

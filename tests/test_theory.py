@@ -643,9 +643,9 @@ class TestFullDiagnostics:
         assert rep.refined_angle is not None and rep.elsner_bound is not None
         assert len(calls) == 3
 
-    def test_one_projected_mass_solve_per_row(self, g, monkeypatch):
-        # The Ritz pairs and the Elsner bound share the memoized companion
-        # matrix of the projected pencil; the perturbed mass is solved apart.
+    def test_two_projected_mass_solves_per_row(self, g, monkeypatch):
+        # The Ritz pairs and the Elsner bound each build the companion matrix
+        # of the projected pencil; the perturbed mass is solved once more.
         n, m = 10, 3
         p = random_pencil(g, n)
         ep = select_eigenpair(solve_full(p), 0.5)
@@ -664,8 +664,8 @@ class TestFullDiagnostics:
                 monkeypatch.setattr(module, "solve_linear", counting)
         rep = full_diagnostics(ref, Q)
         assert rep.ritz_value is not None and rep.elsner_bound is not None
-        assert sum(np.array_equal(C, mass) for C in solved) == 1
-        assert len(solved) == 2
+        assert sum(np.array_equal(C, mass) for C in solved) == 2
+        assert len(solved) == 3
 
     def test_three_operator_norms_per_row(self, g, monkeypatch):
         # sep_projected (order 2m), sep_full and ||A - mu1 B|| (order 2n):
