@@ -187,17 +187,23 @@ def _cmd_study(args) -> int:
         if args.builtin != builtin.BUILTIN_NAME:
             print(f"study: unknown builtin {args.builtin!r}", file=sys.stderr)
             return USAGE_EXIT
+        for option, value in (("--dim", args.dim), ("--target", args.target)):
+            if value is not None:
+                print(f"study: {option} applies to matrix files, not to --builtin", file=sys.stderr)
+                return USAGE_EXIT
         case = study.builtin_case()
         label = args.builtin
     else:
         if not (args.M and args.D and args.K):
             print("study: need either --builtin or three matrix files", file=sys.stderr)
             return USAGE_EXIT
+        dim = 2 if args.dim is None else args.dim
+        target = 0j if args.target is None else args.target
         p = _load_pencil(args.M, args.D, args.K)
-        if args.dim > p.n:
-            print(f"study: --dim {args.dim} exceeds the pencil size n={p.n}", file=sys.stderr)
+        if dim > p.n:
+            print(f"study: --dim {dim} exceeds the pencil size n={p.n}", file=sys.stderr)
             return USAGE_EXIT
-        case = study.case_from_pencil(p, args.target, args.dim)
+        case = study.case_from_pencil(p, target, dim)
         label = "files"
     rows, verdicts = study.run_study(case, args.eps_list, args.seed)
     print(
@@ -266,8 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--eps-list", type=_parse_eps_list, default=_env("EPS_LIST", DEFAULT_EPS_LIST))
     pt.add_argument("--seed", type=_int_in(0, SEED_BITS), default=_env("SEED", "1"))
     pt.add_argument("--out", default=_env("OUT", "study.csv"))
-    pt.add_argument("--target", type=_parse_complex, default=_env("TARGET", "0"))
-    pt.add_argument("--dim", type=_int_in(1), default=_env("DIM", "2"), help="subspace dimension")
+    # No default: a built-in fixes its reference and basis, so _cmd_study
+    # refuses either with --builtin; matrix files take 0 and 2.
+    pt.add_argument("--target", type=_parse_complex, default=_env("TARGET", None))
+    pt.add_argument("--dim", type=_int_in(1), default=_env("DIM", None), help="subspace dimension")
     pt.set_defaults(fn=_cmd_study)
 
     pe = sub.add_parser("example31", help="golden checks of the built-in problem")

@@ -24,7 +24,11 @@ allocated once the body is read; a size that does not fit in memory raises
 ``IoFailure``.
 
 The writer always emits ``array complex general`` with 17 significant
-digits, which round-trips float64 exactly.
+digits, which round-trips float64 exactly.  The body is column-major, so
+each column is one ``%`` format call: the bytes of a per-entry
+``f"{x:.16e}"`` loop, as both take CPython's ``'e'`` float conversion.  A
+matrix with a zero dimension, which no size line may announce, is refused
+before the file is opened.
 """
 
 from __future__ import annotations
@@ -238,17 +242,26 @@ def _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path
 
 
 def write_matrix_market(path, matrix) -> None:
-    """Write a dense matrix as ``array complex general`` with full precision."""
+    """Write a dense matrix (a 1-D input as one column) as ``array complex general``.
+
+    Each column is one ``%.16e %.16e`` format call and one write.
+
+    Raises:
+        ValueError: if ``matrix`` is not 1-D or 2-D or has a zero dimension;
+            the file at ``path`` is then left untouched.
+    """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        raise ValueError(f"cannot write a {rows} x {cols} matrix: dimensions must be positive")
+    line = "%.16e %.16e\n" * rows
     with open(str(path), "w", encoding="ascii", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix array complex general\n")
         fh.write(f"{rows} {cols}\n")
         for j in range(cols):
-            for i in range(rows):
-                v = m[i, j]
-                fh.write(f"{v.real:.16e} {v.imag:.16e}\n")
+            # A column copy is contiguous, so its float64 view interleaves real and imaginary parts.
+            fh.write(line % tuple(m[:, j].copy().view(np.float64).tolist()))

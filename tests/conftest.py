@@ -80,7 +80,9 @@ class DenseDeflation:
     Untrusted on large eigenvalues of an ill-conditioned mass: at ``|lam|``
     near 1e7-1e8 with cond(M) = 1e8, ``sep`` has been measured up to 5.3e2
     times its own ``allowance`` away from a 40-digit ``1/||T||`` built from
-    the same ``(v, y1)``, so no test should pin ``theory.sep`` to it there.
+    the same ``(v, y1)``, so no test should pin ``theory.sep`` to it there;
+    ``test_theory.py::test_sep_matches_extended_precision_on_huge_eigenvalues``
+    pins it to that ``1/||T||`` instead.
     """
 
     def __init__(self, A, B, v):

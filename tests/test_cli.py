@@ -271,6 +271,20 @@ def test_study_builtin_with_matrix_files_is_a_usage_error(
     assert out == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("option, value", [("--dim", "5"), ("--target", "3")])
+def test_study_builtin_refuses_dim_and_target(monkeypatch, run_main, source, option, value):
+    args = ["study", "--builtin", "example31", "--eps-list", "1e-6"]
+    if source == "flag":
+        args += [option, value]
+    else:
+        monkeypatch.setenv("QRITZ_" + option[2:].upper(), value)
+    code, out, err = run_main(args)
+    assert code == 1
+    assert option in err
+    assert out == ""
+
+
 def test_study_unknown_builtin_exits_1(run_main):
     code, _, err = run_main(["study", "--builtin", "nonsense"])
     assert code == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cnormal
+from conftest import cnormal, rng
 from qritz import mmio
 from qritz.errors import ParseError, UnsupportedField
 from qritz.mmio import read_matrix_market, write_matrix_market
@@ -145,6 +145,48 @@ def test_roundtrip_bit_identical(tmp_path, g):
     assert np.array_equal(back, m)
     write_matrix_market(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _per_entry_bytes(matrix) -> bytes:
+    """The writer's reference format: one ``.16e`` pair per entry, column-major."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim == 1:
+        m = m[:, None]
+    rows, cols = m.shape
+    text = f"%%MatrixMarket matrix array complex general\n{rows} {cols}\n"
+    for j in range(cols):
+        for i in range(rows):
+            z = m[i, j]
+            text += f"{z.real:.16e} {z.imag:.16e}\n"
+    return text.encode("ascii")
+
+
+_SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, np.inf, np.nan]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param(cnormal(rng(5), 3, 5), id="3x5"),
+        pytest.param([[2.5 - 1j]], id="1x1"),
+        pytest.param(np.arange(4) * (1 - 0.5j), id="1-D"),
+        pytest.param([[complex(a, b) for b in _SPECIAL] for a in _SPECIAL], id="special"),
+    ],
+)
+def test_writer_bytes_match_the_per_entry_format(tmp_path, matrix):
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, matrix)
+    assert path.read_bytes() == _per_entry_bytes(matrix)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+def test_writer_refuses_a_zero_dimension_and_keeps_the_file(tmp_path, shape):
+    path = tmp_path / "kept.mtx"
+    write_matrix_market(path, np.eye(2))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        write_matrix_market(path, np.zeros(shape))
+    assert path.read_bytes() == before
 
 
 def test_missing_file_is_oserror(tmp_path):

@@ -3,8 +3,17 @@ import sys
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from conftest import DenseDeflation, cnormal, isolated_eigenpair, random_hpd, random_pencil, rng
+from conftest import (
+    DenseDeflation,
+    cnormal,
+    hermitian_with_spectrum,
+    isolated_eigenpair,
+    random_hpd,
+    random_pencil,
+    rng,
+)
 from qritz import kernels
 from qritz.angles import Angle, stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
@@ -30,6 +39,7 @@ from qritz.projection import project, ritz_pairs
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
 from qritz.theory import (
+    SEP_FLOOR,
     deflate,
     elsner_bound,
     full_diagnostics,
@@ -421,6 +431,43 @@ class TestBorderedSeparation:
         rep = full_diagnostics(ref, Q)
         assert rep.ritz_value == 1.0
         assert rep.sep_full == 0.0 and rep.refined_vector_bound == math.inf
+
+
+def _extended_sep(A, B, v, y1, mu) -> float:
+    """``1 / ||T||`` in 40-digit arithmetic, with ``T`` the top-left block of
+    ``[[A - mu B, y1], [v^H, 0]]^{-1}``: the separation ``sep`` computes."""
+    N = A.shape[0]
+    with mp.workdps(40):
+        S = mp.matrix(N + 1, N + 1)
+        for i in range(N):
+            for j in range(N):
+                S[i, j] = mp.mpc(complex(A[i, j])) - mp.mpc(mu) * mp.mpc(complex(B[i, j]))
+            S[i, N] = mp.mpc(complex(y1[i]))
+            S[N, i] = mp.conj(mp.mpc(complex(v[i])))
+        T = mp.inverse(S)[:N, :N]
+        return float(1 / max(mp.svd_c(T, compute_uv=False)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sep_matches_extended_precision_on_huge_eigenvalues(seed):
+    # cond(M) = 1e8 puts damping-dominated eigenvalues at |lam| ~ 1e7-1e8.
+    # On these inputs DenseDeflation misses the 40-digit 1/||T|| by up to 9.4e2
+    # times its allowance (at |mu| <= 30), so sep is pinned to 1/||T|| itself.
+    g = rng(seed + 3100)
+    n = 6
+    M = hermitian_with_spectrum(g, np.logspace(0.0, -8.0, n))
+    p = QuadraticPencil(M, cnormal(g, n, n) / np.sqrt(n), cnormal(g, n, n) / np.sqrt(n))
+    A, B = linearize(p)
+    norm_b = spectral_norm(B)
+    refs = [reference(p, ep.value, ep.vector) for ep in solve_full(p) if 1e7 <= abs(ep.value) <= 1e8]
+    refs = [ref for ref in refs if ref.rejection is None]
+    assert refs
+    for ref in refs:
+        v = stack_vector(ref.value, ref.vector)
+        for mu in (ref.value * (1 + 1e-6 * (1 + 1j)), 1e3 * (0.6 + 0.8j), 30.0 * (0.6 + 0.8j), 0.0):
+            want = _extended_sep(A, B, v, ref.y1, mu)
+            allowance = 1e-12 * want + SEP_FLOOR * (norm_b + spectral_norm(A - mu * B))
+            assert abs(sep(ref, mu) - want) <= allowance
 
 
 class TestPerturbationTriple:
