@@ -4,7 +4,8 @@ Projecting (M, D, K) onto span{Q} yields the m-dimensional triple
 ``(Q^H M Q, Q^H D Q, Q^H K Q)``.  Eigenvalues of the projected pencil are the
 Ritz values; their coefficient vectors lift through Q to Ritz vectors.  When
 the projected mass matrix is nonsingular there are always exactly 2m finite
-Ritz values.
+Ritz values.  Only ``kernels.solve_linear``'s ``sigma_min`` rule refuses a
+projected mass, as it refuses the full one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndefiniteMass, NotOrthonormal, Singular
+from .errors import DimensionMismatch, IndefiniteMass, NotOrthonormal
 from .kernels import as_matrix, clustered_flags, require_orthonormal
 from .pencil import QuadraticPencil, companion_matrix
 from .solver import _quadratic_vectors
@@ -22,11 +23,6 @@ from .solver import _quadratic_vectors
 #: Ritz values closer than this (relative to max |mu|) are flagged clustered:
 #: the associated coefficient vectors are ill-posed and essentially arbitrary.
 CLUSTER_TOL = 1e-8
-
-#: Smallest-singular-value threshold on the projected mass matrix, taken
-#: relative to the larger of the projected and original mass scales so a
-#: projection that annihilates the mass matrix outright is still caught.
-MASS_SIGMA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,6 +52,10 @@ class RitzPair:
 def project(p: QuadraticPencil, Q) -> ProjectedPencil:
     """Project the pencil onto span{Q} for orthonormal ``Q``.
 
+    A certified (``p.hermitian_pd``) mass projects to the Hermitian part of
+    ``Q^H M Q``, which is exactly Hermitian in floating point and, as
+    ``Q^H M Q`` is in exact arithmetic, positive definite.
+
     Raises:
         DimensionMismatch: if ``Q`` does not have ``p.n`` rows.
         NotOrthonormal: if ``||Q^H Q - I|| > kernels.BASIS_TOL``.
@@ -76,11 +76,10 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
         )
     # One m x 3m product against the basis image: Q^H [MQ, DQ, KQ].
     C = Q.conj().T @ p.image(Q).W
-    inner = QuadraticPencil(C[:, :m], C[:, m : 2 * m], C[:, 2 * m :])
-    if p.hermitian_pd and not inner.hermitian_pd:
-        # Definiteness is inherited exactly; only catastrophic rounding on a
-        # nearly singular M could trip this.
-        raise Singular("projected mass matrix lost positive definiteness")
+    M = C[:, :m]
+    if p.hermitian_pd:
+        M = 0.5 * (M + M.conj().T)
+    inner = QuadraticPencil(M, C[:, m : 2 * m], C[:, 2 * m :])
     return ProjectedPencil(pencil=inner, basis=Q)
 
 
@@ -92,16 +91,10 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
     (``solver._quadratic_vectors``), in the eigensolver's order.
 
     Raises:
-        Singular: if the projected mass matrix is numerically singular, the
-            regime in which the projection method itself breaks down.
+        Singular: if the projected mass matrix is numerically singular by
+            ``kernels.solve_linear``'s rule, the one the full solve and
+            ``theory.elsner_bound`` apply.
     """
-    sv = np.linalg.svd(pp.pencil.M, compute_uv=False)
-    scale = max(sv[0], p.m0)
-    if scale == 0.0 or sv[-1] < MASS_SIGMA_TOL * scale:
-        raise Singular(
-            f"projected mass matrix numerically singular "
-            f"(sigma_min = {sv[-1]:.3e} against scale {scale:.3e})"
-        )
     values, X = _quadratic_vectors(companion_matrix(pp.pencil), pp.pencil.n)
     # Each stage takes all 2m pairs at once: one lift Q X, one product with the
     # basis image W for the residuals P(mu) Q x = W [mu^2 x; mu x; x], and one

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qritz
-from qritz.kernels import spectral_norm, unitary_completion
+from qritz.kernels import orthonormalize, spectral_norm, unitary_completion
 from qritz.pencil import QuadraticPencil
 from qritz.theory import SEP_FLOOR
 
@@ -48,6 +48,37 @@ def random_pencil(g: np.random.Generator, n: int, hpd_mass: bool = True) -> Quad
     D = cnormal(g, n, n) / np.sqrt(n)
     K = cnormal(g, n, n) / np.sqrt(n)
     return QuadraticPencil(M, D, K)
+
+
+def pencil_with_mass(g: np.random.Generator, M) -> QuadraticPencil:
+    """``(M, D, K)`` with random ``D`` and ``K`` over ``sqrt(n)``, as in ``random_pencil``."""
+    n = len(M)
+    return QuadraticPencil(M, cnormal(g, n, n) / np.sqrt(n), cnormal(g, n, n) / np.sqrt(n))
+
+
+def scaled_hpd(g: np.random.Generator, n: int) -> np.ndarray:
+    """``S (C C^H + n I) S`` with ``S = diag(10^linspace(-3, 3, n))``.
+
+    Hermitian positive definite in exact arithmetic, with ``||M||`` near 1e7;
+    a basis near the first coordinates projects it to a well conditioned mass
+    about 1e-6 times that.
+    """
+    C = cnormal(g, n, n)
+    S = 10.0 ** np.linspace(-3.0, 3.0, n)
+    return S[:, None] * (C @ C.conj().T + n * np.eye(n)) * S
+
+
+def graded_projection(seed: int, n: int = 6):
+    """A pencil with graded HPD mass ``U diag(logspace(0, -8, n)) U^H`` and an
+    orthonormal 2-column basis near the mass's two smallest directions.
+
+    The projected mass is well conditioned, but about 1e-6 times ``||M||``.
+    """
+    g = rng(seed)
+    U = random_unitary(g, n)
+    M = (U * np.logspace(0.0, -8.0, n)) @ U.conj().T
+    p = pencil_with_mass(g, 0.5 * (M + M.conj().T))
+    return p, orthonormalize(U[:, -2:] + 1e-3 * cnormal(g, n, 2))
 
 
 def isolated_eigenpair(pairs):

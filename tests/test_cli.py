@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import child_env, cnormal, random_pencil, rng, run_cli
+from conftest import child_env, cnormal, graded_projection, random_pencil, rng, run_cli
 from qritz import cli
 from qritz.builtin import example31_basis, example31_pencil
 from qritz.errors import IndefiniteMass
@@ -362,6 +362,23 @@ def test_project_basis_orthogonal_to_reference_reports_infinite_bounds(tmp_path,
     assert "sin_theta1         = 1.0000000000000000e+00" in out
     assert "ritz vector bound  = inf" in out
     assert "refined vec bound  = inf" in out
+
+
+def test_project_on_a_graded_mass_reports_the_ritz_pair(tmp_path, run_main):
+    # The projected mass is about 1e-6 ||M||.  At cond(M) = 1e8 the full
+    # reference pair is not admitted (``sep full`` reads n/a), so only the
+    # Ritz lines are checked.
+    p, Q = graded_projection(0)
+    for name, mat in (("M", p.M), ("D", p.D), ("K", p.K), ("Q", Q)):
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    code, out, err = run_main(
+        ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--target", "0.5", "--refined"]
+    )
+    assert code == 0, err
+    fields = {k.strip(): v for k, v in (l.split("=", 1) for l in out.splitlines() if "=" in l)}
+    assert np.isfinite(complex(fields["ritz value"].replace(" ", "")))
+    for name in ("ritz angle", "ritz residual", "sep projected", "elsner bound"):
+        assert np.isfinite(float(fields[name]))
 
 
 def test_project_basis_with_wrong_row_count_is_a_dimension_mismatch(tmp_path, run_main):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import cnormal, random_pencil, rng
+from conftest import cnormal, graded_projection, pencil_with_mass, random_pencil, rng, scaled_hpd
 from qritz.angles import vector_angle
 from qritz.builtin import (
     example31_basis,
@@ -67,6 +67,18 @@ class TestProject:
         Q = orthonormalize(cnormal(g, 5, 3))
         assert project(p, Q).pencil.hermitian_pd
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_graded_mass_projects_to_a_certified_mass(self, seed):
+        # ||Q^H M Q|| ~ 1e-6 ||M||: the rounding of Q^H (M Q) scales with
+        # ||M||, so only the Hermitian part keeps the certificate.
+        p, Q = graded_projection(seed)
+        assert p.hermitian_pd
+        pp = project(p, Q)
+        M = pp.pencil.M
+        assert np.array_equal(M, M.conj().T)
+        assert pp.pencil.hermitian_pd
+        assert len(ritz_pairs(pp, p)) == 4
+
 
 class TestRitzPairs:
     def test_identity_basis_reproduces_eigenpairs(self, g):
@@ -103,6 +115,21 @@ class TestRitzPairs:
         Q = np.array([[1.0], [1.0]]) / np.sqrt(2)
         with pytest.warns(IndefiniteMass), pytest.raises(Singular):
             ritz_pairs(project(p, Q), p)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_projected_mass_of_a_large_mass_is_factored(self, seed):
+        # sigma_min(M^) / ||M^|| ~ 3e-3, while ||M^|| ~ 1e-6 ||M||: the
+        # projected mass is refused only by solve_linear's rule, not against
+        # the scale of the full M.
+        g = rng(seed)
+        p = pencil_with_mass(g, scaled_hpd(g, 6))
+        Q = orthonormalize(np.eye(6)[:, :2] + 1e-9 * cnormal(g, 6, 2))
+        with pytest.warns(IndefiniteMass):
+            pp = project(p, Q)
+        pairs = ritz_pairs(pp, p)
+        want = solve_full(pp.pencil)
+        assert [rp.value for rp in pairs] == [ep.value for ep in want]
+        assert all(np.array_equal(rp.coeff, ep.vector) for rp, ep in zip(pairs, want))
 
     def test_galerkin_orthogonality(self, g):
         p = random_pencil(g, 6)

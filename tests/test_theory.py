@@ -22,7 +22,6 @@ from qritz.errors import (
     NotAnEigenpair,
     NotOrthonormal,
     OrthogonalSubspace,
-    Singular,
     ZeroBv,
     ZeroEigenvalue,
     ZeroVector,
@@ -379,13 +378,9 @@ class TestBorderedSeparation:
         p = make(index)
         m = min(3, p.n - 1)
         companions = cnormal(rng(index + 2800), p.n, m - 1)
-        checked = 0
         for ep in solve_full(p):
             pp = project(p, perturbed_subspace(ep.vector, companions, eps, seed=index))
-            try:
-                sel = select_eigenpair(ritz_pairs(pp, p), ep.value)
-            except Singular:
-                continue
+            sel = select_eigenpair(ritz_pairs(pp, p), ep.value)
             ref = reference(pp.pencil, sel.value, sel.coeff)
             assert ref.rejection is None
             dl = _dense(pp.pencil, sel.value, sel.coeff)
@@ -393,8 +388,6 @@ class TestBorderedSeparation:
             assert abs(got - dl.sep(ep.value)) <= dl.allowance(ep.value)
             rep = full_diagnostics(reference(p, ep.value, ep.vector), pp.basis)
             assert rep.sep_projected == got
-            checked += 1
-        assert checked >= p.n
 
     @pytest.mark.parametrize("eps", [10.0 ** (-k) for k in range(2, 13)] + [0.0])
     def test_example31_sweep(self, eps):
