@@ -151,8 +151,10 @@ def _size_line(line: str, fmt: str, symmetry: str, path: str, lineno: int) -> tu
         rows, cols, *nnz = (int(t) for t in tokens)
     except ValueError:
         _fail(path, lineno, f"malformed size line {line!r}")
-    if rows < 1 or cols < 1 or any(n < 0 for n in nnz):
+    if rows < 1 or cols < 1:
         _fail(path, lineno, "dimensions must be positive")
+    if nnz and nnz[0] < 0:
+        _fail(path, lineno, "entry count must be >= 0")
     if symmetry != "general" and rows != cols:
         _fail(path, lineno, f"{symmetry} storage requires a square matrix")
     if nnz:

@@ -225,13 +225,8 @@ def companion_matrix(p: QuadraticPencil) -> np.ndarray:
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||`` (``solve_linear``).
     """
-    return _companion(p.M, p.D, p.K, certified=p.hermitian_pd)
-
-
-def _companion(M: np.ndarray, D: np.ndarray, K: np.ndarray, certified: bool = False) -> np.ndarray:
-    """``companion_matrix`` of the raw blocks; an uncertified ``M`` keeps the ``sigma_min`` gate."""
-    n = M.shape[0]
-    top = solve_linear(M, np.hstack([-D, -K]), certified=certified)
+    n = p.n
+    top = solve_linear(p.M, np.hstack([-p.D, -p.K]), certified=p.hermitian_pd)
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     return np.block([[top], [eye, zero]])

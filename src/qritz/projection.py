@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndefiniteMass, NotOrthonormal
+from .errors import DimensionMismatch, IndefiniteMass
 from .kernels import as_matrix, clustered_flags, require_orthonormal
 from .pencil import QuadraticPencil, companion_matrix
 from .solver import _quadratic_vectors
@@ -64,8 +64,6 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
     n, m = Q.shape
     if n != p.n:
         raise DimensionMismatch(f"basis has {n} rows but the pencil has dimension {p.n}")
-    if m > n:
-        raise NotOrthonormal(f"basis has more columns ({m}) than rows ({n})")
     require_orthonormal(Q)
     if not p.hermitian_pd:
         warnings.warn(

@@ -53,11 +53,11 @@ from .kernels import (
     as_vector,
     largest_singular,
     require_unit,
+    solve_linear,
     spectral_norm,
 )
 from .pencil import (
     QuadraticPencil,
-    _companion,
     companion_matrix,
     companion_operator,
     qep_residual,
@@ -296,24 +296,28 @@ def perturbation_triple(
 def elsner_bound(pp: ProjectedPencil, pert: PerturbationTriple) -> float:
     """Eigenvalue-distance bound between the projected pencil and its perturbation.
 
-    From its own 2m x 2m companions ``C = Bh^{-1} Ah`` of the projected pencil
-    (``pencil.companion_matrix``) and ``Ct`` of the perturbed one, returns
+    With ``C`` the 2m x 2m companion of the projected pencil
+    (``pencil.companion_matrix``) and ``Ct`` that of the perturbed one, returns
 
         (||C|| + ||Ct||)^(1 - 1/(2m)) * ||C - Ct||^(1/(2m)),
 
     which dominates the distance from the reference eigenvalue to the
-    nearest Ritz value.
+    nearest Ritz value.  Only the top block rows of ``C - Ct`` are nonzero;
+    they are solved for as ``(Mh + EM)^{-1} ([ED, EK] + EM C_top)``, so the
+    gap carries no cancellation between two companions.
 
     Raises:
-        Singular: if either projected mass matrix ``N`` has
-            ``sigma_min(N) <= SINGULAR_TOL * ||N||``.
+        Singular: if ``Mh`` or ``Mh + EM`` fails ``kernels.solve_linear``'s gate.
     """
     inner = pp.pencil
+    m = inner.n
     C = companion_matrix(inner)
-    Ct = _companion(inner.M + pert.EM, inner.D + pert.ED, inner.K + pert.EK)
-    gap = spectral_norm(C - Ct)
+    delta = solve_linear(inner.M + pert.EM, np.hstack([pert.ED, pert.EK]) + pert.EM @ C[:m])
+    Ct = C.copy()
+    Ct[:m] -= delta
     total = spectral_norm(C) + spectral_norm(Ct)
-    k = 2 * inner.n
+    gap = spectral_norm(delta)
+    k = 2 * m
     return float(total ** (1.0 - 1.0 / k) * gap ** (1.0 / k))
 
 
@@ -395,11 +399,20 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
     return bool(abs(lhs - rhs) <= 1e-12 * scale)
 
 
+def _stage(run):
+    """``run()``, or None when it raises a ``QritzError``: the one place a diagnostics stage may fail."""
+    try:
+        return run()
+    except QritzError:
+        return None
+
+
 def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     """Assemble every diagnostic for the reference eigenpair ``ref`` and one basis.
 
-    Stages that fail leave their fields None while independent fields are
-    still filled.
+    The Ritz pair, its refined vector, the projected separation and the
+    Elsner bound each run through ``_stage``: a failed stage leaves the
+    fields built from it None, and the other fields are still filled.
     """
     Q = as_matrix(Q, "Q")
     p = ref.pencil
@@ -408,54 +421,14 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     pp = project(p, Q)
     theta = subspace_angle(Q, x1)
 
-    mu1 = None
-    ritz_err = None
-    ritz_angle = None
-    ritz_res = None
-    clustered = None
-    sel = None
-    try:
-        pairs = ritz_pairs(pp, p)
-        sel = select_eigenpair(pairs, lam1)
-        mu1 = sel.value
-        ritz_err = abs(mu1 - lam1)
-        ritz_angle = vector_angle(x1, sel.vector).sin
-        ritz_res = sel.residual_norm
-        clustered = sel.clustered
-    except QritzError:
-        pass
-
-    refined_angle = None
-    refined_res = None
-    if mu1 is not None:
-        try:
-            rr = refined_ritz(p, Q, mu1)
-            refined_angle = vector_angle(x1, rr.vector).sin
-            refined_res = rr.residual_norm
-        except QritzError:
-            pass
-
-    sep_projected = None
+    sel = _stage(lambda: select_eigenpair(ritz_pairs(pp, p), lam1))
+    mu1 = rr = sep_projected = sep_full = bound_refined = None
     if sel is not None:
-        try:
-            sep_projected = sep(reference(pp.pencil, mu1, sel.coeff), lam1)
-        except QritzError:
-            pass
-
-    elsner = None
-    try:
-        pert = perturbation_triple(p, pp, lam1, x1, theta)
-        elsner = elsner_bound(pp, pert)
-    except QritzError:
-        pass
-
-    bound_ritz = None
-    if sep_projected is not None:
-        bound_ritz = ritz_vector_bound(p.residual_scale(lam1), theta, sep_projected)
-
-    sep_full = None
-    bound_refined = None
-    if mu1 is not None and ref.rejection is None:
+        mu1 = sel.value
+        rr = _stage(lambda: refined_ritz(p, Q, mu1))
+        sep_projected = _stage(lambda: sep(reference(pp.pencil, mu1, sel.coeff), lam1))
+    elsner = _stage(lambda: elsner_bound(pp, perturbation_triple(p, pp, lam1, x1, theta)))
+    if sel is not None and ref.rejection is None:
         sep_full = sep(ref, mu1)
         norm_a_minus = largest_singular(*companion_operator(p, mu1), 2 * p.n)
         # ||diag(M, I)|| = max(||M||, 1).
@@ -467,15 +440,17 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
         ref_value=lam1,
         sin_theta1=theta.sin,
         ritz_value=mu1,
-        ritz_value_error=ritz_err,
-        ritz_angle=ritz_angle,
-        refined_angle=refined_angle,
-        ritz_residual=ritz_res,
-        refined_residual=refined_res,
-        clustered=clustered,
+        ritz_value_error=None if sel is None else abs(mu1 - lam1),
+        ritz_angle=None if sel is None else vector_angle(x1, sel.vector).sin,
+        refined_angle=None if rr is None else vector_angle(x1, rr.vector).sin,
+        ritz_residual=None if sel is None else sel.residual_norm,
+        refined_residual=None if rr is None else rr.residual_norm,
+        clustered=None if sel is None else sel.clustered,
         sep_full=sep_full,
         sep_projected=sep_projected,
         elsner_bound=elsner,
-        ritz_vector_bound=bound_ritz,
+        ritz_vector_bound=None
+        if sep_projected is None
+        else ritz_vector_bound(p.residual_scale(lam1), theta, sep_projected),
         refined_vector_bound=bound_refined,
     )

@@ -22,6 +22,12 @@ or passes its class by name to ``fields``, ``astuple`` or ``asdict``, which
 read every field (the ``StudyRow`` columns).  Passing it to the constructor
 or storing it does not count.
 
+A fourth scan finds failures decided in the wrong place.  An ``except``
+handler whose types name ``QritzError`` may sit only in ``theory._stage``
+(a diagnostics stage leaves its fields None), ``study.run_study`` (a row is
+marked failed) and ``cli.main`` (an exit code): elsewhere a handler would
+swallow a typed failure that none of them sees.
+
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.  Nor does
 ``qritz example31`` load ``numpy.random``, which numpy imports lazily and
@@ -248,6 +254,62 @@ def test_field_scan_flags_an_unread_field():
     # A store is not a read; a class passed to dataclasses.fields has every field read.
     readers = [module, "import dataclasses\nr.lost = 1.0\nr.kept\ndataclasses.fields(Table)\n"]
     assert unread_fields({"m.py": module}, readers) == ["m.py:6: Row.lost"]
+
+
+#: The functions that decide what a ``QritzError`` means, as ``module:function``.
+FAILURE_DECIDERS = {"theory.py:_stage", "study.py:run_study", "cli.py:main"}
+
+
+def qritz_error_handlers(tree: ast.Module) -> set[str]:
+    """The innermost function (or ``<module>``) around each handler that names ``QritzError``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                named = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(child.type)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                if "QritzError" in named:
+                    found.add(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def stray_failure_handlers(modules: dict[str, str], deciders: set[str]) -> list[str]:
+    """``module:function`` for each ``QritzError`` handler outside ``deciders``."""
+    return sorted(
+        f"{module}:{scope}"
+        for module, source in modules.items()
+        for scope in qritz_error_handlers(ast.parse(source))
+        if f"{module}:{scope}" not in deciders
+    )
+
+
+def test_qritz_errors_are_caught_only_where_a_failure_is_decided():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert stray_failure_handlers(modules, FAILURE_DECIDERS) == []
+
+
+def test_handler_scan_flags_a_stray_handler():
+    module = (
+        "from . import errors\nfrom .errors import QritzError\n\n"
+        "def _stage(run):\n    try:\n        return run()\n    except QritzError:\n        return None\n\n"
+        "def quiet():\n    try:\n        pass\n    except (ValueError, errors.QritzError):\n        pass\n\n"
+        "    def inner():\n        try:\n            pass\n        except QritzError as exc:\n            pass\n\n"
+        "def narrow():\n    try:\n        pass\n    except errors.Singular:\n        pass\n    except:\n        pass\n\n"
+        "try:\n    pass\nexcept QritzError:\n    pass\n"
+    )
+    assert stray_failure_handlers({"m.py": module}, {"m.py:_stage"}) == [
+        "m.py:<module>",
+        "m.py:inner",
+        "m.py:quiet",
+    ]
 
 
 def test_import_loads_no_scipy():

@@ -127,6 +127,36 @@ def test_bad_header_rejected(tmp_path):
         read_matrix_market(path)
 
 
+_HEADER = "%%MatrixMarket matrix {} {} {}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", 1, "empty file"),
+        (_HEADER.format("dense", "real", "general") + "1 1\n1\n", 1, "unsupported format 'dense'"),
+        (_HEADER.format("array", "quaternion", "general") + "1 1\n1\n", 1, "unsupported field"),
+        (_HEADER.format("array", "real", "upper") + "1 1\n1\n", 1, "unsupported symmetry"),
+        (_HEADER.format("array", "real", "general") + "% only a comment\n", 2, "missing size line"),
+        (_HEADER.format("array", "real", "general") + "1 1 1\n1\n", 2, "array size line must be 'rows cols'"),
+        (_HEADER.format("coordinate", "real", "general") + "1 1\n", 2, "coordinate size line must be"),
+        (_HEADER.format("array", "real", "general") + "1 x\n1\n", 2, "malformed size line"),
+        (_HEADER.format("array", "real", "general") + "0 1\n", 2, "dimensions must be positive"),
+        (_HEADER.format("coordinate", "real", "general") + "2 2 -1\n", 2, "entry count must be >= 0"),
+        (_HEADER.format("array", "real", "symmetric") + "2 3\n1\n2\n3\n", 2, "symmetric storage requires a square"),
+    ],
+    ids=[
+        "empty", "format", "field", "symmetry", "no-size-line", "array-layout",
+        "coordinate-layout", "malformed", "zero-dimension", "negative-count", "non-square",
+    ],
+)
+def test_header_and_size_line_faults_name_their_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=rf":{line}: {message}"):
+        read_matrix_market(path)
+
+
 def test_out_of_range_index(tmp_path):
     path = tmp_path / "oob.mtx"
     path.write_text(

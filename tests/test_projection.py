@@ -52,6 +52,12 @@ class TestProject:
         with pytest.raises(NotOrthonormal):
             project(p, Q)
 
+    def test_wide_basis_meets_the_one_orthonormality_gate(self, g):
+        # Q^H Q - I has the eigenvalue -1 for more columns than rows.
+        p = random_pencil(g, 3)
+        with pytest.raises(NotOrthonormal, match=r"^\|\|Q\^H Q - I\|\| = 1\.000e\+00 exceeds"):
+            project(p, np.eye(3, 4))
+
     def test_rejects_wrong_row_count(self, g):
         p = random_pencil(g, 4)
         with pytest.raises(DimensionMismatch, match="3 rows"):

@@ -14,11 +14,12 @@ from conftest import (
     random_pencil,
     rng,
 )
-from qritz import kernels
+from qritz import kernels, refined, theory
 from qritz.angles import Angle, stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.builtin import example31_basis, example31_eigenvector, example31_pencil
 from qritz.errors import (
     BadNorm,
+    NoConvergence,
     NotAnEigenpair,
     NotOrthonormal,
     OrthogonalSubspace,
@@ -531,6 +532,51 @@ class TestElsnerBound:
             assert abs(mu - ep.value) <= bound
 
 
+def _extended_elsner(pp, pert) -> float:
+    """``elsner_bound``'s formula in 40-digit arithmetic: both companions are
+    formed whole, from the exact sums of the projected blocks and the
+    perturbations."""
+    inner = pp.pencil
+    m = inner.n
+    with mp.workdps(40):
+        M, D, K, EM, ED, EK = (
+            mp.matrix(a.tolist()) for a in (inner.M, inner.D, inner.K, pert.EM, pert.ED, pert.EK)
+        )
+
+        def companion(M, D, K):
+            """``[[-M^{-1} D, -M^{-1} K], [I, 0]]``."""
+            M_inv = mp.inverse(M)
+            top_d, top_k = -(M_inv * D), -(M_inv * K)
+            C = mp.zeros(2 * m, 2 * m)
+            for i in range(m):
+                C[m + i, i] = 1
+                for j in range(m):
+                    C[i, j], C[i, m + j] = top_d[i, j], top_k[i, j]
+            return C
+
+        def norm(a):
+            return max(mp.svd_c(a, compute_uv=False))
+
+        C, Ct = companion(M, D, K), companion(M + EM, D + ED, K + EK)
+        k = 2 * m
+        return float((norm(C) + norm(Ct)) ** (1 - mp.mpf(1) / k) * norm(C - Ct) ** (mp.mpf(1) / k))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_elsner_bound_matches_extended_precision_at_small_eps(seed):
+    # At eps = 1e-11 the companion gap ||C - Ct|| is of order 1e-11 ||C||, so
+    # forming it as the difference of two rounded companions loses most of it.
+    g = rng(seed + 3300)
+    n, m = 10, 3
+    p = random_pencil(g, n)
+    ep = select_eigenpair(solve_full(p), 0.5)
+    Q = perturbed_subspace(ep.vector, cnormal(g, n, m - 1), 1e-11, seed=seed)
+    pp = project(p, Q)
+    pert = perturbation_triple(p, pp, ep.value, ep.vector, subspace_angle(Q, ep.vector))
+    want = _extended_elsner(pp, pert)
+    assert abs(elsner_bound(pp, pert) - want) <= 1e-13 * want
+
+
 def _angle(radians):
     return Angle(radians=radians, sin=math.sin(radians), cos=math.cos(radians))
 
@@ -729,6 +775,34 @@ class TestFullDiagnostics:
         rep = full_diagnostics(ref, Q)
         assert math.isfinite(rep.sep_projected) and math.isfinite(rep.refined_vector_bound)
         assert sorted(dims) == [2 * m, 2 * n, 2 * n]
+
+    @pytest.fixture
+    def stage_case(self, g):
+        """An admitted reference and a basis at eps = 1e-4 on which every stage succeeds."""
+        n, m = 10, 3
+        p = random_pencil(g, n)
+        ep = select_eigenpair(solve_full(p), 0.5)
+        ref = reference(p, ep.value, ep.vector)
+        assert ref.rejection is None
+        return ref, perturbed_subspace(ep.vector, cnormal(g, n, m - 1), 1e-4, seed=7)
+
+    def test_refused_projected_reference_unsets_only_its_fields(self, stage_case, monkeypatch):
+        ref, Q = stage_case
+        monkeypatch.setattr(theory, "EIGPAIR_TOL", 0.0)
+        rep = full_diagnostics(ref, Q)
+        unset = [name for name, value in vars(rep).items() if value is None]
+        assert unset == ["sep_projected", "ritz_vector_bound"]
+
+    def test_failed_refinement_unsets_only_its_fields(self, stage_case, monkeypatch):
+        ref, Q = stage_case
+
+        def no_convergence(G):
+            raise NoConvergence("SVD failed")
+
+        monkeypatch.setattr(refined, "_right_singulars", no_convergence)
+        rep = full_diagnostics(ref, Q)
+        unset = [name for name, value in vars(rep).items() if value is None]
+        assert unset == ["refined_angle", "refined_residual"]
 
     def test_reference_computed_when_absent(self):
         p = example31_pencil()
