@@ -51,8 +51,12 @@ GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex matrix, validating shape and entries."""
-    m = np.array(a, dtype=np.complex128, order="C")
+    """``a`` as a finite 2-D C-ordered ``complex128`` matrix, validating shape and entries.
+
+    No copy is made when ``a`` already is such an array: the result may be
+    ``a`` itself, so callers only read it, and one that keeps it copies it.
+    """
+    m = np.asarray(a, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:

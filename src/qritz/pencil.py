@@ -11,13 +11,15 @@ whose eigenpairs ``(lam, [lam*x; x])`` encode the quadratic eigenpairs
 ``companion_matrix`` returns the matrix ``B^{-1} A``, ``companion_operator``
 the products with ``A - mu B`` without forming it, and ``linearize`` the
 dense pair itself, which no pipeline path needs (it serves dense checks).
-The pencil keeps one memo, the ``BasisImage`` of its last basis; every
-other type here is an immutable value object.
+The pencil keeps one memo, the ``BasisImage`` of its last basis, and two
+norms taken on first read, ``d0`` and ``k0``; every other type here is an
+immutable value object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,18 +81,22 @@ class QuadraticPencil:
     """The triple (M, D, K) with cached spectral norms.
 
     Attributes:
-        M, D, K: n x n complex matrices (validated, copied).
+        M, D, K: n x n complex matrices, private copies of the validated inputs.
         n: dimension.
-        m0, d0, k0: spectral norms of M, D, K (``kernels.spectral_norm``),
-            recomputed on construction.
+        m0: spectral norm of M (``kernels.spectral_norm``).
+        d0, k0: spectral norms of D and K, taken on first read and kept.
         hermitian_pd: True when M is verified Hermitian positive definite
             (``||M - M^H|| <= HPD_TOL * m0`` and smallest eigenvalue of the
             Hermitian part above ``HPD_TOL * m0``, decided by Cholesky).
             The solve/projection paths warn, but still work, when this is
             False and M is merely nonsingular.
 
-    The pencil's one memo is the ``BasisImage`` of the last basis passed to
-    ``image``; it never changes a result, only whether it is recomputed.
+    ``m0`` and ``hermitian_pd`` are taken on construction from the caller's
+    M before anything is copied, so no temporary of the certificate
+    coexists with the three copies; the caller must not write its arrays
+    while the constructor runs.  The pencil's memos are the ``BasisImage``
+    of the last basis passed to ``image`` and the two norms; they never
+    change a result, only whether it is recomputed.
     """
 
     def __init__(self, M, D, K):
@@ -103,15 +109,21 @@ class QuadraticPencil:
             raise DimensionMismatch(
                 f"M, D, K must share one square shape, got {M.shape}, {D.shape}, {K.shape}"
             )
-        self.M = M
-        self.D = D
-        self.K = K
         self.n = M.shape[0]
         self.m0 = spectral_norm(M)
-        self.d0 = spectral_norm(D)
-        self.k0 = spectral_norm(K)
         self.hermitian_pd = _detect_hpd(M, self.m0)
+        self.M = M.copy()
+        self.D = D.copy()
+        self.K = K.copy()
         self._image: BasisImage | None = None
+
+    @cached_property
+    def d0(self) -> float:
+        return spectral_norm(self.D)
+
+    @cached_property
+    def k0(self) -> float:
+        return spectral_norm(self.K)
 
     def __repr__(self):
         return (

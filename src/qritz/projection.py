@@ -78,7 +78,7 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
     if p.hermitian_pd:
         M = 0.5 * (M + M.conj().T)
     inner = QuadraticPencil(M, C[:, m : 2 * m], C[:, 2 * m :])
-    return ProjectedPencil(pencil=inner, basis=Q)
+    return ProjectedPencil(pencil=inner, basis=Q.copy())
 
 
 def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:

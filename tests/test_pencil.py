@@ -1,11 +1,22 @@
+import re
+import tracemalloc
+
 import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
+import qritz.pencil
+
 from conftest import cnormal, hermitian_with_spectrum, random_hpd, random_pencil, rng
 from qritz.builtin import example31_pencil
 from qritz.errors import BadNorm, DimensionMismatch, Singular
-from qritz.kernels import ITERATIVE_NORM_MIN, eig_standard, solve_linear, spectral_norm
+from qritz.kernels import (
+    ITERATIVE_NORM_MIN,
+    eig_standard,
+    orthonormalize,
+    solve_linear,
+    spectral_norm,
+)
 from qritz.pencil import (
     HPD_TOL,
     QuadraticPencil,
@@ -15,8 +26,11 @@ from qritz.pencil import (
     qep_residual,
     stack_vector,
 )
-from qritz.projection import project
+from qritz.angles import subspace_angle
+from qritz.projection import project, ritz_pairs
+from qritz.refined import refined_ritz
 from qritz.solver import solve_full
+from qritz.theory import full_diagnostics, reference
 
 
 def sorted_values(pairs):
@@ -97,6 +111,94 @@ class TestQuadraticPencil:
             QuadraticPencil(np.eye(2), np.eye(3), np.eye(2))
         with pytest.raises(ValueError):
             QuadraticPencil(np.array([[np.nan, 0], [0, 1]]), np.eye(2), np.eye(2))
+
+    def test_validation_precedes_every_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a factorization ran before validation")
+
+        monkeypatch.setattr(qritz.pencil, "spectral_norm", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        K = np.eye(2)
+        K[0, 1] = np.nan
+        with pytest.raises(ValueError, match="K contains non-finite entries"):
+            QuadraticPencil(np.eye(2), np.eye(2), K)
+        with pytest.raises(ValueError, match="D must be 2-D"):
+            QuadraticPencil(np.eye(2), np.ones(2), np.eye(2))
+        with pytest.raises(DimensionMismatch, match=re.escape("M must be square, got (2, 3)")):
+            QuadraticPencil(np.ones((2, 3)), np.eye(2), np.eye(2))
+        with pytest.raises(
+            DimensionMismatch,
+            match=re.escape("M, D, K must share one square shape, got (2, 2), (3, 3), (2, 2)"),
+        ):
+            QuadraticPencil(np.eye(2), np.eye(3), np.eye(2))
+
+    def test_d0_and_k0_are_taken_on_first_read(self, g, monkeypatch):
+        seen = []
+
+        def recording(a, _norm=spectral_norm):
+            seen.append(a)
+            return _norm(a)
+
+        monkeypatch.setattr(qritz.pencil, "spectral_norm", recording)
+        p = random_pencil(g, 6)
+        solve_full(p, 0.3 + 0.1j, 1)
+        assert not any(np.shares_memory(a, b) for a in seen for b in (p.D, p.K))
+        monkeypatch.undo()
+        assert p.d0 == spectral_norm(p.D)
+        assert p.k0 == spectral_norm(p.K)
+
+    def test_construction_peaks_at_its_three_stored_matrices(self, g):
+        # Below ITERATIVE_NORM_MIN the norm of M is a dense SVD: the
+        # certificate's temporaries are freed before M, D and K are copied.
+        n = 200
+        M, D, K = random_hpd(g, n), cnormal(g, n, n), cnormal(g, n, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            QuadraticPencil(M, D, K)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * M.itemsize
+
+
+def read_only(a) -> np.ndarray:
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestInputsNeitherWrittenNorKept:
+    def test_read_only_inputs_pass_every_entry_point(self, g):
+        n, m = 12, 3
+        M, D, K = (read_only(a) for a in (random_hpd(g, n), cnormal(g, n, n), cnormal(g, n, n)))
+        p = QuadraticPencil(M, D, K)
+        assert not any(np.shares_memory(a, b) for a in (p.M, p.D, p.K) for b in (M, D, K))
+        spectral_norm(M)
+        solve_linear(M, read_only(cnormal(g, n)))
+        pair = solve_full(p, 0.3 + 0.1j, 1)[0]
+        x = read_only(pair.vector)
+        Q = read_only(orthonormalize(read_only(np.column_stack([x, cnormal(g, n, m - 1)]))))
+        pp = project(p, Q)
+        assert not np.shares_memory(pp.basis, Q)
+        ritz = ritz_pairs(pp, p)
+        refined_ritz(p, Q, ritz[0].value)
+        subspace_angle(Q, x)
+        full_diagnostics(reference(p, pair.value, x), Q)
+
+    def test_writing_the_callers_arrays_changes_no_later_result(self, g):
+        n, m = 12, 3
+        M, D, K = random_hpd(g, n), cnormal(g, n, n), cnormal(g, n, n)
+        Q = orthonormalize(cnormal(g, n, m))
+        fresh = QuadraticPencil(M.copy(), D.copy(), K.copy())
+        expected = [(rp.value, rp.residual_norm) for rp in ritz_pairs(project(fresh, Q.copy()), fresh)]
+        p = QuadraticPencil(M, D, K)
+        pp = project(p, Q)
+        for a in (M, D, K, Q):
+            a[...] = 7.0
+        assert [(rp.value, rp.residual_norm) for rp in ritz_pairs(pp, p)] == expected
+        assert (p.d0, p.k0) == (fresh.d0, fresh.k0)
+        assert solve_full(p, 0.3, 1)[0].value == solve_full(fresh, 0.3, 1)[0].value
 
 
 class TestResidual:
