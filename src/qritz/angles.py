@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVector
-from .kernels import as_matrix, as_vector, require_orthonormal
+from .kernels import as_direction, as_matrix, require_orthonormal
 from .pencil import stack_vector
 
 
@@ -45,16 +44,12 @@ def subspace_angle(Q, x) -> Angle:
     (``x`` is normalized internally).
 
     Raises:
+        DimensionMismatch: if ``x`` does not have as many entries as ``Q`` rows.
         NotOrthonormal: if ``Q`` fails the basis tolerance.
         ZeroVector: if ``x`` is zero.
     """
-    Q = as_matrix(Q, "Q")
-    x = as_vector(x, "x")
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        raise ZeroVector("cannot form an angle with the zero vector")
-    require_orthonormal(Q)
-    x = x / nrm
+    Q = require_orthonormal(Q)
+    x = as_direction(x, "x", Q.shape[0])
     coeff = Q.conj().T @ x
     c = float(np.linalg.norm(coeff))
     s = float(np.linalg.norm(x - Q @ coeff))
@@ -65,16 +60,11 @@ def vector_angle(x, y) -> Angle:
     """Acute angle between two nonzero vectors, invariant under unit phases.
 
     Raises:
+        DimensionMismatch: if the vectors differ in length.
         ZeroVector: if either argument is zero.
     """
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVector("cannot form an angle with the zero vector")
-    x = x / nx
-    y = y / ny
+    x = as_direction(x, "x")
+    y = as_direction(y, "y", x.size)
     inner = complex(np.vdot(x, y))  # x^H y
     c = abs(inner)
     # Residual of y against span{x}: its norm is the sine, exactly.
@@ -85,24 +75,12 @@ def vector_angle(x, y) -> Angle:
 def stacked_subspace_angle(Q, lam: complex, x) -> Angle:
     """Angle of ``[lam*x; x]/sqrt(1+|lam|^2)`` to span{diag(Q, Q)}.
 
-    Computed directly through the block-diagonal projector.  For unit ``x``
-    this equals ``subspace_angle(Q, x)``; the identity is exercised as a
-    package-level property, not assumed here.
+    ``subspace_angle`` of the stacked unit vector and the block basis, with
+    its errors.  For unit ``x`` this equals ``subspace_angle(Q, x)``; the
+    identity is exercised as a package-level property, not assumed here.
     """
     Q = as_matrix(Q, "Q")
-    x = as_vector(x, "x")
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        raise ZeroVector("cannot form an angle with the zero vector")
-    require_orthonormal(Q)
-    v = stack_vector(lam, x / nrm)
-    top, bot = v[: x.size], v[x.size :]
-    ct = Q.conj().T @ top
-    cb = Q.conj().T @ bot
-    c = float(np.sqrt(np.linalg.norm(ct) ** 2 + np.linalg.norm(cb) ** 2))
-    s = float(
-        np.sqrt(
-            np.linalg.norm(top - Q @ ct) ** 2 + np.linalg.norm(bot - Q @ cb) ** 2
-        )
-    )
-    return _angle_from_sin_cos(s, c)
+    n, m = Q.shape
+    block = np.zeros((2 * n, 2 * m), dtype=np.complex128)
+    block[:n, :m] = block[n:, m:] = Q
+    return subspace_angle(block, stack_vector(lam, as_direction(x, "x", n)))

@@ -128,7 +128,7 @@ def _cmd_project(args) -> int:
     p = _load_pencil(args.M, args.D, args.K)
     Q = mmio.read_matrix_market(args.subspace)
     try:
-        require_orthonormal(Q)
+        require_orthonormal(Q, p.n)
     except NotOrthonormal as exc:
         if not args.orthonormalize:
             raise NotOrthonormal(

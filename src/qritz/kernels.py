@@ -10,16 +10,20 @@ an operator only through its products, running Lanczos on ``T^H T`` over
 one orthonormal basis, and it takes the three operator norms of each
 diagnostics row: both separations and ``||A - mu B||``.  ``spectral_norm``
 takes a square matrix of order ``ITERATIVE_NORM_MIN`` or more through it,
-and every other matrix through the values-only SVD.
+and every other matrix through the values-only SVD.  The ``as_*`` and
+``require_*`` admissions are the one place an input's shape is refused.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .errors import BadNorm, NoConvergence, NotOrthonormal, RankDeficient, Singular
+from .errors import (
+    BadNorm, DimensionMismatch, NoConvergence, NotOrthonormal, RankDeficient, Singular, ZeroVector
+)
 
 #: Orthonormality contract for produced bases: ||Q^H Q - I|| <= ORTHO_TOL.
 ORTHO_TOL = 1e-13
@@ -74,14 +78,33 @@ def as_square(a, name: str = "C") -> np.ndarray:
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce ``a`` to a finite 1-D complex vector."""
+def as_vector(a, name: str = "vector", n: int | None = None) -> np.ndarray:
+    """Coerce ``a`` to a finite 1-D complex vector; ``DimensionMismatch`` unless of length ``n``, if given."""
     v = np.array(a, dtype=np.complex128).reshape(-1)
     if v.size < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
+    if n is not None and v.size != n:
+        raise DimensionMismatch(f"{name} has dimension {v.size} but {n} is expected")
     return v
+
+
+def as_direction(a, name: str = "vector", n: int | None = None) -> np.ndarray:
+    """The one admission of a direction: ``as_vector(a, name, n)`` over its norm; ``ZeroVector`` if zero."""
+    v = as_vector(a, name, n)
+    nrm = np.linalg.norm(v)
+    if nrm == 0.0:
+        raise ZeroVector(f"{name} is the zero vector, which has no direction")
+    return v / nrm
+
+
+def as_scalar(z, name: str) -> complex:
+    """``z`` as a complex number; ``ValueError`` if it is not finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {z}")
+    return z
 
 
 def require_unit(v, name: str) -> np.ndarray:
@@ -124,15 +147,20 @@ def orthonormality_defect(Q: np.ndarray) -> float:
     return spectral_norm(Q.conj().T @ Q - np.eye(k))
 
 
-def require_orthonormal(Q: np.ndarray) -> None:
-    """The one admission gate for caller bases.
+def require_orthonormal(Q, n: int | None = None) -> np.ndarray:
+    """The one admission of a caller basis: ``Q`` coerced by ``as_matrix``, gated and returned.
 
     Raises:
+        DimensionMismatch: if ``n`` is given and ``Q`` does not have ``n`` rows.
         NotOrthonormal: if ``||Q^H Q - I|| > BASIS_TOL``.
     """
+    Q = as_matrix(Q, "Q")
+    if n is not None and Q.shape[0] != n:
+        raise DimensionMismatch(f"basis has {Q.shape[0]} rows but the pencil has dimension {n}")
     defect = orthonormality_defect(Q)
     if defect > BASIS_TOL:
         raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
+    return Q
 
 
 def orthonormalize(V) -> np.ndarray:

@@ -175,9 +175,7 @@ def qep_residual(p: QuadraticPencil, lam: complex, x) -> tuple[np.ndarray, float
 
     ``x`` is used exactly as given (no renormalization).
     """
-    x = as_vector(x, "x")
-    if x.size != p.n:
-        raise DimensionMismatch(f"vector dimension {x.size} != pencil dimension {p.n}")
+    x = as_vector(x, "x", p.n)
     lam = complex(lam)
     r = lam * (lam * (p.M @ x) + p.D @ x) + p.K @ x
     return r, float(np.linalg.norm(r))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndefiniteMass
-from .kernels import as_matrix, clustered_flags, require_orthonormal
+from .errors import IndefiniteMass
+from .kernels import clustered_flags, require_orthonormal
 from .pencil import QuadraticPencil, companion_matrix
 from .solver import _quadratic_vectors
 
@@ -60,11 +60,8 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
         DimensionMismatch: if ``Q`` does not have ``p.n`` rows.
         NotOrthonormal: if ``||Q^H Q - I|| > kernels.BASIS_TOL``.
     """
-    Q = as_matrix(Q, "Q")
-    n, m = Q.shape
-    if n != p.n:
-        raise DimensionMismatch(f"basis has {n} rows but the pencil has dimension {p.n}")
-    require_orthonormal(Q)
+    Q = require_orthonormal(Q, p.n)
+    m = Q.shape[1]
     if not p.hermitian_pd:
         warnings.warn(
             "mass matrix not verified Hermitian positive definite; "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousMinimizer
-from .kernels import as_matrix, require_orthonormal, _right_singulars
+from .kernels import as_scalar, require_orthonormal, _right_singulars
 from .pencil import QuadraticPencil
 
 #: Relative gap under which the two smallest singular values are considered
@@ -46,16 +46,17 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
     Refining several values for one basis reuses the basis image that the
     pencil memoizes (``QuadraticPencil.image``), as does ``project``.
 
+    Raises:
+        ValueError: if ``mu`` is not finite.
+        DimensionMismatch, NotOrthonormal: from ``kernels.require_orthonormal(Q, p.n)``.
+
     Warns:
         AmbiguousMinimizer: when the two smallest singular values agree to
             ``GAP_TOL`` relative; the returned vector is then one arbitrary
             element of the minimizing subspace.
     """
-    Q = as_matrix(Q, "Q")
-    mu = complex(mu)
-    if not np.isfinite([mu.real, mu.imag]).all():
-        raise ValueError("mu must be finite")
-    require_orthonormal(Q)
+    mu = as_scalar(mu, "mu")
+    Q = require_orthonormal(Q, p.n)
     image = p.image(Q)
     s, V = _right_singulars(image.reduced(mu))
     m = Q.shape[1]

@@ -11,13 +11,12 @@ of the companion eigenvector for the same value.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 
 import numpy as np
 
 from .errors import EmptyList, IndefiniteMass
-from .kernels import _right_singulars, eig_standard, eigenvalues
+from .kernels import _right_singulars, as_scalar, eig_standard, eigenvalues
 from .pencil import Eigenpair, QuadraticPencil, companion_matrix
 
 #: ``solve_full`` refines at most this many values, one n x n SVD each; past
@@ -108,7 +107,7 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
             raise ValueError("count needs a target")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        target = _finite(target)
+        target = as_scalar(target, "target")
     if not p.hermitian_pd:
         warnings.warn(
             "mass matrix not verified Hermitian positive definite; "
@@ -131,14 +130,6 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     return nearest_first(_all_pairs(p, C), target)[:count]
 
 
-def _finite(target) -> complex:
-    """``target`` as a complex number; ``ValueError`` if it is not finite (no pair is nearest it)."""
-    target = complex(target)
-    if not cmath.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
-    return target
-
-
 def nearest_first(pairs: list, target: complex) -> list:
     """The pairs ordered by ``|value - target|``, nearest first.
 
@@ -149,7 +140,7 @@ def nearest_first(pairs: list, target: complex) -> list:
     Raises:
         ValueError: if ``target`` is not finite (no pair is nearest it).
     """
-    target = _finite(target)
+    target = as_scalar(target, "target")
     return sorted(pairs, key=lambda ep: (abs(ep.value - target), ep.residual_norm))
 
 

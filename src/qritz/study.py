@@ -17,7 +17,7 @@ import numpy as np
 
 from .builtin import example31_basis, example31_eigenvector, example31_pencil, EXACT_VALUE
 from .errors import QritzError
-from .kernels import as_vector
+from .kernels import as_direction
 from .pencil import QuadraticPencil
 from .solver import nearest_first, select_eigenpair, solve_full
 from .subspace import perturbed_subspace
@@ -154,13 +154,13 @@ def run_study(
     """One diagnostics row and verdict per epsilon; failures mark their row
     with NaN columns and the run continues.  The reference pair is admitted
     once, before the first row."""
-    ref_vector = as_vector(case.ref_vector, "ref_vector")
-    ref = reference(case.pencil, case.ref_value, ref_vector / np.linalg.norm(ref_vector))
+    x1 = as_direction(case.ref_vector, "ref_vector", case.pencil.n)
+    ref = reference(case.pencil, case.ref_value, x1)
     rows = []
     verdicts = []
     for i, eps in enumerate(eps_list):
         try:
-            Q = perturbed_subspace(ref_vector, case.companions, eps, row_seed(seed, i))
+            Q = perturbed_subspace(case.ref_vector, case.companions, eps, row_seed(seed, i))
             rep = full_diagnostics(ref, Q)
             row = row_from_report(eps, rep)
         except QritzError:

@@ -27,16 +27,16 @@ def perturbed_subspace(x1, companions, epsilon: float, seed: int) -> np.ndarray:
     unit phase, so ``x1`` lies in the span exactly.
 
     Raises:
+        DimensionMismatch: if ``companions`` and ``x1`` differ in row count.
         RankDeficient: if the perturbed block loses full column rank.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    x1 = as_vector(x1, "x1")
-    companions = as_matrix(companions, "companions") if np.size(companions) else None
-    if companions is not None:
-        base = np.column_stack([x1, companions])
+    if np.size(companions):
+        companions = as_matrix(companions, "companions")
+        base = np.column_stack([as_vector(x1, "x1", companions.shape[0]), companions])
     else:
-        base = x1.reshape(-1, 1)
+        base = as_vector(x1, "x1").reshape(-1, 1)
     rng = generator(seed)
     noise = rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape)
     return orthonormalize(base + epsilon * noise)

@@ -49,6 +49,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .kernels import (
+    as_direction,
     as_matrix,
     as_vector,
     largest_singular,
@@ -271,13 +272,13 @@ def perturbation_triple(
 
     Raises:
         ZeroEigenvalue: if ``lam1 == 0`` (the scaling divides by it).
+        DimensionMismatch, ZeroVector: from ``kernels.as_direction(x1, "x1", p.n)``.
         OrthogonalSubspace: if ``x1`` is numerically orthogonal to span{Q}.
     """
     lam1 = complex(lam1)
     if lam1 == 0:
         raise ZeroEigenvalue("the perturbation construction requires lam1 != 0")
-    x1 = as_vector(x1, "x1")
-    x1 = x1 / np.linalg.norm(x1)
+    x1 = as_direction(x1, "x1", p.n)
     q1 = pp.basis.conj().T @ x1
     cos = np.linalg.norm(q1)
     if cos <= 1e-14:
@@ -365,12 +366,13 @@ def stacked_angle_inequality_check(u, u_tilde) -> bool:
     Both stacked vectors must have unit-norm lower halves.
 
     Raises:
+        DimensionMismatch: if the two vectors differ in length.
         BadNorm: if a lower block is not unit length within 1e-12.
     """
     u = as_vector(u, "u")
-    ut = as_vector(u_tilde, "u_tilde")
-    if u.size != ut.size or u.size % 2:
-        raise ValueError("expected two stacked vectors of one even dimension")
+    ut = as_vector(u_tilde, "u_tilde", u.size)
+    if u.size % 2:
+        raise ValueError("expected stacked vectors of even dimension")
     n = u.size // 2
     u1, ut1 = u[n:], ut[n:]
     for blk in (u1, ut1):
@@ -387,14 +389,18 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
     The stacked form of the residual carries no extra factor for the raw
     (unnormalized) stacked vector; this identity is what ties refined
     extraction to the linearized residual.
+
+    Raises:
+        DimensionMismatch: if ``z`` does not fit the columns of ``Q``, or ``Q`` the pencil.
     """
     Q = as_matrix(Q, "Q")
-    z = as_vector(z, "z")
+    z = as_vector(z, "z", Q.shape[1])
     mu = complex(mu)
     qz = Q @ z
+    # qep_residual admits Q z against p before the companion product reads it.
+    _, rhs = qep_residual(p, mu, qz)
     w = np.concatenate([mu * qz, qz])
     lhs = float(np.linalg.norm(companion_operator(p, mu)[0](w)))
-    _, rhs = qep_residual(p, mu, qz)
     scale = max(1.0, p.residual_scale(mu))
     return bool(abs(lhs - rhs) <= 1e-12 * scale)
 
@@ -414,7 +420,6 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     Elsner bound each run through ``_stage``: a failed stage leaves the
     fields built from it None, and the other fields are still filled.
     """
-    Q = as_matrix(Q, "Q")
     p = ref.pencil
     lam1, x1 = ref.value, ref.vector
 

@@ -28,6 +28,12 @@ handler whose types name ``QritzError`` may sit only in ``theory._stage``
 marked failed) and ``cli.main`` (an exit code): elsewhere a handler would
 swallow a typed failure that none of them sees.
 
+A fifth scan finds shape faults refused in the wrong place.  ``raise
+DimensionMismatch`` and ``raise ZeroVector`` may appear only in
+``kernels.py``, which owns the admissions of bases, vectors and directions,
+and ``pencil.py``, which admits the pencil's own matrices: every other
+module takes its inputs through those admissions.
+
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.  Nor does
 ``qritz example31`` load ``numpy.random``, which numpy imports lazily and
@@ -310,6 +316,51 @@ def test_handler_scan_flags_a_stray_handler():
         "m.py:inner",
         "m.py:quiet",
     ]
+
+
+#: The modules that own the admissions, the only ones that raise their shape errors.
+ADMISSION_OWNERS = {"kernels.py", "pencil.py"}
+ADMISSION_ERRORS = {"DimensionMismatch", "ZeroVector"}
+
+
+def admission_raises(tree: ast.Module) -> list[int]:
+    """The line of each ``raise`` of an admission error, called or not, by name or attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name in ADMISSION_ERRORS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def stray_admission_raises(modules: dict[str, str], owners: set[str]) -> list[str]:
+    """``module:line`` for each admission error raised outside ``owners``."""
+    return [
+        f"{module}:{line}"
+        for module, source in sorted(modules.items())
+        if module not in owners
+        for line in admission_raises(ast.parse(source))
+    ]
+
+
+def test_shape_faults_are_raised_only_by_the_admissions():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert stray_admission_raises(modules, ADMISSION_OWNERS) == []
+
+
+def test_admission_scan_flags_a_stray_raise():
+    module = (
+        "from . import errors\nfrom .errors import DimensionMismatch, ZeroVector\n\n"
+        "def f(x):\n    if x:\n        raise DimensionMismatch('rows')\n"
+        "    raise errors.ZeroVector\n\n"
+        "def g():\n    raise ValueError('other errors are not admissions')\n"
+    )
+    owner = "def h():\n    raise ZeroVector('zero')\n"
+    modules = {"m.py": module, "kernels.py": owner}
+    assert stray_admission_raises(modules, {"kernels.py"}) == ["m.py:6", "m.py:7"]
+    assert stray_admission_raises(modules, {"kernels.py", "m.py"}) == []
 
 
 def test_import_loads_no_scipy():
