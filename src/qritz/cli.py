@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import os
 import sys
 
@@ -31,6 +30,7 @@ from .projection import project, ritz_pairs
 from .refined import refined_ritz
 from .solver import select_eigenpair, solve_full
 from .study import format_float
+from .subspace import as_epsilon
 from .theory import full_diagnostics, reference
 
 #: Reference eigenpairs are computed by full solve only up to this dimension.
@@ -72,10 +72,10 @@ def _parse_eps_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a float list: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("epsilon list is empty")
-    for v in values:
-        if not (math.isfinite(v) and v >= 0.0):
-            raise argparse.ArgumentTypeError(f"epsilon must be finite and >= 0, got {v!r}")
-    return values
+    try:
+        return [as_epsilon(v) for v in values]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _int_in(low: int, bits: int | None = None):

@@ -54,11 +54,14 @@ ITERATIVE_NORM_MIN = 512
 GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, name: str = "matrix", n: int | None = None) -> np.ndarray:
     """``a`` as a finite 2-D C-ordered ``complex128`` matrix, validating shape and entries.
 
-    No copy is made when ``a`` already is such an array: the result may be
-    ``a`` itself, so callers only read it, and one that keeps it copies it.
+    When ``n`` is given, this is the one row rule for a matrix that acts on
+    a pencil of dimension ``n``: ``DimensionMismatch`` unless ``a`` has
+    ``n`` rows.  No copy is made when ``a`` already is such an array: the
+    result may be ``a`` itself, so callers only read it, and one that keeps
+    it copies it.
     """
     m = np.asarray(a, dtype=np.complex128, order="C")
     if m.ndim != 2:
@@ -67,6 +70,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must have at least one row and column, got {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
+    if n is not None and m.shape[0] != n:
+        raise DimensionMismatch(f"{name} has {m.shape[0]} rows but the pencil has dimension {n}")
     return m
 
 
@@ -154,9 +159,7 @@ def require_orthonormal(Q, n: int | None = None) -> np.ndarray:
         DimensionMismatch: if ``n`` is given and ``Q`` does not have ``n`` rows.
         NotOrthonormal: if ``||Q^H Q - I|| > BASIS_TOL``.
     """
-    Q = as_matrix(Q, "Q")
-    if n is not None and Q.shape[0] != n:
-        raise DimensionMismatch(f"basis has {Q.shape[0]} rows but the pencil has dimension {n}")
+    Q = as_matrix(Q, "basis", n)
     defect = orthonormality_defect(Q)
     if defect > BASIS_TOL:
         raise NotOrthonormal(f"||Q^H Q - I|| = {defect:.3e} exceeds {BASIS_TOL:.1e}")
@@ -164,11 +167,13 @@ def require_orthonormal(Q, n: int | None = None) -> np.ndarray:
 
 
 def orthonormalize(V) -> np.ndarray:
-    """Orthonormal basis of span{V} via Householder QR.
+    """Orthonormal basis ``Q`` of span{V}: the Householder QR ``V = Q R``.
 
     Requires the columns of ``V`` to be numerically independent: every
-    singular value must clear ``RANK_TOL * ||V||``.  The result ``Q`` spans
-    the same column space and satisfies ``||Q^H Q - I|| <= ORTHO_TOL``.
+    singular value must clear ``RANK_TOL * ||V||``.  ``Q`` has orthonormal
+    columns, so those are the singular values of the k x k ``R``, and the
+    rank test reads them from ``R`` instead of the n x k ``V``.  The result
+    spans the same column space and satisfies ``||Q^H Q - I|| <= ORTHO_TOL``.
 
     Raises:
         RankDeficient: if the numerical rank is below the column count.
@@ -177,14 +182,14 @@ def orthonormalize(V) -> np.ndarray:
     n, k = V.shape
     if k > n:
         raise ValueError(f"cannot orthonormalize {k} columns in dimension {n}")
-    sv = np.linalg.svd(V, compute_uv=False)
+    Q, R = np.linalg.qr(V)
+    sv = np.linalg.svd(R, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
         rank = int(np.sum(sv >= RANK_TOL * sv[0])) if sv[0] else 0
         raise RankDeficient(
             f"numerical rank {rank} < {k} "
             f"(smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e})"
         )
-    Q, _ = np.linalg.qr(V)
     return Q
 
 

@@ -53,22 +53,24 @@ def _detect_hpd(M: np.ndarray, m0: float) -> bool:
 
 @dataclass(frozen=True)
 class BasisImage:
-    """The image ``W = [MQ, DQ, KQ]`` of an n x m basis ``Q`` and the R factor of ``W = U R``.
+    """What an n x m basis ``Q`` leaves of its image ``W = [MQ, DQ, KQ] = U R``.
 
-    Every residual in span{Q} is a product with ``W``:
-    ``P(lam) Q c = W [lam^2 c; lam c; c]``.  ``U`` has orthonormal columns, so
-    ``R [lam^2 I; lam I; I]`` (``R`` is ``k x 3m``, ``k = min(n, 3m)``) has the
-    singular values and right singular vectors of ``P(lam) Q``; ``U`` is
-    never formed.
+    ``projected`` is the m x 3m ``Q^H W = [Q^H M Q, Q^H D Q, Q^H K Q]`` and
+    ``R`` (``k x 3m``, ``k = min(n, 3m)``) the R factor of the reduced QR of
+    ``W``; neither ``W`` nor ``U`` is kept.  Every residual in span{Q} is
+    ``P(lam) Q c = W [lam^2 c; lam c; c] = U R [lam^2 c; lam c; c]``, and
+    ``U`` has orthonormal columns, so its norm is that of the 3m-row
+    ``R [lam^2 c; lam c; c]``, and ``R [lam^2 I; lam I; I]`` has the
+    singular values and right singular vectors of ``P(lam) Q``.
     """
 
     basis: np.ndarray
-    W: np.ndarray
+    projected: np.ndarray
     R: np.ndarray
 
     def residual_norm(self, lam: complex, c: np.ndarray) -> float:
-        """``||P(lam) Q c||``, computed as ``||W [lam^2 c; lam c; c]||``."""
-        return float(np.linalg.norm(self.W @ np.concatenate([lam * lam * c, lam * c, c])))
+        """``||P(lam) Q c||``, computed as ``||R [lam^2 c; lam c; c]||`` at O(m^2)."""
+        return float(np.linalg.norm(self.R @ np.concatenate([lam * lam * c, lam * c, c])))
 
     def reduced(self, lam: complex) -> np.ndarray:
         """``R [lam^2 I; lam I; I]``, which has the singular values of ``P(lam) Q``."""
@@ -144,16 +146,19 @@ class QuadraticPencil:
     def image(self, Q: np.ndarray) -> BasisImage:
         """The ``BasisImage`` of the n x m matrix ``Q``, memoized for the last basis.
 
-        The memo is keyed on exact equality with a private copy of ``Q``, so a
-        basis mutated in place or a different basis is recomputed.  A hit and
-        a miss return the same bits.  The memo is one attribute assigned
-        whole, so concurrent callers at worst recompute it.
+        The n x 3m image ``W`` lives only inside this call: the memo keeps the
+        m x 3m ``Q^H W`` and the R factor of ``W``, so nothing downstream
+        touches an n-row array but the lifts ``Q X`` and ``Q z``.  The memo
+        is keyed on exact equality with a private copy of ``Q``, so a basis
+        mutated in place or a different basis is recomputed.  A hit and a
+        miss return the same bits.  The memo is one attribute assigned whole,
+        so concurrent callers at worst recompute it.
         """
         memo = self._image
         if memo is not None and memo.basis.shape == Q.shape and np.array_equal(memo.basis, Q):
             return memo
         W = np.hstack([self.M @ Q, self.D @ Q, self.K @ Q])
-        memo = BasisImage(basis=Q.copy(), W=W, R=np.linalg.qr(W, mode="r"))
+        memo = BasisImage(basis=Q.copy(), projected=Q.conj().T @ W, R=np.linalg.qr(W, mode="r"))
         self._image = memo
         return memo
 

@@ -52,6 +52,9 @@ class RitzPair:
 def project(p: QuadraticPencil, Q) -> ProjectedPencil:
     """Project the pencil onto span{Q} for orthonormal ``Q``.
 
+    The projected triple is the m x 3m ``Q^H [MQ, DQ, KQ]`` that the pencil
+    memoizes with the basis image (``QuadraticPencil.image``), so a later
+    ``ritz_pairs`` or ``refined_ritz`` on the same basis reuses that image.
     A certified (``p.hermitian_pd``) mass projects to the Hermitian part of
     ``Q^H M Q``, which is exactly Hermitian in floating point and, as
     ``Q^H M Q`` is in exact arithmetic, positive definite.
@@ -69,8 +72,8 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
             IndefiniteMass,
             stacklevel=2,
         )
-    # One m x 3m product against the basis image: Q^H [MQ, DQ, KQ].
-    C = Q.conj().T @ p.image(Q).W
+    # The m x 3m Q^H [MQ, DQ, KQ], formed once per basis by the image memo.
+    C = p.image(Q).projected
     M = C[:, :m]
     if p.hermitian_pd:
         M = 0.5 * (M + M.conj().T)
@@ -83,7 +86,9 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
 
     The values and unit coefficient vectors are read from the 2m x 2m
     companion matrix of the projected pencil as ``solve_full`` reads them
-    (``solver._quadratic_vectors``), in the eigensolver's order.
+    (``solver._quadratic_vectors``), in the eigensolver's order.  The
+    residuals ``||P(mu) Q x||`` come from the image's R factor
+    (``BasisImage``), so the only n-row product is the lift ``Q X``.
 
     Raises:
         Singular: if the projected mass matrix is numerically singular by
@@ -92,11 +97,11 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
     """
     values, X = _quadratic_vectors(companion_matrix(pp.pencil), pp.pencil.n)
     # Each stage takes all 2m pairs at once: one lift Q X, one product with the
-    # basis image W for the residuals P(mu) Q x = W [mu^2 x; mu x; x], and one
-    # pairwise distance matrix for the flags.
+    # image's R factor for the residuals ||P(mu) Q x|| = ||R [mu^2 x; mu x; x]||,
+    # and one pairwise distance matrix for the flags.
     lifted = pp.basis @ X
-    W = p.image(pp.basis).W
-    residuals = np.linalg.norm(W @ np.concatenate([X * (values * values), X * values, X]), axis=0)
+    R = p.image(pp.basis).R
+    residuals = np.linalg.norm(R @ np.concatenate([X * (values * values), X * values, X]), axis=0)
     flags = clustered_flags(values, CLUSTER_TOL)
     return [
         RitzPair(

@@ -9,8 +9,10 @@ clustered Ritz values: it converges whenever the search space does.
 The tall matrix is never formed.  With the basis image ``W = [MQ, DQ, KQ] = U R``
 of ``pencil.BasisImage``, ``(mu^2 M + mu D + K) Q = U R [mu^2 I; mu I; I]`` and
 ``U`` has orthonormal columns, so the SVD of the small ``R [mu^2 I; mu I; I]``
-has the same singular values and right singular vectors.  The image costs
-O(n^2 m) once per basis; each value ``mu`` then costs O(m^3).
+has the same singular values and right singular vectors, and the residual of
+a coefficient vector ``z`` is ``||R [mu^2 z; mu z; z]||``.  The image costs
+O(n^2 m) once per basis; each value ``mu`` then costs O(m^3) in the small
+space plus the one n-row lift ``Q z``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
     """Residual-minimizing unit vector in span{Q} for the value ``mu``.
 
     Refining several values for one basis reuses the basis image that the
-    pencil memoizes (``QuadraticPencil.image``), as does ``project``.
+    pencil memoizes (``QuadraticPencil.image``), as does ``project``.  The
+    minimizer and its residual are read from the image's R factor alone.
 
     Raises:
         ValueError: if ``mu`` is not finite.

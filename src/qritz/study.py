@@ -17,10 +17,10 @@ import numpy as np
 
 from .builtin import example31_basis, example31_eigenvector, example31_pencil, EXACT_VALUE
 from .errors import QritzError
-from .kernels import as_direction
+from .kernels import as_direction, as_matrix
 from .pencil import QuadraticPencil
 from .solver import nearest_first, select_eigenpair, solve_full
-from .subspace import perturbed_subspace
+from .subspace import as_epsilon, perturbed_subspace
 from .theory import DiagnosticsReport, full_diagnostics, reference
 
 #: Ritz-vector stagnation factor: angle > RITZ_FACTOR * sin(theta1).
@@ -152,9 +152,15 @@ def run_study(
     case: StudyCase, eps_list: list[float], seed: int
 ) -> tuple[list[StudyRow], list[str]]:
     """One diagnostics row and verdict per epsilon; failures mark their row
-    with NaN columns and the run continues.  The reference pair is admitted
-    once, before the first row."""
-    x1 = as_direction(case.ref_vector, "ref_vector", case.pencil.n)
+    with NaN columns and the run continues.  The reference pair, the
+    companions (``p.n`` rows, finite entries) and every epsilon
+    (``subspace.as_epsilon``) are admitted once, before the first row, so a
+    bad input refuses the whole study instead of a row or the rows after it."""
+    n = case.pencil.n
+    x1 = as_direction(case.ref_vector, "ref_vector", n)
+    if np.size(case.companions):
+        as_matrix(case.companions, "companions", n)
+    eps_list = [as_epsilon(eps) for eps in eps_list]
     ref = reference(case.pencil, case.ref_value, x1)
     rows = []
     verdicts = []

@@ -8,6 +8,8 @@ algorithm).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .kernels import as_matrix, as_vector, orthonormalize
@@ -16,6 +18,14 @@ from .kernels import as_matrix, as_vector, orthonormalize
 def generator(seed: int) -> np.random.Generator:
     """The package-wide seeded source: Philox 4x64 keyed by ``seed``."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def as_epsilon(epsilon) -> float:
+    """The one admission of a perturbation size: ``epsilon`` as a finite float ``>= 0``."""
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    return epsilon
 
 
 def perturbed_subspace(x1, companions, epsilon: float, seed: int) -> np.ndarray:
@@ -27,11 +37,11 @@ def perturbed_subspace(x1, companions, epsilon: float, seed: int) -> np.ndarray:
     unit phase, so ``x1`` lies in the span exactly.
 
     Raises:
+        ValueError: if ``epsilon`` is negative or not finite (``as_epsilon``).
         DimensionMismatch: if ``companions`` and ``x1`` differ in row count.
         RankDeficient: if the perturbed block loses full column rank.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    epsilon = as_epsilon(epsilon)
     if np.size(companions):
         companions = as_matrix(companions, "companions")
         base = np.column_stack([as_vector(x1, "x1", companions.shape[0]), companions])

@@ -56,8 +56,8 @@ def zero(a):
     return np.zeros_like(a)
 
 
-def case(vector):
-    return StudyCase(pencil=P, ref_value=1.0, ref_vector=vector, companions=Q[:, 1:])
+def case(vector=X, companions=Q[:, 1:]):
+    return StudyCase(pencil=P, ref_value=1.0, ref_vector=vector, companions=companions)
 
 
 def ref():
@@ -96,6 +96,8 @@ CASES = [
     ("run_study-short-ref_vector", lambda: run_study(case(short(X)), [1e-3], 1), DimensionMismatch),
     ("run_study-zero-ref_vector", lambda: run_study(case(zero(X)), [1e-3], 1), ZeroVector),
     ("run_study-nan-ref_vector", lambda: run_study(case(nan(X)), [1e-3], 1), ValueError),
+    ("run_study-short-companions", lambda: run_study(case(companions=short(Q[:, 1:])), [1e-3], 1), DimensionMismatch),
+    ("run_study-nan-companions", lambda: run_study(case(companions=nan(Q[:, 1:])), [1e-3], 1), ValueError),
     ("identity_check-short-Q", lambda: refined_residual_identity_check(P, Q_SHORT, 0.5, Z), DimensionMismatch),
     ("identity_check-short-z", lambda: refined_residual_identity_check(P, Q, 0.5, short(Z)), DimensionMismatch),
     ("identity_check-nan-z", lambda: refined_residual_identity_check(P, Q, 0.5, nan(Z)), ValueError),

@@ -34,6 +34,12 @@ DimensionMismatch`` and ``raise ZeroVector`` may appear only in
 and ``pencil.py``, which admits the pencil's own matrices: every other
 module takes its inputs through those admissions.
 
+A sixth scan keeps per-value work in the small space.  ``projection.py``
+and ``refined.py`` may load no ``.M``, ``.D``, ``.K`` or ``.W`` attribute:
+after ``QuadraticPencil.image`` has formed the basis image, they read only
+its m x 3m ``projected`` block and its R factor, so no n-row matrix of the
+pencil reaches the work done for each Ritz value.
+
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.  Nor does
 ``qritz example31`` load ``numpy.random``, which numpy imports lazily and
@@ -361,6 +367,43 @@ def test_admission_scan_flags_a_stray_raise():
     modules = {"m.py": module, "kernels.py": owner}
     assert stray_admission_raises(modules, {"kernels.py"}) == ["m.py:6", "m.py:7"]
     assert stray_admission_raises(modules, {"kernels.py", "m.py"}) == []
+
+
+#: The modules of per-value work, and the n-row attributes they may not load.
+SMALL_SPACE_MODULES = {"projection.py", "refined.py"}
+N_ROW_ATTRIBUTES = {"M", "D", "K", "W"}
+
+
+def n_row_loads(modules: dict[str, str], scanned: set[str]) -> list[str]:
+    """``module:line: .attr`` for each n-row attribute a scanned module loads."""
+    found = []
+    for module, source in sorted(modules.items()):
+        if module in scanned:
+            loads = [
+                node
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and node.attr in N_ROW_ATTRIBUTES
+            ]
+            loads.sort(key=lambda node: (node.lineno, node.col_offset))
+            found += [f"{module}:{node.lineno}: .{node.attr}" for node in loads]
+    return found
+
+
+def test_per_value_work_reads_no_n_row_matrix():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert n_row_loads(modules, SMALL_SPACE_MODULES) == []
+
+
+def test_n_row_scan_flags_a_pencil_matrix():
+    module = (
+        "def f(p, image, pp):\n    M = image.projected[:, :2]\n    r = image.R @ M\n"
+        "    w = p.image(pp.basis).W\n    return p.D @ w + pp.pencil.K\n\n"
+        "def g(p):\n    p.M = None\n    return p.Mass\n"
+    )
+    modules = {"m.py": module, "other.py": "x = p.M\n"}
+    assert n_row_loads(modules, {"m.py"}) == ["m.py:4: .W", "m.py:5: .D", "m.py:5: .K"]
 
 
 def test_import_loads_no_scipy():

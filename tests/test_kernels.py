@@ -9,6 +9,7 @@ from qritz.errors import BadNorm, RankDeficient, Singular
 from qritz.kernels import (
     ITERATIVE_NORM_MIN,
     ORTHO_TOL,
+    RANK_TOL,
     clustered_flags,
     eig_standard,
     largest_singular,
@@ -49,6 +50,25 @@ class TestOrthonormalize:
         assert orthonormality_defect(Q) <= ORTHO_TOL
         # Same span as the input.
         assert spectral_norm(Q @ (Q.conj().T @ V) - V) <= 1e-13
+
+    @pytest.mark.parametrize("n,k", [(800, 12), (12, 12)])
+    def test_returns_the_householder_factor(self, n, k):
+        V = cnormal(rng(n + k), n, k)
+        assert np.array_equal(orthonormalize(V), np.linalg.qr(V)[0])
+
+    @pytest.mark.parametrize("n,k", [(800, 12), (12, 12)])
+    @pytest.mark.parametrize("ratio", [1e-11, 1e-13])
+    def test_rank_tol_decides_on_both_sides(self, n, k, ratio):
+        # Singular values from 1 down to ratio, a decade either side of RANK_TOL.
+        g = rng(17)
+        left, _ = np.linalg.qr(cnormal(g, n, k))
+        right, _ = np.linalg.qr(cnormal(g, k, k))
+        V = (left * np.logspace(0.0, np.log10(ratio), k)) @ right.conj().T
+        if ratio > RANK_TOL:
+            assert orthonormality_defect(orthonormalize(V)) <= ORTHO_TOL
+        else:
+            with pytest.raises(RankDeficient, match=f"^numerical rank {k - 1} < {k} "):
+                orthonormalize(V)
 
     def test_dependent_columns_rejected(self):
         V = np.array([[1.0, 1.0], [0.0, 1e-14], [0.0, 0.0]])

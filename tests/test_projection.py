@@ -180,17 +180,23 @@ class TestRitzPairs:
             assert abs(rp.residual_norm - want) <= 1e-14 * p.residual_scale(rp.value)
 
     def test_one_product_with_the_basis_image(self, g, monkeypatch):
-        # All 2m residuals come from one product with W = [MQ, DQ, KQ].  The
+        # All 2m residuals come from one product with the image's R factor,
+        # and the lift Q X is the only product with an n-row array: M, D and
+        # K are not touched again once project has formed the image.  The
         # values and coefficient vectors are read from the projected companion
         # matrix, without solve_full or any Eigenpair, with solve_full's bits.
-        products, solves, built = [], [], []
+        products = {"R": 0, "basis": 0, "pencil": 0}
+        solves, built = [], []
 
-        class CountedW(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    products.append(1)
-                plain = [np.asarray(x) if isinstance(x, CountedW) else x for x in inputs]
-                return getattr(ufunc, method)(*plain, **kwargs)
+        def counted(a, key):
+            class Counted(np.ndarray):
+                def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                    if ufunc is np.matmul:
+                        products[key] += 1
+                    plain = [np.asarray(x) if isinstance(x, Counted) else x for x in inputs]
+                    return getattr(ufunc, method)(*plain, **kwargs)
+
+            return a.view(Counted)
 
         def counting_solve(*args, **kwargs):
             solves.append(1)
@@ -213,10 +219,15 @@ class TestRitzPairs:
                 pp = project(p, Q)
                 assert pp.pencil.hermitian_pd == hpd
                 image = p.image(Q)
-                counted = BasisImage(basis=image.basis, W=image.W.view(CountedW), R=image.R)
-                monkeypatch.setattr(p, "image", lambda basis, counted=counted: counted)
-                cases.append((pp, ritz_pairs(pp, p)))
-            assert len(products) == 2
+                watched = BasisImage(
+                    basis=image.basis, projected=image.projected, R=counted(image.R, "R")
+                )
+                monkeypatch.setattr(p, "image", lambda basis, watched=watched: watched)
+                for name in ("M", "D", "K"):
+                    monkeypatch.setattr(p, name, counted(getattr(p, name), "pencil"))
+                lifted = ProjectedPencil(pencil=pp.pencil, basis=counted(pp.basis, "basis"))
+                cases.append((pp, ritz_pairs(lifted, p)))
+            assert products == {"R": 2, "basis": 2, "pencil": 0}
             assert not solves and not built
             monkeypatch.undo()
             for pp, pairs in cases:

@@ -141,6 +141,30 @@ class TestCompressedOracle:
             assert abs(rp.residual_norm - rn) <= 1e-13 * p.residual_scale(rp.value)
 
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-12])
+    def test_residuals_on_a_rank_deficient_image(self, epsilon):
+        # p = U diag(.) U^H, and Q spans (at epsilon 0) the common invariant
+        # subspace U[:, :m] of M, D and K, so W = [MQ, DQ, KQ] has rank m and
+        # the trailing diagonal of its R factor is rounding.
+        g = rng(900)
+        n, m = 60, 4
+        U = random_unitary(g, n)
+        a, b = cnormal(g, 2, n)
+        mass = g.uniform(1.0, 2.0, n)
+        Uh = U.conj().T
+        p = QuadraticPencil((U * mass) @ Uh, (U * (-mass * (a + b))) @ Uh, (U * (mass * a * b)) @ Uh)
+        Q = perturbed_subspace(U[:, 0], U[:, 1:m], epsilon, seed=3)
+        diagonal = np.abs(np.diag(p.image(Q).R))
+        assert diagonal[m:].max() <= 1e-10 * diagonal.max()
+        for rp in ritz_pairs(project(p, Q), p):
+            tol = 1e-13 * p.residual_scale(rp.value)
+            _, rn = qep_residual(p, rp.value, rp.vector)
+            assert abs(rp.residual_norm - rn) <= tol
+            rr = refined_ritz(p, Q, rp.value)
+            _, rn = qep_residual(p, rp.value, rr.vector)
+            assert abs(rr.residual_norm - rn) <= tol
+
+
 def _same(a, b):
     return (
         a.sigma_min == b.sigma_min

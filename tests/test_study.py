@@ -122,6 +122,21 @@ def test_failed_row_marks_nan():
     assert not math.isnan(rows[1].sin_theta)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+def test_bad_epsilon_refuses_the_study_before_any_row(bad, monkeypatch):
+    # The whole list is admitted first: a bad last epsilon costs no row.
+    rows = []
+
+    def counting(*args, _run=theory.full_diagnostics):
+        rows.append(1)
+        return _run(*args)
+
+    monkeypatch.setattr("qritz.study.full_diagnostics", counting)
+    with pytest.raises(ValueError, match=r"^epsilon must be finite and >= 0"):
+        run_study(builtin_case(), [1e-4, 1e-8, bad], seed=1)
+    assert rows == []
+
+
 def test_verdict_thresholds():
     base = dict.fromkeys(STUDY_COLUMNS, 0.0)
     base.update(epsilon=1e-6, sin_theta=1e-8)

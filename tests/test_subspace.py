@@ -57,3 +57,8 @@ class TestPerturbedSubspace:
         x = np.array([1.0, 0.0, 0.0])
         with pytest.raises(RankDeficient):
             perturbed_subspace(x, x.reshape(3, 1), 0.0, seed=1)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_bad_epsilon_is_refused_by_name(self, epsilon):
+        with pytest.raises(ValueError, match=r"^epsilon must be finite and >= 0, got "):
+            perturbed_subspace(X1, example31_basis()[:, 1:], epsilon, seed=1)
