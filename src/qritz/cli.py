@@ -299,6 +299,3 @@ def main(argv=None) -> int:
         print(f"qritz: invalid input: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
 
-
-if __name__ == "__main__":
-    sys.exit(main())

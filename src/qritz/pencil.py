@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import as_matrix, as_vector, require_unit, solve_linear, spectral_norm
+from .kernels import as_matrix, as_scalar, as_vector, require_unit, solve_linear, spectral_norm
 
 #: Relative tolerance for the Hermitian-positive-definite detection of M.
 HPD_TOL = 1e-12
@@ -178,10 +178,11 @@ class Eigenpair:
 def qep_residual(p: QuadraticPencil, lam: complex, x) -> tuple[np.ndarray, float]:
     """Residual ``(lam^2 M + lam D + K) x`` and its Euclidean norm.
 
-    ``x`` is used exactly as given (no renormalization).
+    ``x`` is used exactly as given (no renormalization); ``lam`` must be
+    finite (``kernels.as_scalar``).
     """
     x = as_vector(x, "x", p.n)
-    lam = complex(lam)
+    lam = as_scalar(lam, "lam")
     r = lam * (lam * (p.M @ x) + p.D @ x) + p.K @ x
     return r, float(np.linalg.norm(r))
 
@@ -252,7 +253,8 @@ def stack_vector(lam: complex, x) -> np.ndarray:
 
     Raises:
         BadNorm: if ``x`` is not unit length within tolerance.
+        ValueError: if ``lam`` is not finite.
     """
     x = require_unit(x, "x")
-    lam = complex(lam)
+    lam = as_scalar(lam, "lam")
     return np.concatenate([lam * x, x]) / np.sqrt(1.0 + abs(lam) ** 2)

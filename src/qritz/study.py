@@ -17,7 +17,7 @@ import numpy as np
 
 from .builtin import example31_basis, example31_eigenvector, example31_pencil, EXACT_VALUE
 from .errors import QritzError
-from .kernels import as_direction, as_matrix
+from .kernels import as_direction, as_matrix, as_scalar
 from .pencil import QuadraticPencil
 from .solver import nearest_first, select_eigenpair, solve_full
 from .subspace import as_epsilon, perturbed_subspace
@@ -119,7 +119,9 @@ def builtin_case() -> StudyCase:
 
 def case_from_pencil(p: QuadraticPencil, target: complex, dim: int) -> StudyCase:
     """Build a case from a pencil: reference pair nearest ``target`` plus
-    the eigenvectors of the next-nearest, directionally independent pairs."""
+    the eigenvectors of the next-nearest, directionally independent pairs.
+    ``target`` is admitted (``kernels.as_scalar``) before the full solve."""
+    target = as_scalar(target, "target")
     if not 1 <= dim <= p.n:
         raise ValueError(f"need 1 <= dim <= n, got dim={dim}, n={p.n}")
     pairs = solve_full(p)
@@ -156,12 +158,13 @@ def run_study(
     companions (``p.n`` rows, finite entries) and every epsilon
     (``subspace.as_epsilon``) are admitted once, before the first row, so a
     bad input refuses the whole study instead of a row or the rows after it."""
+    ref_value = as_scalar(case.ref_value, "ref_value")
     n = case.pencil.n
     x1 = as_direction(case.ref_vector, "ref_vector", n)
     if np.size(case.companions):
         as_matrix(case.companions, "companions", n)
     eps_list = [as_epsilon(eps) for eps in eps_list]
-    ref = reference(case.pencil, case.ref_value, x1)
+    ref = reference(case.pencil, ref_value, x1)
     rows = []
     verdicts = []
     for i, eps in enumerate(eps_list):

@@ -51,6 +51,7 @@ from .errors import (
 from .kernels import (
     as_direction,
     as_matrix,
+    as_scalar,
     as_vector,
     largest_singular,
     require_unit,
@@ -146,9 +147,10 @@ def reference(p: QuadraticPencil, value: complex, vector) -> Reference:
     A refused admission is stored in ``rejection``, not raised.
 
     Raises:
+        ValueError: if ``value`` is not finite.
         BadNorm: if ``vector`` is not unit (``kernels.require_unit``).
     """
-    lam1 = complex(value)
+    lam1 = as_scalar(value, "reference value")
     x1 = require_unit(vector, "reference vector")
     y1 = rejection = None
     try:
@@ -169,13 +171,14 @@ def deflate(p: QuadraticPencil, lam: complex, x) -> np.ndarray:
     y1)`` alone.
 
     Raises:
+        ValueError: if ``lam`` is not finite.
         BadNorm: if ``x`` is not unit (``kernels.require_unit``).
         NotAnEigenpair: if the backward error ``||P(lam) x|| /
             p.residual_scale(lam)`` exceeds ``EIGPAIR_TOL``.
         ZeroBv: if ``||B v|| <= 1e-14 ||B||``, with ``||B|| = max(||M||, 1)``
             (no left vector available).
     """
-    lam = complex(lam)
+    lam = as_scalar(lam, "lam")
     v = stack_vector(lam, x)
     _, residual = qep_residual(p, lam, x)
     scale = p.residual_scale(lam)
@@ -214,13 +217,14 @@ def sep(ref: Reference, mu: complex) -> float:
     means ``mu`` is an eigenvalue of ``(L, N)``: the separation is 0.0.
 
     Raises:
+        ValueError: if ``mu`` is not finite.
         NotAnEigenpair, ZeroBv: the ``rejection`` of a reference that was not admitted.
     """
+    mu = as_scalar(mu, "mu")
     if ref.rejection is not None:
         raise ref.rejection
     p = ref.pencil
     n = p.n
-    mu = complex(mu)
     mu_h = mu.conjugate()
     c = 1.0 / (1.0 + abs(mu) ** 2)
     v = stack_vector(ref.value, ref.vector)
@@ -271,11 +275,12 @@ def perturbation_triple(
     scales ``norm_bounds``.
 
     Raises:
+        ValueError: if ``lam1`` is not finite.
         ZeroEigenvalue: if ``lam1 == 0`` (the scaling divides by it).
         DimensionMismatch, ZeroVector: from ``kernels.as_direction(x1, "x1", p.n)``.
         OrthogonalSubspace: if ``x1`` is numerically orthogonal to span{Q}.
     """
-    lam1 = complex(lam1)
+    lam1 = as_scalar(lam1, "lam1")
     if lam1 == 0:
         raise ZeroEigenvalue("the perturbation construction requires lam1 != 0")
     x1 = as_direction(x1, "x1", p.n)
@@ -392,10 +397,11 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
 
     Raises:
         DimensionMismatch: if ``z`` does not fit the columns of ``Q``, or ``Q`` the pencil.
+        ValueError: if ``mu`` is not finite.
     """
     Q = as_matrix(Q, "Q")
     z = as_vector(z, "z", Q.shape[1])
-    mu = complex(mu)
+    mu = as_scalar(mu, "mu")
     qz = Q @ z
     # qep_residual admits Q z against p before the companion product reads it.
     _, rhs = qep_residual(p, mu, qz)

@@ -1,10 +1,10 @@
-"""Every public entry point that takes a basis or a direction refuses a bad
-one with a typed error, through the admissions of ``kernels``.
+"""Every public entry point that takes a basis, a direction or a scalar
+refuses a bad one with a typed error, through the admissions of ``kernels``.
 
 A basis of the wrong height or a vector of the wrong length is a
 ``DimensionMismatch``, a zero direction a ``ZeroVector``, and a non-finite
-entry a ``ValueError`` that names it; none of them reaches numpy as a bare
-shape or arithmetic error.
+entry or scalar a ``ValueError`` that names it; none of them reaches numpy
+as a bare shape or arithmetic error.
 """
 
 import warnings
@@ -15,15 +15,19 @@ import pytest
 from conftest import cnormal, random_pencil, random_unitary, rng
 from qritz.angles import stacked_subspace_angle, subspace_angle, vector_angle
 from qritz.errors import DimensionMismatch, ZeroVector
+from qritz.pencil import qep_residual, stack_vector
 from qritz.projection import project
 from qritz.refined import refined_ritz
+from qritz.solver import solve_full
 from qritz.study import StudyCase, run_study
 from qritz.subspace import perturbed_subspace
 from qritz.theory import (
+    deflate,
     full_diagnostics,
     perturbation_triple,
     reference,
     refined_residual_identity_check,
+    sep,
     stacked_angle_inequality_check,
 )
 
@@ -35,7 +39,9 @@ Q = random_unitary(G, N)[:, :2]
 X = Q[:, 0] + 1e-3 * cnormal(G, N)
 PP = project(P, Q)
 THETA = subspace_angle(Q, X)
+X_UNIT = X / np.linalg.norm(X)
 Z = np.ones(2)
+NAN = complex(np.nan, 0.0)
 #: An orthonormal basis one row short of the pencil's dimension.
 Q_SHORT = random_unitary(G, N - 1)[:, :2]
 
@@ -61,7 +67,15 @@ def case(vector=X, companions=Q[:, 1:]):
 
 
 def ref():
-    return reference(P, 1.0, X / np.linalg.norm(X))
+    return reference(P, 1.0, X_UNIT)
+
+
+def admitted():
+    """The reference of an eigenpair of ``P``, which ``deflate`` admits."""
+    pair = solve_full(P)[0]
+    r = reference(P, pair.value, pair.vector)
+    assert r.rejection is None
+    return r
 
 
 #: (entry point and bad input, call, expected error)
@@ -102,6 +116,14 @@ CASES = [
     ("identity_check-short-z", lambda: refined_residual_identity_check(P, Q, 0.5, short(Z)), DimensionMismatch),
     ("identity_check-nan-z", lambda: refined_residual_identity_check(P, Q, 0.5, nan(Z)), ValueError),
     ("inequality_check-short-u_tilde", lambda: stacked_angle_inequality_check(Z, short(Z)), DimensionMismatch),
+    ("qep_residual-nan-lam", lambda: qep_residual(P, NAN, X), ValueError),
+    ("stack_vector-nan-lam", lambda: stack_vector(NAN, X_UNIT), ValueError),
+    ("stacked_subspace_angle-nan-lam", lambda: stacked_subspace_angle(Q, NAN, X), ValueError),
+    ("reference-nan-value", lambda: reference(P, NAN, X_UNIT), ValueError),
+    ("deflate-nan-lam", lambda: deflate(P, NAN, X_UNIT), ValueError),
+    ("sep-nan-mu", lambda: sep(admitted(), NAN), ValueError),
+    ("perturbation_triple-nan-lam1", lambda: perturbation_triple(P, PP, NAN, X, THETA), ValueError),
+    ("identity_check-nan-mu", lambda: refined_residual_identity_check(P, Q, NAN, Z), ValueError),
 ]
 
 #: Each ValueError row's message names the refused value, so no numpy error passes for it.

@@ -12,8 +12,8 @@ assigned name at the top level of ``src/qritz/*.py`` (dunders aside) is read
 when some file under ``src/``, ``tests/`` or ``bench/`` loads it as a name or
 as an attribute of a name bound by an import of the package (``kernels.ORTHO_TOL``
 after ``from qritz import kernels``).  Importing it does not count, so a name
-kept only by a re-export or a test import is reported, and neither does an
-attribute of another module: ``np.linalg.svd`` does not read a package ``svd``.
+kept only by a test import is reported, and neither does an attribute of
+another module: ``np.linalg.svd`` does not read a package ``svd``.
 
 A third scan finds dataclass fields nothing reads.  A field of a top-level
 ``@dataclass`` in ``src/qritz/*.py`` is read when some file under ``src/``,
@@ -39,6 +39,10 @@ and ``refined.py`` may load no ``.M``, ``.D``, ``.K`` or ``.W`` attribute:
 after ``QuadraticPencil.image`` has formed the basis image, they read only
 its m x 3m ``projected`` block and its R factor, so no n-row matrix of the
 pencil reaches the work done for each Ritz value.
+
+A seventh scan keeps the package root empty.  ``src/qritz/__init__.py`` holds
+no ``import`` or ``from ... import`` statement: the modules are the API, and
+every reader imports from the one module that defines a name.
 
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.  Nor does
@@ -404,6 +408,25 @@ def test_n_row_scan_flags_a_pencil_matrix():
     )
     modules = {"m.py": module, "other.py": "x = p.M\n"}
     assert n_row_loads(modules, {"m.py"}) == ["m.py:4: .W", "m.py:5: .D", "m.py:5: .K"]
+
+
+def import_lines(source: str) -> list[int]:
+    """The line of each ``import`` or ``from ... import`` statement, at any depth."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_package_root_imports_nothing():
+    assert import_lines((ROOT / "src" / "qritz" / "__init__.py").read_text(encoding="utf-8")) == []
+
+
+def test_import_scan_flags_a_re_export():
+    source = '"""Doc."""\n\nfrom .pencil import QuadraticPencil\n\ndef f():\n    import os\n'
+    assert import_lines(source) == [3, 6]
+    assert import_lines('"""Doc."""\n') == []
 
 
 def test_import_loads_no_scipy():

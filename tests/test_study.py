@@ -137,6 +137,24 @@ def test_bad_epsilon_refuses_the_study_before_any_row(bad, monkeypatch):
     assert rows == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+def test_bad_ref_value_refuses_the_study_by_name(bad):
+    # Admitted before any row, so the refusal names the case's value and
+    # not the target of row 0's Ritz selection.
+    case = dataclasses.replace(builtin_case(), ref_value=bad)
+    with pytest.raises(ValueError, match=r"^ref_value must be finite"):
+        run_study(case, [1e-4], seed=1)
+
+
+def test_bad_target_is_refused_before_the_full_solve(g, monkeypatch):
+    def refuse(p):
+        raise AssertionError("solve_full ran before target was admitted")
+
+    monkeypatch.setattr("qritz.study.solve_full", refuse)
+    with pytest.raises(ValueError, match=r"^target must be finite"):
+        case_from_pencil(random_pencil(g, 5), math.nan, dim=2)
+
+
 def test_verdict_thresholds():
     base = dict.fromkeys(STUDY_COLUMNS, 0.0)
     base.update(epsilon=1e-6, sin_theta=1e-8)
