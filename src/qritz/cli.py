@@ -11,7 +11,9 @@ Options fall back to ``QRITZ_<NAME>`` environment variables (flags beat the
 environment, the environment beats built-in defaults).  A fallback is kept
 as text and converted by the option's own type only when its subcommand
 runs, so a malformed or out-of-range value, from a flag or from
-``QRITZ_<NAME>``, is a usage error (exit 1) that names the option.  All
+``QRITZ_<NAME>``, is a usage error (exit 1) that names the option.  Every
+usage error prints its parser's usage line and ``qritz <command>: error: ...``
+to stderr, and ``main`` returns the exit code: only ``--help`` exits.  All
 output is deterministic for fixed inputs and seeds.
 """
 
@@ -43,12 +45,15 @@ IO_EXIT = 3
 DEFAULT_EPS_LIST = "1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8,1e-9,1e-10,1e-11,1e-12"
 
 
+class _UsageError(Exception):
+    """A usage error, formatted with the usage line of the parser that found it."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; this CLI reserves 2 for
-    # numerical failures.
+    # numerical failures, and main returns its exit code instead of exiting.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _env(name: str, fallback):
@@ -92,10 +97,6 @@ def _int_in(low: int, bits: int | None = None):
         return value
 
     return parse
-
-
-#: A study's row key ``(seed << 32) + i`` must fit the 128-bit Philox key.
-SEED_BITS = 96
 
 
 def fmt_complex(z: complex) -> str:
@@ -180,29 +181,25 @@ def _opt_complex(z) -> str:
 
 
 def _cmd_study(args) -> int:
+    error = args.parser.error
     if args.builtin is not None:
         if args.M or args.D or args.K:
-            print("study: give --builtin or three matrix files, not both", file=sys.stderr)
-            return USAGE_EXIT
+            error("give --builtin or three matrix files, not both")
         if args.builtin != builtin.BUILTIN_NAME:
-            print(f"study: unknown builtin {args.builtin!r}", file=sys.stderr)
-            return USAGE_EXIT
+            error(f"unknown builtin {args.builtin!r}")
         for option, value in (("--dim", args.dim), ("--target", args.target)):
             if value is not None:
-                print(f"study: {option} applies to matrix files, not to --builtin", file=sys.stderr)
-                return USAGE_EXIT
+                error(f"{option} applies to matrix files, not to --builtin")
         case = study.builtin_case()
         label = args.builtin
     else:
         if not (args.M and args.D and args.K):
-            print("study: need either --builtin or three matrix files", file=sys.stderr)
-            return USAGE_EXIT
+            error("need either --builtin or three matrix files")
         dim = 2 if args.dim is None else args.dim
         target = 0j if args.target is None else args.target
         p = _load_pencil(args.M, args.D, args.K)
         if dim > p.n:
-            print(f"study: --dim {dim} exceeds the pencil size n={p.n}", file=sys.stderr)
-            return USAGE_EXIT
+            error(f"--dim {dim} exceeds the pencil size n={p.n}")
         case = study.case_from_pencil(p, target, dim)
         label = "files"
     rows, verdicts = study.run_study(case, args.eps_list, args.seed)
@@ -270,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("K", nargs="?")
     pt.add_argument("--builtin", default=_env("BUILTIN", None), help="named built-in problem")
     pt.add_argument("--eps-list", type=_parse_eps_list, default=_env("EPS_LIST", DEFAULT_EPS_LIST))
-    pt.add_argument("--seed", type=_int_in(0, SEED_BITS), default=_env("SEED", "1"))
+    pt.add_argument("--seed", type=_int_in(0, study.SEED_BITS), default=_env("SEED", "1"))
     pt.add_argument("--out", default=_env("OUT", "study.csv"))
     # No default: a built-in fixes its reference and basis, so _cmd_study
     # refuses either with --builtin; matrix files take 0 and 2.
     pt.add_argument("--target", type=_parse_complex, default=_env("TARGET", None))
     pt.add_argument("--dim", type=_int_in(1), default=_env("DIM", None), help="subspace dimension")
-    pt.set_defaults(fn=_cmd_study)
+    pt.set_defaults(fn=_cmd_study, parser=pt)
 
     pe = sub.add_parser("example31", help="golden checks of the built-in problem")
     pe.set_defaults(fn=_cmd_example31)
@@ -285,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except _UsageError as exc:
+        print(exc, end="", file=sys.stderr)
+        return USAGE_EXIT
     except (IoFailure, OSError) as exc:
         print(f"qritz: i/o failure: {exc}", file=sys.stderr)
         return IO_EXIT

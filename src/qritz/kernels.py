@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -110,6 +111,17 @@ def as_scalar(z, name: str) -> complex:
     if not cmath.isfinite(z):
         raise ValueError(f"{name} must be finite, got {z}")
     return z
+
+
+def as_integer(k, name: str, low: int, high: int) -> int:
+    """``k`` as an int in ``[low, high)``; ``ValueError`` naming ``name`` otherwise."""
+    try:
+        value = operator.index(k)
+    except TypeError:
+        value = None
+    if value is None or not low <= value < high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {k!r}")
+    return value
 
 
 def require_unit(v, name: str) -> np.ndarray:
@@ -262,7 +274,7 @@ def svd(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, s, Vh.conj().T
 
 
-def _right_singulars(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def right_singulars(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values (descending) and matching right singular vectors of ``G``."""
     try:
         _, s, Vh = np.linalg.svd(G, full_matrices=False)

@@ -9,8 +9,9 @@ linearization is the 2n x 2n pair
 whose eigenpairs ``(lam, [lam*x; x])`` encode the quadratic eigenpairs
 ``(lam, x)``.  This module is the only place that builds it:
 ``companion_matrix`` returns the matrix ``B^{-1} A``, ``companion_operator``
-the products with ``A - mu B`` without forming it, and ``linearize`` the
-dense pair itself, which no pipeline path needs (it serves dense checks).
+the products with ``A - mu B`` without forming it, ``linearize`` the dense
+pair itself, which no pipeline path needs (it serves dense checks), and
+``quadratic_vectors`` reads the companion eigenpairs back as ``(lam, x)``.
 The pencil keeps one memo, the ``BasisImage`` of its last basis, and two
 norms taken on first read, ``d0`` and ``k0``; every other type here is an
 immutable value object.
@@ -24,7 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import as_matrix, as_scalar, as_vector, require_unit, solve_linear, spectral_norm
+from .kernels import (
+    as_matrix, as_scalar, as_vector, eig_standard, require_unit, solve_linear, spectral_norm
+)
 
 #: Relative tolerance for the Hermitian-positive-definite detection of M.
 HPD_TOL = 1e-12
@@ -246,6 +249,22 @@ def companion_matrix(p: QuadraticPencil) -> np.ndarray:
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     return np.block([[top], [eye, zero]])
+
+
+def quadratic_vectors(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n eigenvalues of the companion matrix ``C`` and, as columns, their unit x.
+
+    The 2n x 2n eigenvectors are released on return, before the caller
+    forms the residuals, which keeps the peak memory of the solve down.
+    """
+    pairs = eig_standard(C)
+    lams = np.array([lam for lam, _ in pairs])
+    V = np.column_stack([v for _, v in pairs])
+    # The least-squares x of [lam x; x] ~ v is proportional to conj(lam) v_t + v_b.
+    X = V[:n] * lams.conj()
+    X += V[n:]
+    X /= np.linalg.norm(X, axis=0)
+    return lams, X
 
 
 def stack_vector(lam: complex, x) -> np.ndarray:

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import IndefiniteMass
 from .kernels import clustered_flags, require_orthonormal
-from .pencil import QuadraticPencil, companion_matrix
-from .solver import _quadratic_vectors
+from .pencil import QuadraticPencil, companion_matrix, quadratic_vectors
 
 #: Ritz values closer than this (relative to max |mu|) are flagged clustered:
 #: the associated coefficient vectors are ill-posed and essentially arbitrary.
@@ -86,7 +85,7 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
 
     The values and unit coefficient vectors are read from the 2m x 2m
     companion matrix of the projected pencil as ``solve_full`` reads them
-    (``solver._quadratic_vectors``), in the eigensolver's order.  The
+    (``pencil.quadratic_vectors``), in the eigensolver's order.  The
     residuals ``||P(mu) Q x||`` come from the image's R factor
     (``BasisImage``), so the only n-row product is the lift ``Q X``.
 
@@ -95,7 +94,7 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
             ``kernels.solve_linear``'s rule, the one the full solve and
             ``theory.elsner_bound`` apply.
     """
-    values, X = _quadratic_vectors(companion_matrix(pp.pencil), pp.pencil.n)
+    values, X = quadratic_vectors(companion_matrix(pp.pencil), pp.pencil.n)
     # Each stage takes all 2m pairs at once: one lift Q X, one product with the
     # image's R factor for the residuals ||P(mu) Q x|| = ||R [mu^2 x; mu x; x]||,
     # and one pairwise distance matrix for the flags.

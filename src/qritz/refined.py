@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousMinimizer
-from .kernels import as_scalar, require_orthonormal, _right_singulars
+from .kernels import as_scalar, require_orthonormal, right_singulars
 from .pencil import QuadraticPencil
 
 #: Relative gap under which the two smallest singular values are considered
@@ -61,7 +61,7 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
     mu = as_scalar(mu, "mu")
     Q = require_orthonormal(Q, p.n)
     image = p.image(Q)
-    s, V = _right_singulars(image.reduced(mu))
+    s, V = right_singulars(image.reduced(mu))
     m = Q.shape[1]
     if m >= 2 and s[-2] - s[-1] <= GAP_TOL * s[0]:
         warnings.warn(

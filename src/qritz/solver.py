@@ -16,8 +16,8 @@ import warnings
 import numpy as np
 
 from .errors import EmptyList, IndefiniteMass
-from .kernels import _right_singulars, as_scalar, eig_standard, eigenvalues
-from .pencil import Eigenpair, QuadraticPencil, companion_matrix
+from .kernels import as_scalar, eigenvalues, right_singulars
+from .pencil import Eigenpair, QuadraticPencil, companion_matrix, quadratic_vectors
 
 #: ``solve_full`` refines at most this many values, one n x n SVD each; past
 #: this, the companion eigenvectors of all 2n pairs cost less (measured at
@@ -25,57 +25,36 @@ from .pencil import Eigenpair, QuadraticPencil, companion_matrix
 REFINED_MAX = 5
 
 
-def _quadratic_vectors(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2n eigenvalues of the companion matrix ``C`` and, as columns, their unit x.
-
-    The 2n x 2n eigenvectors are released on return, before ``_all_pairs``
-    forms the residuals, which keeps the peak memory of the solve down.
-    """
-    pairs = eig_standard(C)
-    lams = np.array([lam for lam, _ in pairs])
-    V = np.column_stack([v for _, v in pairs])
-    # The least-squares x of [lam x; x] ~ v is proportional to conj(lam) v_t + v_b.
-    X = V[:n] * lams.conj()
-    X += V[n:]
-    X /= np.linalg.norm(X, axis=0)
-    return lams, X
-
-
-def _all_pairs(p: QuadraticPencil, C: np.ndarray) -> list[Eigenpair]:
-    """Every eigenpair of the companion matrix ``C``, read back as a quadratic pair."""
-    lams, X = _quadratic_vectors(C, p.n)
-    # Horner in place: the residuals P(lam) x of all 2n pairs, one n x 2n buffer.
+def _pairs(p: QuadraticPencil, values: np.ndarray, X: np.ndarray) -> list[Eigenpair]:
+    """The pairs ``(values[i], X[:, i])`` with their residual norms ``||P(lam) x||``."""
+    # Horner in place: the residuals P(lam) x of all k pairs, one n x k buffer.
     R = p.M @ X
-    R *= lams
+    R *= values
     R += p.D @ X
-    R *= lams
+    R *= values
     R += p.K @ X
     residuals = np.linalg.norm(R, axis=0)
     return [
-        Eigenpair(value=complex(lams[i]), vector=X[:, i], residual_norm=float(residuals[i]))
-        for i in range(lams.size)
+        Eigenpair(value=complex(values[i]), vector=X[:, i], residual_norm=float(residuals[i]))
+        for i in range(values.size)
     ]
 
 
-def _refined_pairs(p: QuadraticPencil, values: list[complex]) -> list[Eigenpair]:
-    """The pairs of ``values`` with the unit minimizers of ``||P(lam) x||``.
+def _refined_vectors(p: QuadraticPencil, values: list[complex]) -> np.ndarray:
+    """As columns, the unit minimizers of ``||P(lam) x||`` for each of ``values``.
 
     Values that compare equal share one SVD; the j-th copy takes the j-th
     smallest right singular vector, so a repeated semisimple value keeps
     independent vectors.
     """
-    out = []
-    seen: dict[complex, tuple[np.ndarray, np.ndarray]] = {}
-    for lam in values:
+    X = np.empty((p.n, len(values)), dtype=np.complex128)
+    seen: dict[complex, np.ndarray] = {}
+    for j, lam in enumerate(values):
         if lam not in seen:
-            G = p.evaluate(lam)
-            seen[lam] = (G, _right_singulars(G)[1])
-        G, V = seen[lam]
-        copies = sum(1 for ep in out if ep.value == lam)
-        x = V[:, -1 - min(copies, p.n - 1)]
-        x = x / np.linalg.norm(x)
-        out.append(Eigenpair(value=lam, vector=x, residual_norm=float(np.linalg.norm(G @ x))))
-    return out
+            seen[lam] = right_singulars(p.evaluate(lam))[1]
+        x = seen[lam][:, -1 - min(values[:j].count(lam), p.n - 1)]
+        X[:, j] = x / np.linalg.norm(x)
+    return X
 
 
 def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> list[Eigenpair]:
@@ -99,15 +78,16 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
         NoConvergence: from the underlying eigensolver or SVD.
-        ValueError: if ``count`` is below 1, or given without ``target``,
-            or if ``target`` is not finite; each is refused before any solve.
+        ValueError: if ``target`` is not finite, if only one of ``target``
+            and ``count`` is given, or if ``count`` is below 1; each is
+            refused before any solve.
     """
-    if count is not None:
-        if target is None:
-            raise ValueError("count needs a target")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+    if target is not None:
         target = as_scalar(target, "target")
+    if (target is None) != (count is None):
+        raise ValueError("target and count are given together or not at all")
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if not p.hermitian_pd:
         warnings.warn(
             "mass matrix not verified Hermitian positive definite; "
@@ -117,7 +97,7 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
         )
     C = companion_matrix(p)
     if count is None:
-        return _all_pairs(p, C)
+        return _pairs(p, *quadratic_vectors(C, p.n))
     if count <= REFINED_MAX:
         values = [complex(lam) for lam in eigenvalues(C)]
         # The distances of nearest_first: numpy's complex abs can differ in
@@ -126,8 +106,9 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
         radius = sorted(dist)[min(count, len(values)) - 1]
         candidates = [lam for lam, d in zip(values, dist) if d <= radius]
         if len(candidates) <= REFINED_MAX:
-            return nearest_first(_refined_pairs(p, candidates), target)[:count]
-    return nearest_first(_all_pairs(p, C), target)[:count]
+            pairs = _pairs(p, np.array(candidates), _refined_vectors(p, candidates))
+            return nearest_first(pairs, target)[:count]
+    return nearest_first(_pairs(p, *quadratic_vectors(C, p.n)), target)[:count]
 
 
 def nearest_first(pairs: list, target: complex) -> list:

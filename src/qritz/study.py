@@ -17,7 +17,7 @@ import numpy as np
 
 from .builtin import example31_basis, example31_eigenvector, example31_pencil, EXACT_VALUE
 from .errors import QritzError
-from .kernels import as_direction, as_matrix, as_scalar
+from .kernels import as_direction, as_integer, as_matrix, as_scalar
 from .pencil import QuadraticPencil
 from .solver import nearest_first, select_eigenpair, solve_full
 from .subspace import as_epsilon, perturbed_subspace
@@ -92,6 +92,10 @@ def verdict(row: StudyRow) -> str:
     return f"{ritz} {refined}"
 
 
+#: A study's row key ``(seed << 32) + i`` must fit the 128-bit Philox key.
+SEED_BITS = 96
+
+
 def row_seed(seed: int, index: int) -> int:
     """Per-row Philox key: high word the study seed, low word the row index."""
     return (int(seed) << 32) + index
@@ -120,10 +124,10 @@ def builtin_case() -> StudyCase:
 def case_from_pencil(p: QuadraticPencil, target: complex, dim: int) -> StudyCase:
     """Build a case from a pencil: reference pair nearest ``target`` plus
     the eigenvectors of the next-nearest, directionally independent pairs.
-    ``target`` is admitted (``kernels.as_scalar``) before the full solve."""
+    ``target`` and ``dim``, an integer in ``[1, n]``, are admitted before the
+    full solve."""
     target = as_scalar(target, "target")
-    if not 1 <= dim <= p.n:
-        raise ValueError(f"need 1 <= dim <= n, got dim={dim}, n={p.n}")
+    dim = as_integer(dim, "dim", 1, p.n + 1)
     pairs = solve_full(p)
     ref = select_eigenpair(pairs, target)
     chosen = [ref.vector]
@@ -155,10 +159,12 @@ def run_study(
 ) -> tuple[list[StudyRow], list[str]]:
     """One diagnostics row and verdict per epsilon; failures mark their row
     with NaN columns and the run continues.  The reference pair, the
-    companions (``p.n`` rows, finite entries) and every epsilon
-    (``subspace.as_epsilon``) are admitted once, before the first row, so a
+    companions (``p.n`` rows, finite entries), every epsilon
+    (``subspace.as_epsilon``) and the seed, an integer in
+    ``[0, 2**SEED_BITS)``, are admitted once, before the first row, so a
     bad input refuses the whole study instead of a row or the rows after it."""
     ref_value = as_scalar(case.ref_value, "ref_value")
+    seed = as_integer(seed, "seed", 0, 2**SEED_BITS)
     n = case.pencil.n
     x1 = as_direction(case.ref_vector, "ref_vector", n)
     if np.size(case.companions):

@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 
-from .kernels import as_matrix, as_vector, orthonormalize
+from .kernels import as_integer, as_matrix, as_vector, orthonormalize
 
 
 def generator(seed: int) -> np.random.Generator:
-    """The package-wide seeded source: Philox 4x64 keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """The package-wide seeded source: Philox 4x64 keyed by ``seed`` in ``[0, 2**128)``."""
+    return np.random.Generator(np.random.Philox(key=as_integer(seed, "seed", 0, 2**128)))
 
 
 def as_epsilon(epsilon) -> float:
@@ -37,7 +37,8 @@ def perturbed_subspace(x1, companions, epsilon: float, seed: int) -> np.ndarray:
     unit phase, so ``x1`` lies in the span exactly.
 
     Raises:
-        ValueError: if ``epsilon`` is negative or not finite (``as_epsilon``).
+        ValueError: if ``epsilon`` is negative or not finite (``as_epsilon``),
+            or ``seed`` is not an integer in ``[0, 2**128)`` (``generator``).
         DimensionMismatch: if ``companions`` and ``x1`` differ in row count.
         RankDeficient: if the perturbed block loses full column rank.
     """

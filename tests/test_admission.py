@@ -19,7 +19,7 @@ from qritz.pencil import qep_residual, stack_vector
 from qritz.projection import project
 from qritz.refined import refined_ritz
 from qritz.solver import solve_full
-from qritz.study import StudyCase, run_study
+from qritz.study import StudyCase, case_from_pencil, run_study
 from qritz.subspace import perturbed_subspace
 from qritz.theory import (
     deflate,
@@ -124,10 +124,17 @@ CASES = [
     ("sep-nan-mu", lambda: sep(admitted(), NAN), ValueError),
     ("perturbation_triple-nan-lam1", lambda: perturbation_triple(P, PP, NAN, X, THETA), ValueError),
     ("identity_check-nan-mu", lambda: refined_residual_identity_check(P, Q, NAN, Z), ValueError),
+    ("run_study-negative-seed", lambda: run_study(case(), [1e-3], -1), ValueError),
+    ("run_study-wide-seed", lambda: run_study(case(), [1e-3], 2**96), ValueError),
+    ("run_study-float-seed", lambda: run_study(case(), [1e-3], 1.5), ValueError),
+    ("perturbed_subspace-float-seed", lambda: perturbed_subspace(X, Q[:, 1:], 1e-3, 1.5), ValueError),
+    ("perturbed_subspace-wide-seed", lambda: perturbed_subspace(X, Q[:, 1:], 1e-3, 2**128), ValueError),
+    ("case_from_pencil-float-dim", lambda: case_from_pencil(P, 0, 2.5), ValueError),
+    ("case_from_pencil-wide-dim", lambda: case_from_pencil(P, 0, N + 1), ValueError),
 ]
 
 #: Each ValueError row's message names the refused value, so no numpy error passes for it.
-VALUE_ERROR_MESSAGE = "non-finite entries|must be finite"
+VALUE_ERROR_MESSAGE = "non-finite entries|must be finite|must be an integer"
 
 
 @pytest.mark.parametrize("call, error", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

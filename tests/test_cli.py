@@ -167,6 +167,17 @@ def test_usage_error_exits_1(tmp_path):
     assert b"error:" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args", [["solve", "--bogus-flag"], ["study", "--builtin", "nonsense"]], ids=["argparse", "study"]
+)
+def test_usage_error_is_returned_in_one_format(run_main, args):
+    code, out, err = run_main(args)
+    assert code == 1
+    assert err.startswith(f"usage: qritz {args[0]} ")
+    assert f"\nqritz {args[0]}: error: " in err
+    assert out == ""
+
+
 def test_project_reports_degenerate_projection(builtin_files, run_main):
     code, out, _ = run_main(
         ["project", builtin_files["M"], builtin_files["D"], builtin_files["K"],

@@ -44,6 +44,11 @@ A seventh scan keeps the package root empty.  ``src/qritz/__init__.py`` holds
 no ``import`` or ``from ... import`` statement: the modules are the API, and
 every reader imports from the one module that defines a name.
 
+An eighth scan keeps private names private.  No ``from ... import`` under
+``src/qritz``, at any depth, names a leading-underscore name (``from .solver
+import _helper``): a name that two modules share is public in the module
+that defines it.
+
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.  Nor does
 ``qritz example31`` load ``numpy.random``, which numpy imports lazily and
@@ -427,6 +432,38 @@ def test_import_scan_flags_a_re_export():
     source = '"""Doc."""\n\nfrom .pencil import QuadraticPencil\n\ndef f():\n    import os\n'
     assert import_lines(source) == [3, 6]
     assert import_lines('"""Doc."""\n') == []
+
+
+def private_imports(modules: dict[str, str]) -> list[str]:
+    """``module:line: from x import _y`` for each leading-underscore name a module imports."""
+    found = []
+    for module, source in sorted(modules.items()):
+        nodes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)]
+        for node in sorted(nodes, key=lambda node: node.lineno):
+            origin = "." * node.level + (node.module or "")
+            found += [
+                f"{module}:{node.lineno}: from {origin} import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert private_imports(modules) == []
+
+
+def test_private_import_scan_flags_a_planted_import():
+    module = (
+        "from .kernels import as_scalar, _right_singulars\n\n"
+        "def f():\n    from . import _pairs\n    from numpy import linalg\n"
+    )
+    modules = {"m.py": module, "other.py": "import _thread\nfrom .solver import solve_full\n"}
+    assert private_imports(modules) == [
+        "m.py:1: from .kernels import _right_singulars",
+        "m.py:4: from . import _pairs",
+    ]
 
 
 def test_import_loads_no_scipy():

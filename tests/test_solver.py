@@ -211,7 +211,15 @@ class TestValueRoute:
 
     @pytest.mark.parametrize(
         "target, count",
-        [(None, 1), (0.0, 0), (np.nan, 1), (np.inf, 9), (complex(1.0, -np.inf), REFINED_MAX + 1)],
+        [
+            (None, 1),
+            (0.0, 0),
+            (np.nan, 1),
+            (np.inf, 9),
+            (complex(1.0, -np.inf), REFINED_MAX + 1),
+            (np.nan, None),
+            (1.0, None),
+        ],
     )
     def test_bad_arguments(self, g, monkeypatch, target, count):
         # Every refusal comes before the companion solve and any eigensolve.
@@ -219,7 +227,7 @@ class TestValueRoute:
             raise AssertionError("solve reached")
 
         p = random_pencil(g, 2)
-        for name in ("companion_matrix", "eigenvalues", "eig_standard"):
+        for name in ("companion_matrix", "eigenvalues", "quadratic_vectors"):
             monkeypatch.setattr(solver, name, refuse)
         with pytest.raises(ValueError):
             solve_full(p, target, count)

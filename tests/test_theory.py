@@ -799,7 +799,7 @@ class TestFullDiagnostics:
         def no_convergence(G):
             raise NoConvergence("SVD failed")
 
-        monkeypatch.setattr(refined, "_right_singulars", no_convergence)
+        monkeypatch.setattr(refined, "right_singulars", no_convergence)
         rep = full_diagnostics(ref, Q)
         unset = [name for name, value in vars(rep).items() if value is None]
         assert unset == ["refined_angle", "refined_residual"]
