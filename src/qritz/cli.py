@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
 Options fall back to ``QRITZ_<NAME>`` environment variables (flags beat the
 environment, the environment beats built-in defaults).  A fallback is kept
-as text and converted by the option's own type only when its subcommand
-runs, so a malformed or out-of-range value, from a flag or from
-``QRITZ_<NAME>``, is a usage error (exit 1) that names the option.  Every
+as text and converted only when its subcommand runs, by the library's
+admission of that input, so a malformed or out-of-range value, from a flag
+or from ``QRITZ_<NAME>``, is a usage error (exit 1) that names the option.  Every
 usage error prints its parser's usage line and ``qritz <command>: error: ...``
 to stderr, and ``main`` returns the exit code: only ``--help`` exits.  All
 output is deterministic for fixed inputs and seeds.
@@ -20,13 +20,13 @@ output is deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import cmath
+import math
 import os
 import sys
 
 from . import builtin, mmio, study
 from .errors import IoFailure, NotOrthonormal, QritzError
-from .kernels import orthonormalize, require_orthonormal
+from .kernels import as_integer, as_scalar, orthonormalize, require_orthonormal
 from .pencil import QuadraticPencil
 from .projection import project, ritz_pairs
 from .refined import refined_ritz
@@ -60,43 +60,34 @@ def _env(name: str, fallback):
     return os.environ.get(f"QRITZ_{name}", fallback)
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        value = complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
-    if not cmath.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _typed(kind, admit, *args):
+    """An argparse type: the text read as ``kind``, then admitted by ``admit(value, *args)``.
 
+    ``complex`` text may hold spaces; ``float`` reads a comma-separated list.
+    A text ``kind`` cannot read keeps argparse's ``invalid int value: 'x'``;
+    the admission's ``ValueError`` is the usage error as it stands.
+    """
 
-def _parse_eps_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a float list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("epsilon list is empty")
-    try:
-        return [as_epsilon(v) for v in values]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _int_in(low: int, bits: int | None = None):
-    """An argparse type: an int ``k >= low``, and ``k < 2**bits`` when ``bits`` is given."""
-
-    def parse(text: str) -> int:
+    def convert(text: str):
+        if kind is complex:
+            value = complex(text.replace(" ", ""))
+        elif kind is float:
+            value = [float(tok) for tok in text.split(",") if tok.strip()]
+        else:
+            value = kind(text)
         try:
-            value = int(text)
+            return admit(value, *args)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-        if value < low or (bits is not None and value >= 2**bits):
-            span = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
-            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-    return parse
+    convert.__name__ = kind.__name__
+    return convert
+
+
+def _eps_list(values: list[float]) -> list[float]:
+    if not values:
+        raise ValueError("epsilon list is empty")
+    return [as_epsilon(v) for v in values]
 
 
 def fmt_complex(z: complex) -> str:
@@ -198,8 +189,10 @@ def _cmd_study(args) -> int:
         dim = 2 if args.dim is None else args.dim
         target = 0j if args.target is None else args.target
         p = _load_pencil(args.M, args.D, args.K)
-        if dim > p.n:
-            error(f"--dim {dim} exceeds the pencil size n={p.n}")
+        try:
+            as_integer(dim, "dim", 1, p.n + 1)
+        except ValueError as exc:
+            error(f"argument --dim: {exc}")
         case = study.case_from_pencil(p, target, dim)
         label = "files"
     rows, verdicts = study.run_study(case, args.eps_list, args.seed)
@@ -238,13 +231,18 @@ def _cmd_example31(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qritz", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    target = _typed(complex, as_scalar, "target")
+    count = _typed(int, as_integer, "count", 1, math.inf)
+    dim = _typed(int, as_integer, "dim", 1, math.inf)
+    seed = _typed(int, as_integer, "seed", 0, 2**study.SEED_BITS)
+    eps_list = _typed(float, _eps_list)
 
     ps = sub.add_parser("solve", help="full dense solve of a quadratic eigenproblem")
     ps.add_argument("M", help="Matrix Market file for the mass matrix")
     ps.add_argument("D", help="Matrix Market file for the damping matrix")
     ps.add_argument("K", help="Matrix Market file for the stiffness matrix")
-    ps.add_argument("--target", type=_parse_complex, default=_env("TARGET", "0"))
-    ps.add_argument("--count", type=_int_in(1), default=_env("COUNT", "1"))
+    ps.add_argument("--target", type=target, default=_env("TARGET", "0"))
+    ps.add_argument("--count", type=count, default=_env("COUNT", "1"))
     ps.set_defaults(fn=_cmd_solve)
 
     pp = sub.add_parser("project", help="Rayleigh-Ritz projection diagnostics")
@@ -252,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("D")
     pp.add_argument("K")
     pp.add_argument("--subspace", required=True, help="Matrix Market file for the basis")
-    pp.add_argument("--target", type=_parse_complex, default=_env("TARGET", "0"))
+    pp.add_argument("--target", type=target, default=_env("TARGET", "0"))
     pp.add_argument("--refined", action="store_true", help="include refined extraction")
     pp.add_argument(
         "--orthonormalize",
@@ -266,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("D", nargs="?")
     pt.add_argument("K", nargs="?")
     pt.add_argument("--builtin", default=_env("BUILTIN", None), help="named built-in problem")
-    pt.add_argument("--eps-list", type=_parse_eps_list, default=_env("EPS_LIST", DEFAULT_EPS_LIST))
-    pt.add_argument("--seed", type=_int_in(0, study.SEED_BITS), default=_env("SEED", "1"))
+    pt.add_argument("--eps-list", type=eps_list, default=_env("EPS_LIST", DEFAULT_EPS_LIST))
+    pt.add_argument("--seed", type=seed, default=_env("SEED", "1"))
     pt.add_argument("--out", default=_env("OUT", "study.csv"))
     # No default: a built-in fixes its reference and basis, so _cmd_study
     # refuses either with --builtin; matrix files take 0 and 2.
-    pt.add_argument("--target", type=_parse_complex, default=_env("TARGET", None))
-    pt.add_argument("--dim", type=_int_in(1), default=_env("DIM", None), help="subspace dimension")
+    pt.add_argument("--target", type=target, default=_env("TARGET", None))
+    pt.add_argument("--dim", type=dim, default=_env("DIM", None), help="subspace dimension")
     pt.set_defaults(fn=_cmd_study, parser=pt)
 
     pe = sub.add_parser("example31", help="golden checks of the built-in problem")

@@ -113,17 +113,16 @@ def read_matrix_market(path) -> np.ndarray:
         found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
         _fail(path, len(lines), f"expected {count} entries, found {found}")
 
-    vals = None
+    positions = vals = None
     if fmt == "array":
-        ii, jj = _entry_positions_array(rows, cols, symmetry)
+        positions = ii, jj = _entry_positions_array(rows, cols, symmetry)
         vals = _bulk_array_values(body, count, field)
         if vals is not None and symmetry == "hermitian" and vals[ii == jj].imag.any():
             vals = None  # the scanner names the line of the non-real diagonal entry
     if vals is None:
-        entries = _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path)
-        vals = np.array(list(entries.values()), dtype=np.complex128)
-    if fmt == "coordinate":
+        entries = _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path)
         ii, jj = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
+        vals = np.array(list(entries.values()), dtype=np.complex128)
     try:
         out = np.zeros((rows, cols), dtype=np.complex128)
     except MemoryError:
@@ -195,18 +194,15 @@ def _bulk_array_values(body: list[str], count: int, field: str) -> np.ndarray | 
     return data[:, 0].astype(np.complex128)
 
 
-def _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path) -> dict:
+def _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path) -> dict:
     """Read the body after the size line one line at a time; a fault names its line.
 
-    Returns the values in order of first appearance, keyed by the 0-based ``(i, j)`` of a
-    ``coordinate`` line or by the entry's ordinal in an ``array`` body.  A
-    repeated ``(i, j)`` keeps its last value: NumPy leaves a fancy-index
-    store with repeated indices unspecified.
+    Returns the values in order of first appearance, keyed by their 0-based
+    ``(i, j)``: read from a ``coordinate`` line, or, for an ``array`` body,
+    the entry's storage position in ``positions = (ii, jj)``.  A repeated
+    ``(i, j)`` keeps its last value: NumPy leaves a fancy-index store with
+    repeated indices unspecified.
     """
-    diagonal = ()  # ordinals of the diagonal entries in a Hermitian array body
-    if fmt == "array" and symmetry == "hermitian":
-        ii, jj = _entry_positions_array(rows, cols, symmetry)
-        diagonal = set(np.flatnonzero(ii == jj).tolist())
     entries = {}
     seen = 0
     for lineno in range(size_lineno + 1, len(lines) + 1):
@@ -217,8 +213,7 @@ def _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path
         if seen >= count:
             _fail(path, lineno, "more entries than the size line announces")
         tokens = stripped.split()
-        key = seen
-        if fmt == "coordinate":
+        if positions is None:
             if len(tokens) < 3:
                 _fail(path, lineno, f"coordinate entry needs 'i j value', got {raw!r}")
             try:
@@ -227,16 +222,17 @@ def _scan_body(lines, size_lineno, fmt, rows, cols, count, field, symmetry, path
                 _fail(path, lineno, f"malformed indices in {raw!r}")
             if not (0 <= i < rows and 0 <= j < cols):
                 _fail(path, lineno, f"index ({i + 1}, {j + 1}) outside {rows} x {cols}")
-            if symmetry != "general" and i < j:
-                _fail(path, lineno, f"{symmetry} storage must only hold the lower triangle")
-            if symmetry == "skew-symmetric" and i == j:
-                _fail(path, lineno, "skew-symmetric storage holds no diagonal entry")
-            key, tokens = (i, j), tokens[2:]
+            tokens = tokens[2:]
+        else:
+            i, j = int(positions[0][seen]), int(positions[1][seen])
+        if symmetry != "general" and i < j:
+            _fail(path, lineno, f"{symmetry} storage must only hold the lower triangle")
+        if symmetry == "skew-symmetric" and i == j:
+            _fail(path, lineno, "skew-symmetric storage holds no diagonal entry")
         value = _parse_value(tokens, field, path, lineno)
-        on_diagonal = key in diagonal if fmt == "array" else i == j
-        if symmetry == "hermitian" and on_diagonal and value.imag:
+        if symmetry == "hermitian" and i == j and value.imag:
             _fail(path, lineno, f"hermitian storage needs a real diagonal entry, got {value}")
-        entries[key] = value
+        entries[i, j] = value
         seen += 1
     if seen != count:
         _fail(path, len(lines), f"expected {count} entries, found {seen}")

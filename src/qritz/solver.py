@@ -11,12 +11,13 @@ of the companion eigenvector for the same value.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .errors import EmptyList, IndefiniteMass
-from .kernels import as_scalar, eigenvalues, right_singulars
+from .kernels import as_integer, as_scalar, eigenvalues, right_singulars
 from .pencil import Eigenpair, QuadraticPencil, companion_matrix, quadratic_vectors
 
 #: ``solve_full`` refines at most this many values, one n x n SVD each; past
@@ -78,16 +79,17 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
         NoConvergence: from the underlying eigensolver or SVD.
-        ValueError: if ``target`` is not finite, if only one of ``target``
-            and ``count`` is given, or if ``count`` is below 1; each is
-            refused before any solve.
+        ValueError: if ``target`` is not finite (``as_scalar``), if only one
+            of ``target`` and ``count`` is given, or if ``count`` is not an
+            integer ``>= 1`` (``as_integer``, so ``2.5`` and ``"2"`` are
+            refused); each is refused before any solve.
     """
     if target is not None:
         target = as_scalar(target, "target")
     if (target is None) != (count is None):
         raise ValueError("target and count are given together or not at all")
-    if count is not None and count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if count is not None:
+        count = as_integer(count, "count", 1, math.inf)
     if not p.hermitian_pd:
         warnings.warn(
             "mass matrix not verified Hermitian positive definite; "

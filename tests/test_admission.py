@@ -131,6 +131,7 @@ CASES = [
     ("perturbed_subspace-wide-seed", lambda: perturbed_subspace(X, Q[:, 1:], 1e-3, 2**128), ValueError),
     ("case_from_pencil-float-dim", lambda: case_from_pencil(P, 0, 2.5), ValueError),
     ("case_from_pencil-wide-dim", lambda: case_from_pencil(P, 0, N + 1), ValueError),
+    ("solve_full-float-count", lambda: solve_full(P, 0.0, 2.5), ValueError),
 ]
 
 #: Each ValueError row's message names the refused value, so no numpy error passes for it.

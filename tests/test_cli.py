@@ -323,25 +323,28 @@ def test_malformed_env_fallback_is_read_only_by_its_subcommand(monkeypatch, run_
     assert code == 0, err
 
 
+#: ``(command, option, value, message)``: each message is the library admission's own.
+OUT_OF_RANGE = [
+    ("solve", "--count", "-1", "count must be an integer in [1,"),
+    ("study", "--dim", "0", "dim must be an integer in [1,"),
+    ("study", "--dim", "4", "dim must be an integer in [1, 4)"),
+    ("study", "--seed", "-1", "seed must be an integer in [0,"),
+    ("study", "--seed", str(2**96), "seed must be an integer in [0,"),
+    ("study", "--eps-list", "nan", "epsilon must be finite and >= 0"),
+    ("study", "--eps-list", "1e-3,-1e-3", "epsilon must be finite and >= 0"),
+    ("solve", "--target", "nan", "target must be finite"),
+    ("solve", "--target", "inf", "target must be finite"),
+    ("project", "--target", "nan", "target must be finite"),
+    ("study", "--target", "1e400", "target must be finite"),
+]
+
+
 @pytest.mark.parametrize("source", ["flag", "env"])
 @pytest.mark.parametrize(
-    "command, option, value",
-    [
-        ("solve", "--count", "-1"),
-        ("study", "--dim", "0"),
-        ("study", "--dim", "4"),
-        ("study", "--seed", "-1"),
-        ("study", "--seed", str(2**96)),
-        ("study", "--eps-list", "nan"),
-        ("study", "--eps-list", "1e-3,-1e-3"),
-        ("solve", "--target", "nan"),
-        ("solve", "--target", "inf"),
-        ("project", "--target", "nan"),
-        ("study", "--target", "1e400"),
-    ],
+    "command, option, value, message", OUT_OF_RANGE, ids=["-".join(row[:3]) for row in OUT_OF_RANGE]
 )
 def test_out_of_range_option_is_a_usage_error(
-    builtin_files, monkeypatch, run_main, capsys, source, command, option, value
+    builtin_files, monkeypatch, run_main, capsys, source, command, option, value, message
 ):
     args = [command, builtin_files["M"], builtin_files["D"], builtin_files["K"]]
     if command == "study":
@@ -355,6 +358,7 @@ def test_out_of_range_option_is_a_usage_error(
     code, err = _code_and_err(run_main, capsys, args)
     assert code == 1
     assert option in err
+    assert message in err
 
 
 def test_project_basis_orthogonal_to_reference_reports_infinite_bounds(tmp_path, run_main):

@@ -49,6 +49,11 @@ An eighth scan keeps private names private.  No ``from ... import`` under
 import _helper``): a name that two modules share is public in the module
 that defines it.
 
+A ninth scan keeps one usage-error rule for option values.  In ``cli.py``,
+``argparse.ArgumentTypeError`` is raised in at most one function, the
+converter that turns a library admission's ``ValueError`` into the usage
+error: a second raise would be a range or finiteness rule of the CLI's own.
+
 numpy is the package's only runtime dependency: a fresh interpreter that
 imports ``qritz`` and ``qritz.cli`` must not have loaded scipy.  Nor does
 ``qritz example31`` load ``numpy.random``, which numpy imports lazily and
@@ -464,6 +469,42 @@ def test_private_import_scan_flags_a_planted_import():
         "m.py:1: from .kernels import _right_singulars",
         "m.py:4: from . import _pairs",
     ]
+
+
+def type_error_raisers(source: str) -> list[str]:
+    """The innermost function around each ``raise`` of ``ArgumentTypeError``, once each."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name == "ArgumentTypeError" and scope not in found:
+                    found.append(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_cli_raises_argument_type_errors_in_one_function():
+    source = (ROOT / "src" / "qritz" / "cli.py").read_text(encoding="utf-8")
+    assert len(type_error_raisers(source)) <= 1
+
+
+def test_type_error_scan_flags_a_second_raiser():
+    source = (
+        "import argparse\nfrom argparse import ArgumentTypeError\n\n"
+        "def _typed(admit):\n    def convert(text):\n        try:\n            return admit(text)\n"
+        "        except ValueError as exc:\n            raise argparse.ArgumentTypeError(str(exc))\n"
+        "    return convert\n\n"
+        "def _positive(text):\n    if int(text) < 1:\n        raise ArgumentTypeError('low')\n"
+        "    raise ArgumentTypeError\n\n"
+        "def _other(text):\n    raise ValueError(text)\n"
+    )
+    assert type_error_raisers(source) == ["convert", "_positive"]
 
 
 def test_import_loads_no_scipy():

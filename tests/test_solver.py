@@ -219,6 +219,8 @@ class TestValueRoute:
             (complex(1.0, -np.inf), REFINED_MAX + 1),
             (np.nan, None),
             (1.0, None),
+            (0.0, 2.5),
+            (0.0, "2"),
         ],
     )
     def test_bad_arguments(self, g, monkeypatch, target, count):
