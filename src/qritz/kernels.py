@@ -51,7 +51,12 @@ STALL_TOL = 1e-15
 #: the iteration, breaks even with the dense SVD near this order.
 ITERATIVE_NORM_MIN = 512
 
-#: The golden ratio: ``largest_singular`` starts from ``exp(2 pi i frac(k GOLDEN))``.
+#: Lanczos vectors ``largest_singular`` allocates room for at first; it
+#: doubles the room when an iteration needs more.
+LANCZOS_ROWS = 32
+
+#: The golden ratio of ``golden_phases``, which start ``largest_singular``
+#: and the solver's inverse iteration.
 GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
 
@@ -283,15 +288,22 @@ def right_singulars(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, Vh.conj().T
 
 
+def golden_phases(count: int) -> np.ndarray:
+    """The unit-modulus entries ``exp(2 pi i frac(k GOLDEN))`` for k = 1..count.
+
+    Unlike ``ones``, which a structured operator can make orthogonal to a
+    wanted singular vector, these equidistributed phases follow no pattern
+    of the operator, and they need no random generator.
+    """
+    return np.exp(2j * np.pi * (np.arange(1, count + 1) * GOLDEN % 1.0))
+
+
 def largest_singular(matvec, rmatvec, dim: int) -> float:
     """``||T||`` of a square operator on ``C^dim`` given only by its products.
 
     ``matvec(x)`` returns ``T x`` and ``rmatvec(y)`` returns ``T^H y``.
-    Lanczos on ``T^H T``, with full reorthogonalization, starts from the
-    fixed unit-modulus vector with phases ``2 pi frac(k GOLDEN)``, k = 1..dim.
-    Unlike ``ones``, which a structured operator can make orthogonal to its
-    top singular vector, these equidistributed phases follow no pattern of
-    the operator, and they need no random generator.  This is Golub-Kahan
+    Lanczos on ``T^H T``, with full reorthogonalization, starts from
+    ``golden_phases(dim)``.  This is Golub-Kahan
     bidiagonalization over one basis instead of two (Paige, 1974): each step
     takes one product with ``T`` and one with ``T^H``.  ``T`` is divided by
     the first ``||T v_0||`` so that squaring neither overflows nor
@@ -306,15 +318,17 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
     kernel never writes into an array that ``matvec`` or ``rmatvec``
     returned, so either may return a view of the operator's own state.
     """
-    v = np.exp(2j * np.pi * (np.arange(1, dim + 1) * GOLDEN % 1.0))
+    v = golden_phases(dim)
     # Row k holds the k-th Lanczos vector and conj_rows[k] its conjugate, both
     # written once when the vector is made, so a Gram-Schmidt pass is two
-    # matrix-vector products; untouched rows are never paged in.
-    rows = np.empty((dim, dim), dtype=np.complex128)
-    conj_rows = np.empty((dim, dim), dtype=np.complex128)
+    # matrix-vector products.  The buffers start at LANCZOS_ROWS rows and
+    # double when full: a dim x dim buffer would be a fresh mapping, paged in
+    # anew on every call, for the few dozen steps the iteration takes.
+    rows = np.empty((min(dim, LANCZOS_ROWS), dim), dtype=np.complex128)
+    conj_rows = np.empty_like(rows)
     np.divide(v, np.linalg.norm(v), out=rows[0])
     np.conjugate(rows[0], out=conj_rows[0])
-    tridiagonal = np.zeros((dim, dim))
+    tridiagonal = np.zeros((len(rows), len(rows)))
     scale = top = 0.0
     for k in range(dim):
         w = matvec(rows[k])
@@ -336,6 +350,10 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
         beta = math.sqrt(np.vdot(r, r).real)
         if beta == 0.0:
             break
+        if k + 1 == len(rows):
+            extra = np.empty((min(len(rows), dim - len(rows)), dim), dtype=np.complex128)
+            rows, conj_rows = np.concatenate([rows, extra]), np.concatenate([conj_rows, extra])
+            tridiagonal = np.pad(tridiagonal, (0, len(extra)))
         np.divide(r, beta, out=rows[k + 1])
         np.conjugate(rows[k + 1], out=conj_rows[k + 1])
         tridiagonal[k + 1, k] = beta

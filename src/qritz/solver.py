@@ -5,8 +5,9 @@ companion matrix ``B^{-1} A``, formed explicitly with n solves against the
 mass matrix (``pencil.companion_matrix``).  All 2n eigenpairs take the
 companion eigenvectors.  A few pairs nearest a target take only the
 companion eigenvalues; each vector is then the whole-space refined vector,
-the unit minimizer of ``||P(lam) x||``, whose residual is never above that
-of the companion eigenvector for the same value.
+the unit minimizer of ``||P(lam) x||``, found by inverse iteration on
+``P(lam)^H P(lam)`` (``refined_pairs``).  Its residual is never above that
+of the companion eigenvector for the same value, up to rounding.
 """
 
 from __future__ import annotations
@@ -17,13 +18,18 @@ import warnings
 import numpy as np
 
 from .errors import EmptyList, IndefiniteMass
-from .kernels import as_integer, as_scalar, eigenvalues, right_singulars
+from .kernels import as_integer, as_scalar, eigenvalues, golden_phases
 from .pencil import Eigenpair, QuadraticPencil, companion_matrix, quadratic_vectors
 
-#: ``solve_full`` refines at most this many values, one n x n SVD each; past
-#: this, the companion eigenvectors of all 2n pairs cost less (measured at
-#: n = 160, where six refined values cost as much).
-REFINED_MAX = 5
+#: ``solve_full`` refines at most this many values, two inverse steps each
+#: as a rule; past this, the companion eigenvectors of all 2n pairs cost
+#: less (measured at n = 60, 100 and 160, where 14 to 20 values cost as much).
+REFINED_MAX = 12
+
+#: Inverse iteration goes on while a step takes its residual below this
+#: fraction of the last one, for at most ``INVERSE_STEPS`` steps.
+INVERSE_FALL = 0.5
+INVERSE_STEPS = 12
 
 
 def _pairs(p: QuadraticPencil, values: np.ndarray, X: np.ndarray) -> list[Eigenpair]:
@@ -41,21 +47,99 @@ def _pairs(p: QuadraticPencil, values: np.ndarray, X: np.ndarray) -> list[Eigenp
     ]
 
 
-def _refined_vectors(p: QuadraticPencil, values: list[complex]) -> np.ndarray:
-    """As columns, the unit minimizers of ``||P(lam) x||`` for each of ``values``.
+def _minimizers(p: QuadraticPencil, lam: complex, k: int) -> np.ndarray:
+    """An orthonormal n x k block that minimizes ``||P(lam) X||_F``, by inverse iteration.
 
-    Values that compare equal share one SVD; the j-th copy takes the j-th
-    smallest right singular vector, so a repeated semisimple value keeps
-    independent vectors.
+    Each step solves with ``P(lam)^H`` and then with ``P(lam)``, which
+    applies ``(P^H P)^{-1}``, and orthonormalizes the result by QR.  The
+    start is ``golden_phases(n k)`` as k columns.  The iteration stops when
+    the residual ``||P(lam) X||_F`` stops falling: at the first step that
+    does not take it below ``INVERSE_FALL`` times the last one, or after
+    ``INVERSE_STEPS``.  It returns the block of the smallest residual.  The
+    solves call LAPACK directly: ``P(lam)`` is singular by design, so
+    ``solve_linear``'s ``sigma_min`` gate does not apply.  When ``P(lam)`` is
+    exactly singular (a zero pivot), the solves take ``lam`` nudged by four
+    ulps of ``max(|lam|, 1)``, and by 16 times more at each further zero
+    pivot, while the residual stays the one at ``lam``.
     """
-    X = np.empty((p.n, len(values)), dtype=np.complex128)
-    seen: dict[complex, np.ndarray] = {}
-    for j, lam in enumerate(values):
-        if lam not in seen:
-            seen[lam] = right_singulars(p.evaluate(lam))[1]
-        x = seen[lam][:, -1 - min(values[:j].count(lam), p.n - 1)]
-        X[:, j] = x / np.linalg.norm(x)
+    n = p.n
+    F = G = p.evaluate(lam)
+    nudge = 4.0 * np.spacing(max(abs(lam), 1.0))
+    X = np.linalg.qr(golden_phases(n * k).reshape(k, n).T)[0]
+    residual = np.linalg.norm(F @ X)
+    for _ in range(INVERSE_STEPS):
+        try:
+            Y = np.linalg.solve(G.conj().T, X)
+            Z = np.linalg.solve(G, Y / np.linalg.norm(Y))
+        except np.linalg.LinAlgError:
+            G = p.evaluate(lam + nudge)
+            nudge *= 16.0
+            continue
+        Z = np.linalg.qr(Z)[0]
+        r = np.linalg.norm(F @ Z)
+        falling = r < INVERSE_FALL * residual
+        if r < residual:
+            X, residual = Z, r
+        if not falling:
+            break
     return X
+
+
+def refined_pairs(p: QuadraticPencil, values) -> list[Eigenpair]:
+    """The pairs of ``values``, in their order, each with its whole-space refined vector.
+
+    Each vector is the unit minimizer of ``||P(lam) x||``: the limit of
+    inverse iteration on ``P(lam)^H P(lam)``, the right singular vector of
+    ``P(lam)`` for its smallest singular value.  By minimality its residual
+    is at most the companion eigenvector's, up to rounding.  Values that
+    compare equal take one block iteration with as many columns as copies,
+    at most n, so a repeated semisimple value keeps independent vectors.
+    Each vector takes the phase of the companion eigenvector, whose largest
+    entry of ``[lam x; x]`` is real and positive.
+    """
+    values = [complex(lam) for lam in values]
+    X = np.empty((p.n, len(values)), dtype=np.complex128)
+    for lam in dict.fromkeys(values):
+        copies = [j for j, other in enumerate(values) if other == lam]
+        block = _minimizers(p, lam, min(len(copies), p.n))
+        X[:, copies] = block[:, np.minimum(np.arange(len(copies)), p.n - 1)]
+    lams = np.array(values, dtype=np.complex128)
+    # The phase of the companion eigenvectors: LAPACK makes the largest entry
+    # of [lam x; x] real and positive, the top one when |lam| >= 1.
+    lead = X[np.argmax(np.abs(X), axis=0), np.arange(lams.size)]
+    lead *= np.where(np.abs(lams) >= 1.0, lams, 1.0)
+    X *= lead.conj() / np.abs(lead)
+    return _pairs(p, lams, X)
+
+
+def nearest_values(values, target: complex, count: int) -> list[complex]:
+    """The values at most as far from ``target`` as the ``count``-th nearest, in their order.
+
+    These are the candidates for the first ``count`` places of
+    ``nearest_first``: values tied at the ``count``-th distance all come,
+    so a tie still breaks on the residual.  ``count`` is clamped to the
+    number of values.
+    """
+    values = [complex(lam) for lam in values]
+    # The distances of nearest_first: numpy's complex abs can differ in the
+    # last bit and split a tie that nearest_first would see.
+    dist = [abs(lam - target) for lam in values]
+    radius = sorted(dist)[min(count, len(values)) - 1]
+    return [lam for lam, d in zip(values, dist) if d <= radius]
+
+
+def warned_companion(p: QuadraticPencil) -> np.ndarray:
+    """``companion_matrix(p)``, after an ``IndefiniteMass`` warning when the
+    mass is not certified Hermitian positive definite; the warning names the
+    caller's caller, the line that asked for the solve."""
+    if not p.hermitian_pd:
+        warnings.warn(
+            "mass matrix not verified Hermitian positive definite; "
+            "proceeding on nonsingularity alone",
+            IndefiniteMass,
+            stacklevel=3,
+        )
+    return companion_matrix(p)
 
 
 def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> list[Eigenpair]:
@@ -68,17 +152,14 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
 
     With ``count`` (clamped to 2n), the result is the first ``count`` pairs
     of ``nearest_first(pairs, target)``, and the eigenvalues come first,
-    without eigenvectors.  The candidates are every value at most as far
-    from ``target`` as the ``count``-th nearest, so exact ties still break
-    on the residual.  While there are at most ``REFINED_MAX`` candidates,
-    each vector is the whole-space refined vector: the right singular vector
-    of ``P(lam)`` for its smallest singular value.  By minimality its
-    residual is at most the companion eigenvector's, up to rounding.  More
-    candidates take the all-pairs route.
+    without eigenvectors.  The candidates are ``nearest_values``, so exact
+    ties still break on the residual.  While there are at most
+    ``REFINED_MAX`` candidates, each takes its whole-space refined vector
+    from ``refined_pairs``.  More candidates take the all-pairs route.
 
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
-        NoConvergence: from the underlying eigensolver or SVD.
+        NoConvergence: from the underlying eigensolver.
         ValueError: if ``target`` is not finite (``as_scalar``), if only one
             of ``target`` and ``count`` is given, or if ``count`` is not an
             integer ``>= 1`` (``as_integer``, so ``2.5`` and ``"2"`` are
@@ -90,26 +171,13 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
         raise ValueError("target and count are given together or not at all")
     if count is not None:
         count = as_integer(count, "count", 1, math.inf)
-    if not p.hermitian_pd:
-        warnings.warn(
-            "mass matrix not verified Hermitian positive definite; "
-            "proceeding on nonsingularity alone",
-            IndefiniteMass,
-            stacklevel=2,
-        )
-    C = companion_matrix(p)
+    C = warned_companion(p)
     if count is None:
         return _pairs(p, *quadratic_vectors(C, p.n))
     if count <= REFINED_MAX:
-        values = [complex(lam) for lam in eigenvalues(C)]
-        # The distances of nearest_first: numpy's complex abs can differ in
-        # the last bit and split a tie that nearest_first would see.
-        dist = [abs(lam - target) for lam in values]
-        radius = sorted(dist)[min(count, len(values)) - 1]
-        candidates = [lam for lam, d in zip(values, dist) if d <= radius]
+        candidates = nearest_values(eigenvalues(C), target, count)
         if len(candidates) <= REFINED_MAX:
-            pairs = _pairs(p, np.array(candidates), _refined_vectors(p, candidates))
-            return nearest_first(pairs, target)[:count]
+            return nearest_first(refined_pairs(p, candidates), target)[:count]
     return nearest_first(_pairs(p, *quadratic_vectors(C, p.n)), target)[:count]
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .builtin import example31_basis, example31_eigenvector, example31_pencil, EXACT_VALUE
-from .errors import QritzError
-from .kernels import as_direction, as_integer, as_matrix, as_scalar
+from .errors import QritzError, RankDeficient
+from .kernels import as_direction, as_integer, as_matrix, as_scalar, eigenvalues
 from .pencil import QuadraticPencil
-from .solver import nearest_first, select_eigenpair, solve_full
+from .solver import nearest_first, nearest_values, refined_pairs, warned_companion
 from .subspace import as_epsilon, perturbed_subspace
 from .theory import DiagnosticsReport, full_diagnostics, reference
 
@@ -122,35 +122,52 @@ def builtin_case() -> StudyCase:
 
 
 def case_from_pencil(p: QuadraticPencil, target: complex, dim: int) -> StudyCase:
-    """Build a case from a pencil: reference pair nearest ``target`` plus
-    the eigenvectors of the next-nearest, directionally independent pairs.
-    ``target`` and ``dim``, an integer in ``[1, n]``, are admitted before the
-    full solve."""
+    """Build a case from a pencil: the reference pair nearest ``target`` and
+    the vectors of the next-nearest, directionally independent pairs.
+
+    ``target`` and ``dim``, an integer in ``[1, n]``, are admitted before
+    the one companion eigensolve, which takes the 2n eigenvalues and no
+    eigenvectors.  The reference value is the nearest to ``target``; values
+    tied at its distance break on the residual of their vectors.  The
+    vectors come from ``solver.refined_pairs`` in batches, in
+    ``nearest_first`` order around the reference value: first the ``dim``
+    nearest values (the reference among them), then as many more as the
+    independence test rejected, each batch with the values tied at its
+    last distance.  A vector joins the case when its component orthogonal
+    to the vectors before it has norm above 1e-6.
+
+    Raises:
+        RankDeficient: if fewer than ``dim`` independent directions exist.
+    """
     target = as_scalar(target, "target")
     dim = as_integer(dim, "dim", 1, p.n + 1)
-    pairs = solve_full(p)
-    ref = select_eigenpair(pairs, target)
-    chosen = [ref.vector]
-    test_basis = [ref.vector]
-    for ep in nearest_first([ep for ep in pairs if ep is not ref], ref.value):
-        if len(chosen) >= dim:
-            break
-        w = ep.vector.copy()
-        for b in test_basis:
-            w = w - b * np.vdot(b, w)
-        if np.linalg.norm(w) > 1e-6:
-            chosen.append(ep.vector)
-            test_basis.append(w / np.linalg.norm(w))
+    rest = [complex(lam) for lam in eigenvalues(warned_companion(p))]
+    near = nearest_values(rest, target, 1)
+    if len(set(near)) > 1:
+        near = [nearest_first(refined_pairs(p, near), target)[0].value]
+    ref_value = near[0]
+    chosen = []
+    test_basis = []
+    while len(chosen) < dim and rest:
+        batch = nearest_values(rest, ref_value, dim - len(chosen))
+        rest = [lam for lam in rest if lam not in batch]
+        for ep in nearest_first(refined_pairs(p, batch), ref_value):
+            if len(chosen) >= dim:
+                break
+            w = ep.vector.copy()
+            for b in test_basis:
+                w = w - b * np.vdot(b, w)
+            if np.linalg.norm(w) > 1e-6:
+                chosen.append(ep)
+                test_basis.append(w / np.linalg.norm(w))
     if len(chosen) < dim:
-        raise QritzError(
-            f"could not find {dim - 1} independent companion directions"
-        )
-    companions = np.column_stack(chosen[1:]) if dim > 1 else np.zeros((p.n, 0))
+        raise RankDeficient(f"could not find {dim - 1} independent companion directions")
+    companions = [ep.vector for ep in chosen[1:]]
     return StudyCase(
         pencil=p,
-        ref_value=ref.value,
-        ref_vector=ref.vector,
-        companions=companions,
+        ref_value=chosen[0].value,
+        ref_vector=chosen[0].vector,
+        companions=np.column_stack(companions) if companions else np.zeros((p.n, 0)),
     )
 
 

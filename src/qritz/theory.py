@@ -28,8 +28,9 @@ applies ``T`` through one (n+1) x (n+1) solve for every ``mu`` and takes
 ``||T||`` with ``kernels.largest_singular``, which also gives ``||A - mu1
 B||``, so no companion-size matrix is formed.  A vanishing ``sep`` voids the
 corresponding hypothesis, which is reported as an infinite bound rather
-than an exception so sweep tables stay rectangular.  A basis orthogonal to
-``x1`` (theta1 = pi/2, ``cos == 0``) voids both vector bounds the same way.
+than an exception so sweep tables stay rectangular.  A basis numerically
+orthogonal to ``x1`` (``cos(theta1) <= ORTHOGONAL_TOL``) voids both vector
+bounds the same way, and the perturbation triple refuses it.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ EIGPAIR_TOL = 1e-8
 #: Relative threshold under which a separation counts as vanished and the
 #: bound that divides by it is reported as +inf.
 SEP_FLOOR = 1e-14
+
+#: ``cos(theta1)`` at or below which ``x1`` counts as orthogonal to span{Q}.
+ORTHOGONAL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,7 @@ def perturbation_triple(
     x1 = as_direction(x1, "x1", p.n)
     q1 = pp.basis.conj().T @ x1
     cos = np.linalg.norm(q1)
-    if cos <= 1e-14:
+    if cos <= ORTHOGONAL_TOL:
         raise OrthogonalSubspace("x1 is orthogonal to the projection subspace")
     q1_hat = q1 / cos
     r1, _ = qep_residual(pp.pencil, lam1, q1_hat)
@@ -333,8 +337,9 @@ def ritz_vector_bound(scale: float, theta: Angle, sep_projected: float) -> float
     ``sin(theta1) + scale / sep_projected * tan(theta1)`` with ``scale`` the
     pencil's ``residual_scale(lam1)`` and ``sep_projected`` the separation of
     ``lam1`` from the deflated complement of the projected companion pair.
+    ``cos(theta1)`` vanishes at or below ``ORTHOGONAL_TOL``.
     """
-    if theta.cos == 0.0 or sep_projected <= SEP_FLOOR * scale:
+    if theta.cos <= ORTHOGONAL_TOL or sep_projected <= SEP_FLOOR * scale:
         return math.inf
     return theta.sin + scale / sep_projected * theta.tan
 
@@ -354,8 +359,9 @@ def refined_vector_bound(
     the separation of ``mu1`` from the deflated complement of the full-size
     companion pair.  Since that separation tends to a fixed positive constant
     for a simple eigenvalue, this bound vanishes with theta1 unconditionally.
+    ``cos(theta1)`` vanishes at or below ``ORTHOGONAL_TOL``.
     """
-    if theta.cos == 0.0 or sep_full <= SEP_FLOOR * (norm_b + norm_a_minus):
+    if theta.cos <= ORTHOGONAL_TOL or sep_full <= SEP_FLOOR * (norm_b + norm_a_minus):
         return math.inf
     lam1 = complex(lam1)
     mu1 = complex(mu1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,22 @@ class TestLargestSingular:
         a = hermitian_with_spectrum(g, spectrum(g, n))
         want = np.linalg.norm(a, 2)
         assert abs(largest_singular(*_operator(a), n) - want) <= 1e-14 * want
+
+    def test_buffers_grow_with_the_steps_taken(self):
+        # A diagonal operator with one dominant entry stops within a few
+        # steps, so the Lanczos buffers stay at their first LANCZOS_ROWS rows
+        # instead of two dim x dim complex arrays (11.5 MB at dim = 600).
+        dim = 600
+        d = np.linspace(1.0, 2.0, dim)
+        d[0] = 100.0
+        tracemalloc.start()
+        try:
+            norm = largest_singular(lambda x: d * x, lambda y: d * y, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(100.0, rel=1e-14)
+        assert peak <= 3 * kernels.LANCZOS_ROWS * dim * 16
 
     def test_leaves_the_operators_arrays_untouched(self, g):
         # Every product is a view of the operator's one state buffer; each

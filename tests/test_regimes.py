@@ -5,7 +5,9 @@ dimension m in 2-4, admitted by criterion 3's window: the reference
 eigenvalue isolated by at least 1e-3 and ``sin(theta1)`` in [1e-10, 1e-2].
 Every admitted row must be complete (Ritz value, refined angle, both
 separations and the Elsner bound set) and satisfy criterion 3's three
-inequalities under its gates.
+inequalities under its gates.  In every family, the reference vector of a
+study case, which comes from inverse iteration, has a residual no larger
+than the companion eigenvector's, up to rounding.
 """
 
 import warnings
@@ -24,7 +26,7 @@ from conftest import (
 )
 from qritz.angles import subspace_angle
 from qritz.errors import IndefiniteMass, QritzError
-from qritz.pencil import QuadraticPencil
+from qritz.pencil import QuadraticPencil, qep_residual
 from qritz.solver import solve_full
 from qritz.study import case_from_pencil
 from qritz.subspace import perturbed_subspace
@@ -98,3 +100,22 @@ def test_every_admitted_row_is_complete_and_bounded(family, make):
             assert rep.ritz_vector_bound >= rep.ritz_angle, f"draw {i}"
         if rep.sep_full > 1e-6:
             assert rep.refined_vector_bound >= rep.refined_angle, f"draw {i}"
+
+
+@pytest.mark.parametrize(
+    "family, make", [pytest.param(k, make, id=name) for k, (name, make) in enumerate(FAMILIES)]
+)
+def test_case_reference_residual_never_above_the_companion_vector(family, make):
+    for index in range(DRAWS):
+        g = rng(((SEED_REGIMES + family) << 32) + index)
+        n = int(g.integers(4, 9))
+        m = int(g.integers(2, min(4, n) + 1))
+        p = make(g, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IndefiniteMass)
+            ref, _ = isolated_eigenpair(solve_full(p))
+            case = case_from_pencil(p, ref.value, m)
+        assert case.ref_value == ref.value, f"draw {index}"
+        _, residual = qep_residual(p, case.ref_value, case.ref_vector)
+        slack = 1e-14 * p.residual_scale(ref.value)
+        assert residual <= ref.residual_norm + slack, f"draw {index}"

@@ -10,6 +10,7 @@ from qritz.errors import EmptyList, IndefiniteMass, Singular
 from qritz.kernels import eig_standard, eigenvalues, solve_linear
 from qritz.pencil import Eigenpair, QuadraticPencil, companion_matrix, linearize, qep_residual
 from qritz.solver import REFINED_MAX, nearest_first, select_eigenpair, solve_full
+from qritz.study import case_from_pencil
 
 
 @pytest.mark.parametrize("route", [(), (1.0, 2)], ids=["all-pairs", "value-only"])
@@ -142,7 +143,7 @@ class TestValueRoute:
             tau = complex(*(2.0 * g.standard_normal(2)))
             want = nearest_first(solve_full(p), tau)[:count]
             got = solve_full(p, tau, count)
-            assert len(got) == count
+            assert len(got) == min(count, 2 * p.n)
             for a, b in zip(got, want):
                 assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(b.value))
                 assert a.residual_norm <= 1e-9 * p.residual_scale(a.value)
@@ -163,6 +164,17 @@ class TestValueRoute:
                 slack = 1e-14 * p.residual_scale(want.value)
                 assert got.residual_norm <= want.residual_norm + slack
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vectors_take_the_companion_eigenvectors_phase(self, seed):
+        # Largest entry of [lam x; x] real and positive: the value route's
+        # vectors agree with the all-pairs route's entry by entry.
+        g = rng(seed + 9250)
+        p = random_pencil(g, 6)
+        tau = complex(*g.standard_normal(2))
+        for got, want in zip(solve_full(p, tau, 4), nearest_first(solve_full(p), tau)):
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert np.linalg.norm(got.vector - want.vector) <= 1e-10
+
     def test_printed_residual_is_the_vectors(self, g):
         p = random_pencil(g, 6)
         for ep in solve_full(p, 0.3 - 0.2j, 3):
@@ -170,14 +182,50 @@ class TestValueRoute:
             assert ep.residual_norm == pytest.approx(rn, rel=1e-12, abs=1e-15)
 
     def test_no_companion_eigenvectors(self, g, monkeypatch):
+        # Every count route and every study case take the companion
+        # eigenvalues alone and no n x n SVD: each vector comes from inverse
+        # iteration on P(lam).
         p = random_pencil(g, 5)
+        svd = np.linalg.svd
 
-        def refuse(*args, **kwargs):
+        def refuse_eig(*args, **kwargs):
             raise AssertionError("np.linalg.eig called")
 
-        monkeypatch.setattr(np.linalg, "eig", refuse)
+        def refuse_square(a, *args, **kwargs):
+            assert np.shape(a) != (p.n, p.n), "n x n np.linalg.svd called"
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", refuse_eig)
+        monkeypatch.setattr(np.linalg, "svd", refuse_square)
         for count in range(1, REFINED_MAX + 1):
-            assert len(solve_full(p, 0.0, count)) == count
+            assert len(solve_full(p, 0.0, count)) == min(count, 2 * p.n)
+        for dim in range(1, p.n + 1):
+            assert case_from_pencil(p, 0.3 - 0.1j, dim).companions.shape == (p.n, dim - 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_exact_eigenvalues_give_unit_coordinate_vectors(self, count):
+        # P(lam) = lam (lam I - diag(1, 2, 3)): the companion eigenvalues
+        # 1, 2 and 3 come out exactly, so P(lam) is exactly singular and the
+        # inverse iteration factors it at a nudged lam.
+        p = QuadraticPencil(np.eye(3), -np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3)))
+        pairs = solve_full(p, 2.2, count)
+        assert [ep.value for ep in pairs] == [2.0, 3.0, 1.0][:count]
+        for ep in pairs:
+            k = int(ep.value.real) - 1
+            assert ep.vector == pytest.approx(np.eye(3)[k], rel=0, abs=1e-15)
+            assert ep.residual_norm == 0.0
+
+    def test_exactly_singular_repeated_value_keeps_independent_vectors(self):
+        # P(2) = diag(0, 0, -2) exactly: both copies of 2 take one block
+        # iteration at a nudged value, and its two golden-phase columns stay
+        # independent in the null space span{e_1, e_2}.
+        p = QuadraticPencil(np.eye(3), -np.diag([2.0, 2.0, 3.0]), np.zeros((3, 3)))
+        pairs = solve_full(p, 2.2, 2)
+        assert [ep.value for ep in pairs] == [2.0, 2.0]
+        V = np.column_stack([ep.vector for ep in pairs])
+        assert np.linalg.norm(V.conj().T @ V - np.eye(2)) <= 1e-15
+        assert np.abs(V[2]).max() <= 1e-15
+        assert all(ep.residual_norm == 0.0 for ep in pairs)
 
     def test_equidistant_conjugates_break_on_the_residual(self, monkeypatch):
         # Real pencils and real targets: the companion eigenvalues of a

@@ -7,11 +7,12 @@ import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
 from conftest import DenseDeflation, random_pencil, rng
-from qritz import theory
+from qritz import cli, theory
 from qritz.angles import subspace_angle, vector_angle
 from qritz.builtin import golden_checks
-from qritz.errors import NotAnEigenpair
-from qritz.pencil import linearize, qep_residual, stack_vector
+from qritz.errors import NotAnEigenpair, RankDeficient
+from qritz.mmio import write_matrix_market
+from qritz.pencil import Eigenpair, linearize, qep_residual, stack_vector
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
 from qritz.solver import select_eigenpair, solve_full
@@ -148,11 +149,33 @@ def test_bad_ref_value_refuses_the_study_by_name(bad):
 
 def test_bad_target_is_refused_before_the_full_solve(g, monkeypatch):
     def refuse(p):
-        raise AssertionError("solve_full ran before target was admitted")
+        raise AssertionError("companion solve ran before target was admitted")
 
-    monkeypatch.setattr("qritz.study.solve_full", refuse)
+    monkeypatch.setattr("qritz.study.warned_companion", refuse)
     with pytest.raises(ValueError, match=r"^target must be finite"):
         case_from_pencil(random_pencil(g, 5), math.nan, dim=2)
+
+
+def _one_direction(p, values):
+    """A degenerate ``refined_pairs``: every value gets the vector ``e_1``."""
+    return [Eigenpair(value=lam, vector=np.eye(p.n)[:, 0], residual_norm=0.0) for lam in values]
+
+
+def test_dependent_directions_are_refused_as_rank_deficient(g, monkeypatch):
+    monkeypatch.setattr("qritz.study.refined_pairs", _one_direction)
+    with pytest.raises(RankDeficient, match="^could not find 2 independent companion directions$"):
+        case_from_pencil(random_pencil(g, 5), 0.0, dim=3)
+
+
+def test_rank_deficient_case_exits_2(tmp_path, monkeypatch, capsys):
+    p = random_pencil(rng(9500), 4)
+    for name, mat in (("M", p.M), ("D", p.D), ("K", p.K)):
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    monkeypatch.setattr("qritz.study.refined_pairs", _one_direction)
+    paths = [str(tmp_path / f"{name}.mtx") for name in "MDK"]
+    code = cli.main(["study", *paths, "--dim", "2", "--out", str(tmp_path / "s.csv")])
+    assert code == cli.NUMERICAL_EXIT == 2
+    assert "RankDeficient: could not find 1 independent companion directions" in capsys.readouterr().err
 
 
 def test_verdict_thresholds():
