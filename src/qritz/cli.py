@@ -28,15 +28,10 @@ from . import builtin, mmio, study
 from .errors import IoFailure, NotOrthonormal, QritzError
 from .kernels import as_integer, as_scalar, orthonormalize, require_orthonormal
 from .pencil import QuadraticPencil
-from .projection import project, ritz_pairs
-from .refined import refined_ritz
-from .solver import select_eigenpair, solve_full
+from .solver import solve_full
 from .study import format_float
 from .subspace import as_epsilon
 from .theory import full_diagnostics, reference
-
-#: Reference eigenpairs are computed by full solve only up to this dimension.
-FULL_SOLVE_LIMIT = 50
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -128,38 +123,23 @@ def _cmd_project(args) -> int:
                 "rerun with --orthonormalize to fix it in place"
             ) from exc
         Q = orthonormalize(Q)
-    if p.n <= FULL_SOLVE_LIMIT:
-        ep = solve_full(p, args.target, 1)[0]
-        rep = full_diagnostics(reference(p, ep.value, ep.vector), Q)
-        print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)}")
-        print(f"reference lambda   = {fmt_complex(rep.ref_value)}")
-        print(f"sin_theta1         = {format_float(rep.sin_theta1)}")
-        print(f"ritz value         = {_opt_complex(rep.ritz_value)}")
-        print(f"ritz value error   = {_opt_float(rep.ritz_value_error)}")
-        print(f"ritz angle         = {_opt_float(rep.ritz_angle)}")
-        print(f"ritz residual      = {_opt_float(rep.ritz_residual)}")
-        print(f"clustered          = {rep.clustered}")
-        if args.refined:
-            print(f"refined angle      = {_opt_float(rep.refined_angle)}")
-            print(f"refined residual   = {_opt_float(rep.refined_residual)}")
-        print(f"sep projected      = {_opt_float(rep.sep_projected)}")
-        print(f"sep full           = {_opt_float(rep.sep_full)}")
-        print(f"elsner bound       = {_opt_float(rep.elsner_bound)}")
-        print(f"ritz vector bound  = {_opt_float(rep.ritz_vector_bound)}")
-        print(f"refined vec bound  = {_opt_float(rep.refined_vector_bound)}")
-        return 0
-    # Too large for a trustworthy reference pair: report projection-level
-    # quantities only.
-    pp = project(p, Q)
-    sel = select_eigenpair(ritz_pairs(pp, p), args.target)
-    print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)} (no reference)")
-    print(f"ritz value         = {fmt_complex(sel.value)}")
-    print(f"ritz residual      = {format_float(sel.residual_norm)}")
-    print(f"clustered          = {sel.clustered}")
-    if args.refined:
-        rr = refined_ritz(p, Q, sel.value)
-        print(f"refined residual   = {format_float(rr.residual_norm)}")
-        print(f"sigma_min          = {format_float(rr.sigma_min)}")
+    ep = solve_full(p, args.target, 1)[0]
+    rep = full_diagnostics(reference(p, ep.value, ep.vector), Q)
+    print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)}")
+    print(f"reference lambda   = {fmt_complex(rep.ref_value)}")
+    print(f"sin_theta1         = {format_float(rep.sin_theta1)}")
+    print(f"ritz value         = {_opt_complex(rep.ritz_value)}")
+    print(f"ritz value error   = {_opt_float(rep.ritz_value_error)}")
+    print(f"ritz angle         = {_opt_float(rep.ritz_angle)}")
+    print(f"ritz residual      = {_opt_float(rep.ritz_residual)}")
+    print(f"clustered          = {rep.clustered}")
+    print(f"refined angle      = {_opt_float(rep.refined_angle)}")
+    print(f"refined residual   = {_opt_float(rep.refined_residual)}")
+    print(f"sep projected      = {_opt_float(rep.sep_projected)}")
+    print(f"sep full           = {_opt_float(rep.sep_full)}")
+    print(f"elsner bound       = {_opt_float(rep.elsner_bound)}")
+    print(f"ritz vector bound  = {_opt_float(rep.ritz_vector_bound)}")
+    print(f"refined vec bound  = {_opt_float(rep.refined_vector_bound)}")
     return 0
 
 
@@ -251,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("K")
     pp.add_argument("--subspace", required=True, help="Matrix Market file for the basis")
     pp.add_argument("--target", type=target, default=_env("TARGET", "0"))
-    pp.add_argument("--refined", action="store_true", help="include refined extraction")
     pp.add_argument(
         "--orthonormalize",
         action="store_true",

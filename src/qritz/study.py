@@ -179,7 +179,9 @@ def run_study(
     companions (``p.n`` rows, finite entries), every epsilon
     (``subspace.as_epsilon``) and the seed, an integer in
     ``[0, 2**SEED_BITS)``, are admitted once, before the first row, so a
-    bad input refuses the whole study instead of a row or the rows after it."""
+    bad input refuses the whole study instead of a row or the rows after it.
+    Each row perturbs the admitted unit reference vector, so epsilon does not
+    depend on the scaling of ``case.ref_vector``."""
     ref_value = as_scalar(case.ref_value, "ref_value")
     seed = as_integer(seed, "seed", 0, 2**SEED_BITS)
     n = case.pencil.n
@@ -192,7 +194,7 @@ def run_study(
     verdicts = []
     for i, eps in enumerate(eps_list):
         try:
-            Q = perturbed_subspace(case.ref_vector, case.companions, eps, row_seed(seed, i))
+            Q = perturbed_subspace(x1, case.companions, eps, row_seed(seed, i))
             rep = full_diagnostics(ref, Q)
             row = row_from_report(eps, rep)
         except QritzError:

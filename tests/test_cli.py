@@ -12,6 +12,7 @@ from qritz.builtin import example31_basis, example31_pencil
 from qritz.errors import IndefiniteMass
 from qritz.kernels import orthonormalize
 from qritz.mmio import write_matrix_market
+from qritz.pencil import QuadraticPencil
 from qritz.solver import nearest_first, solve_full
 
 
@@ -181,7 +182,7 @@ def test_usage_error_is_returned_in_one_format(run_main, args):
 def test_project_reports_degenerate_projection(builtin_files, run_main):
     code, out, _ = run_main(
         ["project", builtin_files["M"], builtin_files["D"], builtin_files["K"],
-         "--subspace", builtin_files["Q"], "--target", "1", "--refined"]
+         "--subspace", builtin_files["Q"], "--target", "1"]
     )
     assert code == 0
     assert "clustered          = True" in out
@@ -371,7 +372,7 @@ def test_project_basis_orthogonal_to_reference_reports_infinite_bounds(tmp_path,
     for name, mat in mats.items():
         write_matrix_market(tmp_path / f"{name}.mtx", mat)
     code, out, err = run_main(
-        ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--target", "1.7j", "--refined"]
+        ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--target", "1.7j"]
     )
     assert code == 0, err
     assert "sin_theta1         = 1.0000000000000000e+00" in out
@@ -387,7 +388,7 @@ def test_project_on_a_graded_mass_reports_the_ritz_pair(tmp_path, run_main):
     for name, mat in (("M", p.M), ("D", p.D), ("K", p.K), ("Q", Q)):
         write_matrix_market(tmp_path / f"{name}.mtx", mat)
     code, out, err = run_main(
-        ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--target", "0.5", "--refined"]
+        ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--target", "0.5"]
     )
     assert code == 0, err
     fields = {k.strip(): v for k, v in (l.split("=", 1) for l in out.splitlines() if "=" in l)}
@@ -452,19 +453,61 @@ def test_diagonal_storage_fault_exits_3(tmp_path, run_main, text, message):
     assert message in err
 
 
-def test_project_large_problem_skips_reference(tmp_path, run_main):
-    # Above the full-solve limit the report carries projection-level
-    # quantities only.
-    g = rng(31)
-    p = random_pencil(g, 60)
-    for name, mat in (("M", p.M), ("D", p.D), ("K", p.K)):
+def _write_project_files(tmp_path, p, Q):
+    for name, mat in (("M", p.M), ("D", p.D), ("K", p.K), ("Q", Q)):
         write_matrix_market(tmp_path / f"{name}.mtx", mat)
-    write_matrix_market(tmp_path / "Q.mtx", orthonormalize(cnormal(g, 60, 3)))
-    code, out, err = run_main(
-        ["project", str(tmp_path / "M.mtx"), str(tmp_path / "D.mtx"),
-         str(tmp_path / "K.mtx"), "--subspace", str(tmp_path / "Q.mtx"),
-         "--target", "0.5", "--refined"]
-    )
+    return ["project", "M.mtx", "D.mtx", "K.mtx", "--subspace", "Q.mtx", "--target", "0.5"]
+
+
+#: The labels of the one ``qritz project`` report, in print order.
+PROJECT_LINES = [
+    "reference lambda", "sin_theta1", "ritz value", "ritz value error", "ritz angle",
+    "ritz residual", "clustered", "refined angle", "refined residual", "sep projected",
+    "sep full", "elsner bound", "ritz vector bound", "refined vec bound",
+]
+
+
+@pytest.mark.parametrize("n", [3, 60, 160])
+def test_project_prints_one_report_at_every_size(tmp_path, run_main, n):
+    g = rng(31)
+    p = random_pencil(g, n)
+    code, out, err = run_main(_write_project_files(tmp_path, p, orthonormalize(cnormal(g, n, 3))))
     assert code == 0, err
-    assert "(no reference)" in out
-    assert "sigma_min" in out
+    lines = out.splitlines()
+    assert lines[0] == f"project: n={n} m=3 target={cli.fmt_complex(0.5)}"
+    fields = {k.strip(): v.strip() for k, v in (l.split("=", 1) for l in lines[1:])}
+    assert list(fields) == PROJECT_LINES
+    assert "(no reference)" not in out
+    # The reference pair is admitted at every size, so every separation and
+    # bound is a number.
+    ref_value = complex(fields["reference lambda"].replace(" ", ""))
+    assert ref_value == solve_full(p, 0.5, 1)[0].value
+    assert float(fields["sep full"]) > 0
+    for name in ("elsner bound", "ritz vector bound", "refined vec bound"):
+        assert np.isfinite(float(fields[name]))
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_project_refuses_a_singular_mass_at_every_size(tmp_path, run_main, n):
+    g = rng(31)
+    p = random_pencil(g, n)
+    M = p.M.copy()
+    M[0, :] = 0.0
+    M[:, 0] = 0.0
+    p = QuadraticPencil(M, p.D, p.K)
+    argv = _write_project_files(tmp_path, p, orthonormalize(cnormal(g, n, 3)))
+    with pytest.warns(IndefiniteMass):
+        code, out, err = run_main(argv)
+    assert code == 2
+    assert out == ""
+    assert "Singular" in err
+
+
+def test_project_refined_option_is_a_usage_error(builtin_files, run_main):
+    code, out, err = run_main(
+        ["project", builtin_files["M"], builtin_files["D"], builtin_files["K"],
+         "--subspace", builtin_files["Q"], "--refined"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --refined" in err

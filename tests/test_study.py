@@ -88,6 +88,20 @@ def test_zero_epsilon_row():
     assert "REFINED-OK" in verdicts[0]
 
 
+def test_scaled_reference_vector_gives_the_unit_rows():
+    # epsilon is relative to the admitted unit reference vector, not to the
+    # caller's scaling of it; a power-of-two scale normalizes back exactly.
+    case = builtin_case()
+    scaled = dataclasses.replace(case, ref_vector=case.ref_vector * 2.0**20)
+    eps = [1e-2, 1e-6, 1e-12]
+    unit_rows, unit_verdicts = run_study(case, eps, seed=3)
+    rows, verdicts = run_study(scaled, eps, seed=3)
+    np.testing.assert_array_equal(
+        [dataclasses.astuple(r) for r in rows], [dataclasses.astuple(r) for r in unit_rows]
+    )
+    assert verdicts == unit_verdicts
+
+
 def test_builtin_small_epsilon_stagnates():
     case = builtin_case()
     rows, verdicts = run_study(case, [1e-12], seed=1)
@@ -208,7 +222,7 @@ def _oracle_row(case: StudyCase, eps: float, index: int) -> tuple[StudyRow, floa
     p = case.pencil
     lam1 = case.ref_value
     x1 = case.ref_vector / np.linalg.norm(case.ref_vector)
-    Q = perturbed_subspace(case.ref_vector, case.companions, eps, row_seed(HOIST_SEED, index))
+    Q = perturbed_subspace(x1, case.companions, eps, row_seed(HOIST_SEED, index))
     theta = subspace_angle(Q, x1)
     pp = project(p, Q)
     sel = select_eigenpair(ritz_pairs(pp, p), lam1)
