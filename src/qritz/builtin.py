@@ -30,6 +30,13 @@ BUILTIN_NAME = "example31"
 #: Exact eigenvalue and eigenvector index of the showcase pencil.
 EXACT_VALUE = 1.0 + 0.0j
 
+#: Golden-check thresholds: projected-matrix deviation, distance of a Ritz
+#: value counted at ``EXACT_VALUE``, refined-vector angle and projected sep.
+PROJECTED_TOL = 1e-13
+DOUBLE_VALUE_TOL = 1e-9
+RECOVERED_TOL = 1e-12
+SEP_VANISH_TOL = 1e-12
+
 
 def example31_pencil() -> QuadraticPencil:
     """The built-in 3x3 pencil (SPD mass and stiffness)."""
@@ -82,16 +89,16 @@ def golden_checks(p: QuadraticPencil | None = None, Q=None) -> list[GoldenCheck]
     pp = project(p, Q)
     dev_mass = spectral_norm(pp.pencil.M - example31_projected_mass())
     checks.append(
-        GoldenCheck("projected-mass-entries", dev_mass <= 1e-13, dev_mass, 1e-13)
+        GoldenCheck("projected-mass-entries", dev_mass <= PROJECTED_TOL, dev_mass, PROJECTED_TOL)
     )
 
     dev_sum = spectral_norm(pp.pencil.M + pp.pencil.D + pp.pencil.K)
     checks.append(
-        GoldenCheck("projected-sum-zero", dev_sum <= 1e-13, dev_sum, 1e-13)
+        GoldenCheck("projected-sum-zero", dev_sum <= PROJECTED_TOL, dev_sum, PROJECTED_TOL)
     )
 
     pairs = ritz_pairs(pp, p)
-    n_at_one = sum(1 for rp in pairs if abs(rp.value - EXACT_VALUE) <= 1e-9)
+    n_at_one = sum(1 for rp in pairs if abs(rp.value - EXACT_VALUE) <= DOUBLE_VALUE_TOL)
     checks.append(
         GoldenCheck("double-ritz-value-one", n_at_one == 2, float(n_at_one), 2.0)
     )
@@ -101,11 +108,11 @@ def golden_checks(p: QuadraticPencil | None = None, Q=None) -> list[GoldenCheck]
     ang_vec = vector_angle(rr.vector, example31_eigenvector()).sin
     worst = max(ang_coeff, ang_vec)
     checks.append(
-        GoldenCheck("refined-vector-recovered", worst <= 1e-12, worst, 1e-12)
+        GoldenCheck("refined-vector-recovered", worst <= RECOVERED_TOL, worst, RECOVERED_TOL)
     )
 
     sel = select_eigenpair(pairs, EXACT_VALUE)
     s = sep(reference(pp.pencil, sel.value, sel.coeff), EXACT_VALUE)
-    checks.append(GoldenCheck("projected-sep-vanishes", s <= 1e-12, s, 1e-12))
+    checks.append(GoldenCheck("projected-sep-vanishes", s <= SEP_VANISH_TOL, s, SEP_VANISH_TOL))
 
     return checks

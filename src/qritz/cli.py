@@ -128,27 +128,24 @@ def _cmd_project(args) -> int:
     print(f"project: n={p.n} m={Q.shape[1]} target={fmt_complex(args.target)}")
     print(f"reference lambda   = {fmt_complex(rep.ref_value)}")
     print(f"sin_theta1         = {format_float(rep.sin_theta1)}")
-    print(f"ritz value         = {_opt_complex(rep.ritz_value)}")
-    print(f"ritz value error   = {_opt_float(rep.ritz_value_error)}")
-    print(f"ritz angle         = {_opt_float(rep.ritz_angle)}")
-    print(f"ritz residual      = {_opt_float(rep.ritz_residual)}")
-    print(f"clustered          = {rep.clustered}")
-    print(f"refined angle      = {_opt_float(rep.refined_angle)}")
-    print(f"refined residual   = {_opt_float(rep.refined_residual)}")
-    print(f"sep projected      = {_opt_float(rep.sep_projected)}")
-    print(f"sep full           = {_opt_float(rep.sep_full)}")
-    print(f"elsner bound       = {_opt_float(rep.elsner_bound)}")
-    print(f"ritz vector bound  = {_opt_float(rep.ritz_vector_bound)}")
-    print(f"refined vec bound  = {_opt_float(rep.refined_vector_bound)}")
+    print(f"ritz value         = {_opt(rep.ritz_value, fmt_complex)}")
+    print(f"ritz value error   = {_opt(rep.ritz_value_error)}")
+    print(f"ritz angle         = {_opt(rep.ritz_angle)}")
+    print(f"ritz residual      = {_opt(rep.ritz_residual)}")
+    print(f"clustered          = {_opt(rep.clustered, str)}")
+    print(f"refined angle      = {_opt(rep.refined_angle)}")
+    print(f"refined residual   = {_opt(rep.refined_residual)}")
+    print(f"sep projected      = {_opt(rep.sep_projected)}")
+    print(f"sep full           = {_opt(rep.sep_full)}")
+    print(f"elsner bound       = {_opt(rep.elsner_bound)}")
+    print(f"ritz vector bound  = {_opt(rep.ritz_vector_bound)}")
+    print(f"refined vec bound  = {_opt(rep.refined_vector_bound)}")
     return 0
 
 
-def _opt_float(x) -> str:
-    return "n/a" if x is None else format_float(float(x))
-
-
-def _opt_complex(z) -> str:
-    return "n/a" if z is None else fmt_complex(z)
+def _opt(value, fmt=format_float) -> str:
+    """``fmt(value)``, or ``n/a`` for a field the report could not compute."""
+    return "n/a" if value is None else fmt(value)
 
 
 def _cmd_study(args) -> int:

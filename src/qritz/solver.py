@@ -3,11 +3,9 @@
 Intended for desk-scale ground truth.  The eigenvalues are those of the
 companion matrix ``B^{-1} A``, formed explicitly with n solves against the
 mass matrix (``pencil.companion_matrix``).  All 2n eigenpairs take the
-companion eigenvectors.  A few pairs nearest a target take only the
-companion eigenvalues; each vector is then the whole-space refined vector,
-the unit minimizer of ``||P(lam) x||``, found by inverse iteration on
-``P(lam)^H P(lam)`` (``refined_pairs``).  Its residual is never above that
-of the companion eigenvector for the same value, up to rounding.
+companion eigenvectors; the pairs nearest a target take the companion
+eigenvalues alone and each value's whole-space refined vector
+(``refined_pairs``).  Each residual is its pair's ``qep_residual``.
 """
 
 from __future__ import annotations
@@ -19,12 +17,7 @@ import numpy as np
 
 from .errors import EmptyList, IndefiniteMass
 from .kernels import as_integer, as_scalar, eigenvalues, golden_phases
-from .pencil import Eigenpair, QuadraticPencil, companion_matrix, quadratic_vectors
-
-#: ``solve_full`` refines at most this many values, two inverse steps each
-#: as a rule; past this, the companion eigenvectors of all 2n pairs cost
-#: less (measured at n = 60, 100 and 160, where 14 to 20 values cost as much).
-REFINED_MAX = 12
+from .pencil import Eigenpair, QuadraticPencil, companion_matrix, qep_residual, quadratic_vectors
 
 #: Inverse iteration goes on while a step takes its residual below this
 #: fraction of the last one, for at most ``INVERSE_STEPS`` steps.
@@ -32,18 +25,11 @@ INVERSE_FALL = 0.5
 INVERSE_STEPS = 12
 
 
-def _pairs(p: QuadraticPencil, values: np.ndarray, X: np.ndarray) -> list[Eigenpair]:
-    """The pairs ``(values[i], X[:, i])`` with their residual norms ``||P(lam) x||``."""
-    # Horner in place: the residuals P(lam) x of all k pairs, one n x k buffer.
-    R = p.M @ X
-    R *= values
-    R += p.D @ X
-    R *= values
-    R += p.K @ X
-    residuals = np.linalg.norm(R, axis=0)
+def _pairs(p: QuadraticPencil, values, X: np.ndarray) -> list[Eigenpair]:
+    """The pairs ``(values[i], X[:, i])``, each with its own ``qep_residual`` norm."""
     return [
-        Eigenpair(value=complex(values[i]), vector=X[:, i], residual_norm=float(residuals[i]))
-        for i in range(values.size)
+        Eigenpair(value=complex(lam), vector=x, residual_norm=qep_residual(p, lam, x)[1])
+        for lam, x in zip(values, X.T)
     ]
 
 
@@ -52,10 +38,8 @@ def _minimizers(p: QuadraticPencil, lam: complex, k: int) -> np.ndarray:
 
     Each step solves with ``P(lam)^H`` and then with ``P(lam)``, which
     applies ``(P^H P)^{-1}``, and orthonormalizes the result by QR.  The
-    start is ``golden_phases(n k)`` as k columns.  The iteration stops when
-    the residual ``||P(lam) X||_F`` stops falling: at the first step that
-    does not take it below ``INVERSE_FALL`` times the last one, or after
-    ``INVERSE_STEPS``.  It returns the block of the smallest residual.  The
+    start is ``golden_phases(n k)`` as k columns.  The iteration stops as
+    ``INVERSE_FALL`` says, and returns the block of the smallest residual.  The
     solves call LAPACK directly: ``P(lam)`` is singular by design, so
     ``solve_linear``'s ``sigma_min`` gate does not apply.  When ``P(lam)`` is
     exactly singular (a zero pivot), the solves take ``lam`` nudged by four
@@ -94,22 +78,21 @@ def refined_pairs(p: QuadraticPencil, values) -> list[Eigenpair]:
     is at most the companion eigenvector's, up to rounding.  Values that
     compare equal take one block iteration with as many columns as copies,
     at most n, so a repeated semisimple value keeps independent vectors.
-    Each vector takes the phase of the companion eigenvector, whose largest
-    entry of ``[lam x; x]`` is real and positive.
+    Each value's pairs, phase included, come from that value alone.
     """
     values = [complex(lam) for lam in values]
     X = np.empty((p.n, len(values)), dtype=np.complex128)
     for lam in dict.fromkeys(values):
         copies = [j for j, other in enumerate(values) if other == lam]
         block = _minimizers(p, lam, min(len(copies), p.n))
+        # The phase of the companion eigenvectors: LAPACK makes the largest entry
+        # of [lam x; x] real and positive, the top one when |lam| >= 1.
+        lead = block[np.argmax(np.abs(block), axis=0), np.arange(block.shape[1])]
+        if abs(lam) >= 1.0:
+            lead *= lam
+        block *= lead.conj() / np.abs(lead)
         X[:, copies] = block[:, np.minimum(np.arange(len(copies)), p.n - 1)]
-    lams = np.array(values, dtype=np.complex128)
-    # The phase of the companion eigenvectors: LAPACK makes the largest entry
-    # of [lam x; x] real and positive, the top one when |lam| >= 1.
-    lead = X[np.argmax(np.abs(X), axis=0), np.arange(lams.size)]
-    lead *= np.where(np.abs(lams) >= 1.0, lams, 1.0)
-    X *= lead.conj() / np.abs(lead)
-    return _pairs(p, lams, X)
+    return _pairs(p, values, X)
 
 
 def nearest_values(values, target: complex, count: int) -> list[complex]:
@@ -150,12 +133,13 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     eigenvector ``v``, the unit multiple of ``conj(lam) v_t + v_b``, so the
     larger of the two blocks carries it at every ``|lam|``.
 
-    With ``count`` (clamped to 2n), the result is the first ``count`` pairs
-    of ``nearest_first(pairs, target)``, and the eigenvalues come first,
-    without eigenvectors.  The candidates are ``nearest_values``, so exact
-    ties still break on the residual.  While there are at most
-    ``REFINED_MAX`` candidates, each takes its whole-space refined vector
-    from ``refined_pairs``.  More candidates take the all-pairs route.
+    With ``count`` (clamped to 2n), the eigenvalues come first, without
+    eigenvectors.  The candidates are ``nearest_values``, so exact ties still
+    break on the residual; each takes its whole-space refined vector from
+    ``refined_pairs``, and the result is the first ``count`` pairs of
+    ``nearest_first`` of them.  A value's vector and residual do not depend
+    on the other candidates, so ``solve_full(p, t, k)`` is bit for bit the
+    first k pairs of ``solve_full(p, t, k + 1)``.
 
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
@@ -174,11 +158,8 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     C = warned_companion(p)
     if count is None:
         return _pairs(p, *quadratic_vectors(C, p.n))
-    if count <= REFINED_MAX:
-        candidates = nearest_values(eigenvalues(C), target, count)
-        if len(candidates) <= REFINED_MAX:
-            return nearest_first(refined_pairs(p, candidates), target)[:count]
-    return nearest_first(_pairs(p, *quadratic_vectors(C, p.n)), target)[:count]
+    candidates = nearest_values(eigenvalues(C), target, count)
+    return nearest_first(refined_pairs(p, candidates), target)[:count]
 
 
 def nearest_first(pairs: list, target: complex) -> list:

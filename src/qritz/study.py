@@ -29,6 +29,9 @@ RITZ_FACTOR = 100.0
 #: Absolute floor under which a refined angle counts as converged outright.
 REFINED_FLOOR = 1e-13
 
+#: A companion vector joins a case when its part orthogonal to those before exceeds this.
+INDEPENDENCE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class StudyRow:
@@ -134,7 +137,7 @@ def case_from_pencil(p: QuadraticPencil, target: complex, dim: int) -> StudyCase
     nearest values (the reference among them), then as many more as the
     independence test rejected, each batch with the values tied at its
     last distance.  A vector joins the case when its component orthogonal
-    to the vectors before it has norm above 1e-6.
+    to the vectors before it has norm above ``INDEPENDENCE_TOL``.
 
     Raises:
         RankDeficient: if fewer than ``dim`` independent directions exist.
@@ -157,7 +160,7 @@ def case_from_pencil(p: QuadraticPencil, target: complex, dim: int) -> StudyCase
             w = ep.vector.copy()
             for b in test_basis:
                 w = w - b * np.vdot(b, w)
-            if np.linalg.norm(w) > 1e-6:
+            if np.linalg.norm(w) > INDEPENDENCE_TOL:
                 chosen.append(ep)
                 test_basis.append(w / np.linalg.norm(w))
     if len(chosen) < dim:

@@ -81,6 +81,16 @@ SEP_FLOOR = 1e-14
 #: ``cos(theta1)`` at or below which ``x1`` counts as orthogonal to span{Q}.
 ORTHOGONAL_TOL = 1e-14
 
+#: ``||B v||`` at or below this times ``max(||M||, 1)`` counts as zero in ``deflate``.
+ZERO_BV_TOL = 1e-14
+
+#: Check thresholds: unit length of the angle check's lower blocks, absolute
+#: slack of that inequality, and slack of the refined-residual identity
+#: relative to ``max(1, residual_scale)``.
+UNIT_BLOCK_TOL = 1e-12
+ANGLE_SLACK = 1e-12
+IDENTITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PerturbationTriple:
@@ -179,7 +189,7 @@ def deflate(p: QuadraticPencil, lam: complex, x) -> np.ndarray:
         BadNorm: if ``x`` is not unit (``kernels.require_unit``).
         NotAnEigenpair: if the backward error ``||P(lam) x|| /
             p.residual_scale(lam)`` exceeds ``EIGPAIR_TOL``.
-        ZeroBv: if ``||B v|| <= 1e-14 ||B||``, with ``||B|| = max(||M||, 1)``
+        ZeroBv: if ``||B v|| <= ZERO_BV_TOL ||B||``, with ``||B|| = max(||M||, 1)``
             (no left vector available).
     """
     lam = as_scalar(lam, "lam")
@@ -191,7 +201,7 @@ def deflate(p: QuadraticPencil, lam: complex, x) -> np.ndarray:
     n = p.n
     Bv = np.concatenate([p.M @ v[:n], v[n:]])
     nb = np.linalg.norm(Bv)
-    if nb <= 1e-14 * max(p.m0, 1.0):
+    if nb <= ZERO_BV_TOL * max(p.m0, 1.0):
         raise ZeroBv(f"||B v|| = {nb:.3e} is numerically zero")
     return Bv / nb
 
@@ -378,7 +388,7 @@ def stacked_angle_inequality_check(u, u_tilde) -> bool:
 
     Raises:
         DimensionMismatch: if the two vectors differ in length.
-        BadNorm: if a lower block is not unit length within 1e-12.
+        BadNorm: if a lower block is not unit length within ``UNIT_BLOCK_TOL``.
     """
     u = as_vector(u, "u")
     ut = as_vector(u_tilde, "u_tilde", u.size)
@@ -387,11 +397,11 @@ def stacked_angle_inequality_check(u, u_tilde) -> bool:
     n = u.size // 2
     u1, ut1 = u[n:], ut[n:]
     for blk in (u1, ut1):
-        if abs(np.linalg.norm(blk) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(blk) - 1.0) > UNIT_BLOCK_TOL:
             raise BadNorm("lower blocks must be unit length")
     lhs = vector_angle(u1, ut1).sin
     rhs = min(np.linalg.norm(u), np.linalg.norm(ut)) * vector_angle(u, ut).sin
-    return bool(lhs <= rhs + 1e-12)
+    return bool(lhs <= rhs + ANGLE_SLACK)
 
 
 def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bool:
@@ -414,7 +424,7 @@ def refined_residual_identity_check(p: QuadraticPencil, Q, mu: complex, z) -> bo
     w = np.concatenate([mu * qz, qz])
     lhs = float(np.linalg.norm(companion_operator(p, mu)[0](w)))
     scale = max(1.0, p.residual_scale(mu))
-    return bool(abs(lhs - rhs) <= 1e-12 * scale)
+    return bool(abs(lhs - rhs) <= IDENTITY_TOL * scale)
 
 
 def _stage(run):

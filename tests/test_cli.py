@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import resource
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env, cnormal, graded_projection, random_pencil, rng, run_cli
-from qritz import cli
+from qritz import builtin, cli
 from qritz.builtin import example31_basis, example31_pencil
 from qritz.errors import IndefiniteMass
 from qritz.kernels import orthonormalize
@@ -99,6 +100,24 @@ def test_solve_prints_refined_pairs_nearest_the_target(tmp_path, run_main, count
         printed = float(line.split("residual=")[1])
         assert abs(lam - want[rank].value) <= 1e-12 * max(1.0, abs(lam))
         assert printed <= want[rank].residual_norm + 1e-14 * p.residual_scale(lam)
+
+
+def test_solve_prints_the_same_first_pair_at_every_count(tmp_path, run_main):
+    # One route at every count: pair 1, its residual digits and its vector
+    # lines, does not depend on how many pairs follow it.
+    p = random_pencil(rng(9402), 40)
+    for name, mat in (("M", p.M), ("D", p.D), ("K", p.K)):
+        write_matrix_market(tmp_path / f"{name}.mtx", mat)
+    first = set()
+    for count in (1, 3, 5, 12, 13, 20):
+        code, stdout, err = run_main(
+            ["solve", "M.mtx", "D.mtx", "K.mtx", "--target", "0.3+0.2j", "--count", str(count)]
+        )
+        assert code == 0, err
+        out = stdout.splitlines()
+        assert sum(line.startswith("pair ") for line in out) == count
+        first.add(tuple(out[1 : 2 + p.n]))
+    assert len(first) == 1
 
 
 def test_solve_singular_mass_exits_2(tmp_path, run_main):
@@ -511,3 +530,55 @@ def test_project_refined_option_is_a_usage_error(builtin_files, run_main):
     assert code == 1
     assert out == ""
     assert "unrecognized arguments: --refined" in err
+
+
+def test_project_prints_n_a_for_every_field_of_a_failed_ritz_stage(tmp_path, run_main):
+    # Q^H M Q = 0: the projected pencil has no finite Ritz value, so every
+    # field from the Ritz value on is unavailable and reads n/a.
+    Q = np.zeros((4, 1))
+    Q[:2, 0] = 1.0 / np.sqrt(2.0)
+    p = QuadraticPencil(np.diag([1.0, -1.0, 1.0, 2.0]), 0.3 * np.eye(4), np.diag([2.0, 3.0, 5.0, 7.0]))
+    argv = _write_project_files(tmp_path, p, Q)
+    argv[argv.index("--target") + 1] = "1"
+    with pytest.warns(IndefiniteMass):
+        code, out, err = run_main(argv)
+    assert code == 0, err
+    fields = {k.strip(): v.strip() for k, v in (l.split("=", 1) for l in out.splitlines()[1:])}
+    assert list(fields) == PROJECT_LINES
+    unavailable = PROJECT_LINES[PROJECT_LINES.index("ritz value") :]
+    assert {name: fields[name] for name in unavailable} == dict.fromkeys(unavailable, "n/a")
+
+
+def test_study_with_two_matrix_files_is_a_usage_error(builtin_files, run_main):
+    code, out, err = run_main(["study", builtin_files["M"], builtin_files["D"]])
+    assert code == 1
+    assert out == ""
+    assert "qritz study: error: need either --builtin or three matrix files" in err
+
+
+def test_study_empty_epsilon_list_is_a_usage_error(run_main):
+    code, out, err = run_main(["study", "--builtin", "example31", "--eps-list", ","])
+    assert code == 1
+    assert out == ""
+    assert "argument --eps-list: epsilon list is empty" in err
+
+
+def test_project_orthonormalize_wide_basis_is_invalid_input(tmp_path, run_main):
+    p = QuadraticPencil(np.eye(4), np.diag([0.5, 0.1, 0.2, 0.3]), np.diag([4.0, 1.0, 9.0, 2.0]))
+    argv = _write_project_files(tmp_path, p, cnormal(rng(9403), 4, 5))
+    code, out, err = run_main([*argv, "--orthonormalize"])
+    assert code == 2
+    assert out == ""
+    assert err == "qritz: invalid input: cannot orthonormalize 5 columns in dimension 4\n"
+
+
+def test_example31_with_a_failing_check_exits_2(monkeypatch, run_main):
+    checks = builtin.golden_checks()
+    checks[0] = dataclasses.replace(checks[0], passed=False)
+    monkeypatch.setattr(builtin, "golden_checks", lambda: checks)
+    code, out, _ = run_main(["example31"])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith(f"FAIL {checks[0].name}: ")
+    assert sum(line.startswith("PASS ") for line in lines) == 4
+    assert lines[-1] == "1 of 5 checks failed"

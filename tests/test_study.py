@@ -11,8 +11,9 @@ from qritz import cli, theory
 from qritz.angles import subspace_angle, vector_angle
 from qritz.builtin import golden_checks
 from qritz.errors import NotAnEigenpair, RankDeficient
+from qritz.kernels import eigenvalues
 from qritz.mmio import write_matrix_market
-from qritz.pencil import Eigenpair, linearize, qep_residual, stack_vector
+from qritz.pencil import Eigenpair, QuadraticPencil, linearize, qep_residual, stack_vector
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
 from qritz.solver import select_eigenpair, solve_full
@@ -119,6 +120,46 @@ def test_case_from_pencil_picks_reference(g):
     assert case.companions.shape == (5, 2)
     stacked = np.column_stack([case.ref_vector, case.companions])
     assert np.linalg.matrix_rank(stacked, tol=1e-8) == 3
+
+
+def _exact_conjugates(C):
+    """``eigenvalues(C)`` for a real pencil, each conjugate pair made exact.
+
+    The complex eigensolver returns a real pencil's conjugate values only
+    to rounding; a real one returns them exact, and then a real target sits
+    at exactly one distance from both.
+    """
+    values = [complex(lam) for lam in eigenvalues(C)]
+    values = [complex(lam.real) if abs(lam.imag) <= 1e-8 * abs(lam) else lam for lam in values]
+    upper = [lam for lam in values if lam.imag > 0]
+    return np.array(
+        [min(upper, key=lambda mu: abs(mu - lam.conjugate())).conjugate() if lam.imag < 0 else lam
+         for lam in values]
+    )
+
+
+def test_conjugate_ties_give_the_solvers_reference(monkeypatch):
+    # A real pencil and a real target: a complex nearest value ties with its
+    # conjugate, and a real reference value sees conjugate pairs tied in its
+    # batches.  Either way the case's reference pair is solve_full's first.
+    monkeypatch.setattr("qritz.study.eigenvalues", _exact_conjugates)
+    monkeypatch.setattr("qritz.solver.eigenvalues", _exact_conjugates)
+    complex_references = 0
+    for seed in range(24):
+        g = rng(9600 + seed)
+        n = int(g.integers(4, 10))
+        R, D, K = (g.standard_normal((n, n)) for _ in range(3))
+        p = QuadraticPencil(R @ R.T + n * np.eye(n), D, K)
+        tau = float(g.standard_normal())
+        dim = int(g.integers(2, n + 1))
+        case = case_from_pencil(p, tau, dim)
+        want = solve_full(p, tau, 1)[0]
+        assert np.complex128(case.ref_value).tobytes() == np.complex128(want.value).tobytes()
+        assert case.ref_vector.tobytes() == want.vector.tobytes()
+        stacked = np.column_stack([case.ref_vector, case.companions])
+        assert np.linalg.matrix_rank(stacked, tol=1e-8) == dim
+        complex_references += case.ref_value.imag != 0.0
+    assert complex_references >= 3
 
 
 def test_failed_row_marks_nan():
