@@ -5,10 +5,12 @@ Matrices are 2-D ``complex128`` ndarrays in row-major (C) order, vectors are
 concurrently.  Factorizations are delegated to LAPACK through numpy: the
 eigensolver is Hessenberg reduction plus implicitly shifted QR, the SVD
 is the standard bidiagonalization algorithm, and orthonormalization is
-Householder QR.  ``largest_singular`` is the one iterative kernel: it reads
-an operator only through its products, running Lanczos on ``T^H T`` over
-one orthonormal basis, and it takes the three operator norms of each
-diagnostics row: both separations and ``||A - mu B||``.  ``spectral_norm``
+Householder QR.  ``largest_singular`` reads an operator only through its
+products and takes the three operator norms of each diagnostics row: both
+separations and ``||A - mu B||``.  Up to order ``DENSE_OPERATOR_MAX`` it
+forms the operator one column at a time and takes the values-only SVD;
+above it, it is the one iterative kernel, running Lanczos on ``T^H T`` over
+one orthonormal basis.  ``spectral_norm``
 takes a square matrix of order ``ITERATIVE_NORM_MIN`` or more through it,
 and every other matrix through the values-only SVD.  The ``as_*`` and
 ``require_*`` admissions are the one place an input's shape is refused.
@@ -50,6 +52,11 @@ STALL_TOL = 1e-15
 #: clustered top of the singular spectrum, the slowest case measured for
 #: the iteration, breaks even with the dense SVD near this order.
 ITERATIVE_NORM_MIN = 512
+
+#: Order up to which ``largest_singular`` forms the operator from ``dim``
+#: products and takes its dense values-only SVD: exact where the Lanczos
+#: stall stop can underestimate a tight top, and cheaper below this order.
+DENSE_OPERATOR_MAX = 16
 
 #: Lanczos vectors ``largest_singular`` allocates room for at first; it
 #: doubles the room when an iteration needs more.
@@ -301,8 +308,11 @@ def golden_phases(count: int) -> np.ndarray:
 def largest_singular(matvec, rmatvec, dim: int) -> float:
     """``||T||`` of a square operator on ``C^dim`` given only by its products.
 
-    ``matvec(x)`` returns ``T x`` and ``rmatvec(y)`` returns ``T^H y``.
-    Lanczos on ``T^H T``, with full reorthogonalization, starts from
+    ``matvec(x)`` returns ``T x`` and ``rmatvec(y)`` returns ``T^H y``.  For
+    ``dim <= DENSE_OPERATOR_MAX``, ``T`` is formed from the ``dim`` products
+    ``T e_j``, each copied into its column before the next call, and the
+    result is the first of its values-only singular values.  Above that
+    order, Lanczos on ``T^H T``, with full reorthogonalization, starts from
     ``golden_phases(dim)``.  This is Golub-Kahan
     bidiagonalization over one basis instead of two (Paige, 1974): each step
     takes one product with ``T`` and one with ``T^H``.  ``T`` is divided by
@@ -318,6 +328,11 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
     kernel never writes into an array that ``matvec`` or ``rmatvec``
     returned, so either may return a view of the operator's own state.
     """
+    if dim <= DENSE_OPERATOR_MAX:
+        T = np.empty((dim, dim), dtype=np.complex128)
+        for j, e in enumerate(np.eye(dim, dtype=np.complex128)):
+            T[:, j] = matvec(e)
+        return float(np.linalg.svd(T, compute_uv=False)[0])
     v = golden_phases(dim)
     # Row k holds the k-th Lanczos vector and conj_rows[k] its conjugate, both
     # written once when the vector is made, so a Gram-Schmidt pass is two

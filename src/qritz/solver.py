@@ -24,6 +24,12 @@ from .pencil import Eigenpair, QuadraticPencil, companion_matrix, qep_residual, 
 INVERSE_FALL = 0.5
 INVERSE_STEPS = 12
 
+#: Inverse iteration also stops after a step with ``P(lam)`` itself (no nudge)
+#: that leaves ``||P(lam) X||_F <= INVERSE_FLOOR ||P(lam)||_F / sqrt(n)``.  The
+#: right side is at most ``INVERSE_FLOOR ||P(lam)||_2``, so no further step
+#: could lower the residual by more: rounding, not the iteration, limits it.
+INVERSE_FLOOR = 1e-14
+
 
 def _pairs(p: QuadraticPencil, values, X: np.ndarray) -> list[Eigenpair]:
     """The pairs ``(values[i], X[:, i])``, each with its own ``qep_residual`` norm."""
@@ -39,15 +45,18 @@ def _minimizers(p: QuadraticPencil, lam: complex, k: int) -> np.ndarray:
     Each step solves with ``P(lam)^H`` and then with ``P(lam)``, which
     applies ``(P^H P)^{-1}``, and orthonormalizes the result by QR.  The
     start is ``golden_phases(n k)`` as k columns.  The iteration stops as
-    ``INVERSE_FALL`` says, and returns the block of the smallest residual.  The
-    solves call LAPACK directly: ``P(lam)`` is singular by design, so
+    ``INVERSE_FALL`` says, or at ``INVERSE_FLOOR`` after a step that solved
+    with ``P(lam)`` itself, and returns the block of the smallest residual.
+    The solves call LAPACK directly: ``P(lam)`` is singular by design, so
     ``solve_linear``'s ``sigma_min`` gate does not apply.  When ``P(lam)`` is
     exactly singular (a zero pivot), the solves take ``lam`` nudged by four
     ulps of ``max(|lam|, 1)``, and by 16 times more at each further zero
-    pivot, while the residual stays the one at ``lam``.
+    pivot, while the residual stays the one at ``lam``.  The nudge, not
+    rounding, limits such a step, so it does not stop at the floor.
     """
     n = p.n
     F = G = p.evaluate(lam)
+    floor = INVERSE_FLOOR * np.linalg.norm(F) / math.sqrt(n)
     nudge = 4.0 * np.spacing(max(abs(lam), 1.0))
     X = np.linalg.qr(golden_phases(n * k).reshape(k, n).T)[0]
     residual = np.linalg.norm(F @ X)
@@ -64,7 +73,7 @@ def _minimizers(p: QuadraticPencil, lam: complex, k: int) -> np.ndarray:
         falling = r < INVERSE_FALL * residual
         if r < residual:
             X, residual = Z, r
-        if not falling:
+        if not falling or (r <= floor and G is F):
             break
     return X
 

@@ -259,13 +259,23 @@ class TestLargestSingular:
         assert abs(largest_singular(*_operator(a), 30) - want) <= 1e-14 * want
 
     def test_runs_every_step_of_a_larger_diagonal(self):
-        # Twelve distinct singular values, gaps 0.05: the estimate grows at
-        # every step, so each of the 12 steps takes a product with T and all
-        # but the last one with T^H.
-        a = np.diag(1.0 - 0.05 * np.arange(12)).astype(complex)
+        # Twenty distinct singular values, gaps 0.04, above the dense order:
+        # the estimate grows at every step, so each of the 20 Lanczos steps
+        # takes a product with T and all but the last one with T^H.
+        a = np.diag(1.0 - 0.04 * np.arange(20)).astype(complex)
         calls, rcalls = [], []
-        assert largest_singular(*_operator(a, calls, rcalls), 12) == pytest.approx(1.0, rel=1e-14)
-        assert len(calls) == 12 and len(rcalls) == 11
+        assert 20 > kernels.DENSE_OPERATOR_MAX
+        assert largest_singular(*_operator(a, calls, rcalls), 20) == pytest.approx(1.0, rel=1e-14)
+        assert len(calls) == 20 and len(rcalls) == 19
+
+    @pytest.mark.parametrize("dim", [1, 9, kernels.DENSE_OPERATOR_MAX])
+    def test_small_orders_form_the_operator(self, dim):
+        # Up to DENSE_OPERATOR_MAX the norm is the dense SVD's of the dim
+        # products T e_j: no product with T^H, and the bits of the matrix norm.
+        a = cnormal(rng(2700 + dim), dim, dim)
+        calls, rcalls = [], []
+        assert largest_singular(*_operator(a, calls, rcalls), dim) == np.linalg.norm(a, 2)
+        assert len(calls) == dim and rcalls == []
 
     @pytest.mark.parametrize("n", [200, 513])
     @pytest.mark.parametrize(

@@ -276,6 +276,51 @@ class TestValueRoute:
         for count in range(1, 2 * n + 1):
             assert bits(solve_full(p, tau, count)) == everything[:count], count
 
+    @pytest.fixture
+    def solve_log(self, monkeypatch):
+        """One entry per ``np.linalg.solve`` call."""
+        log = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            log.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return log
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_solve_pair_per_value_at_the_rounding_floor(self, seed, solve_log):
+        # On a random HPD-mass pencil the first P^H / P solve pair already
+        # leaves ||P(lam) x|| at rounding level, below INVERSE_FLOOR, so
+        # each value stops there, within the minimality slack of the
+        # companion eigenvector's residual.
+        p = random_pencil(rng(9400 + seed), 60)
+        values = solver.nearest_values(eigenvalues(companion_matrix(p)), 0.3 + 0.2j, 5)
+        solve_log.clear()
+        pairs = solver.refined_pairs(p, values)
+        assert len(values) == 5 and len(solve_log) == 2 * len(values)
+        companion = solve_full(p)
+        for ep in pairs:
+            want = min(companion, key=lambda c: abs(c.value - ep.value))
+            assert ep.value == pytest.approx(want.value, rel=1e-12)
+            slack = 1e-14 * p.residual_scale(ep.value)
+            assert ep.residual_norm <= want.residual_norm + slack
+
+    def test_a_value_off_an_eigenvalue_runs_until_the_residual_stops_halving(self, g, solve_log):
+        # 1e-8 relative off an eigenvalue, the smallest residual is about
+        # sigma_min(P(lam)), far above the floor: the floor never stops the
+        # iteration, and the second step, which does not halve the residual,
+        # does.
+        p = random_pencil(g, 40)
+        lam = eigenvalues(companion_matrix(p))[0] * (1.0 + 1e-8)
+        solve_log.clear()
+        (ep,) = solver.refined_pairs(p, [lam])
+        F = p.evaluate(lam)
+        assert ep.residual_norm > 1e3 * solver.INVERSE_FLOOR * np.linalg.norm(F) / np.sqrt(p.n)
+        assert ep.residual_norm <= 1.01 * np.linalg.svd(F, compute_uv=False)[-1]
+        assert len(solve_log) >= 4
+
     def test_count_clamps_to_2n(self, g):
         p = random_pencil(g, 2)
         pairs = solve_full(p, 0.5, 9)
