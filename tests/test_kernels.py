@@ -190,6 +190,10 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
 
+#: An order above ``DENSE_OPERATOR_MAX``, where ``largest_singular`` runs Lanczos.
+LANCZOS_DIM = kernels.DENSE_OPERATOR_MAX + 4
+
+
 def _operator(a, calls=None, rcalls=None):
     """``(matvec, rmatvec)`` of the dense matrix ``a``; ``calls`` and ``rcalls`` log their sizes."""
 
@@ -207,47 +211,74 @@ def _operator(a, calls=None, rcalls=None):
 
 
 class TestLargestSingular:
+    @pytest.mark.parametrize("above", [0, kernels.DENSE_OPERATOR_MAX], ids=["dense", "lanczos"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_dense(self, seed):
+    def test_random_dense(self, seed, above):
+        # The drawn orders, 2 to 15, take the dense route; the same draws
+        # moved up by DENSE_OPERATOR_MAX run Lanczos.
         g = rng(seed + 2300)
-        k = int(g.integers(2, 40))
+        k = int(g.integers(2, 40)) + above
         a = cnormal(g, k, k) * 10.0 ** g.uniform(-3, 3)
         want = np.linalg.norm(a, 2)
         assert abs(largest_singular(*_operator(a), k) - want) <= 1e-14 * want
 
-    def test_rank_one(self, g):
-        a = np.outer(cnormal(g, 9), cnormal(g, 9))
+    @pytest.mark.parametrize("dim", [9, LANCZOS_DIM])
+    def test_rank_one(self, g, dim):
+        # Lanczos on T^H T of a rank-one T meets its one nonzero singular
+        # value within two steps and stops by the third product with T.
+        a = np.outer(cnormal(g, dim), cnormal(g, dim))
         want = np.linalg.norm(a, 2)
-        assert abs(largest_singular(*_operator(a), 9) - want) <= 1e-14 * want
+        calls = []
+        assert abs(largest_singular(*_operator(a, calls), dim) - want) <= 1e-14 * want
+        if dim <= kernels.DENSE_OPERATOR_MAX:
+            assert len(calls) == dim
+        else:
+            assert len(calls) <= 3
 
-    def test_zero_operator(self):
-        assert largest_singular(*_operator(np.zeros((5, 5), dtype=complex)), 5) == 0.0
+    def test_identity_stops_at_its_invariant_subspace(self):
+        # T^H T v_0 = v_0, so the first new direction orthogonalizes to
+        # exactly zero: Lanczos stops after one product with each of T and
+        # T^H instead of dividing by beta = 0.
+        dim = LANCZOS_DIM
+        calls, rcalls = [], []
+        norm = largest_singular(*_operator(np.eye(dim, dtype=complex), calls, rcalls), dim)
+        assert norm == pytest.approx(1.0, rel=1e-15)
+        assert len(calls) == 1 and len(rcalls) == 1
+
+    @pytest.mark.parametrize("dim", [5, LANCZOS_DIM])
+    def test_zero_operator(self, dim):
+        # Lanczos returns 0.0 at the first product, which is exactly zero.
+        calls = []
+        assert largest_singular(*_operator(np.zeros((dim, dim), dtype=complex), calls), dim) == 0.0
+        assert len(calls) == (dim if dim <= kernels.DENSE_OPERATOR_MAX else 1)
 
     def test_dimension_one(self):
         assert largest_singular(*_operator(np.array([[3.0 - 4.0j]])), 1) == pytest.approx(5.0, rel=1e-15)
 
-    def test_top_singular_vector_orthogonal_to_ones(self):
+    @pytest.mark.parametrize("dim", [6, LANCZOS_DIM])
+    def test_top_singular_vector_orthogonal_to_ones(self, dim):
         # ||a|| = 10 along w = (e1 - e2)/sqrt(2), which is orthogonal to ones;
-        # on the complement of w, a is the identity, so a start vector of ones
-        # would never leave it and report 1.
-        w = np.zeros(6)
+        # on the complement of w, a is the identity, so a Lanczos start
+        # vector of ones would never leave it and report 1.
+        w = np.zeros(dim)
         w[:2] = [1.0, -1.0]
         w /= np.sqrt(2.0)
-        a = np.eye(6) + 9.0 * np.outer(w, w)
-        assert a @ np.ones(6) == pytest.approx(np.ones(6))
-        assert largest_singular(*_operator(a), 6) == pytest.approx(10.0, rel=1e-14)
+        a = np.eye(dim) + 9.0 * np.outer(w, w)
+        assert a @ np.ones(dim) == pytest.approx(np.ones(dim))
+        assert largest_singular(*_operator(a), dim) == pytest.approx(10.0, rel=1e-14)
 
     def test_runs_every_step(self):
-        # Three distinct singular values and a generic start: the estimate
-        # keeps growing until the Krylov space is the whole space.
+        # Order 3 is formed densely, one product with T per column;
+        # test_runs_every_step_of_a_larger_diagonal runs every Lanczos step.
         a = np.diag([1.0, 0.9, 0.8]).astype(complex)
         calls = []
         assert largest_singular(*_operator(a, calls), 3) == pytest.approx(1.0, rel=1e-14)
         assert calls == [3, 3, 3]
 
-    def test_deterministic(self, g):
-        a = cnormal(g, 8, 8)
-        assert largest_singular(*_operator(a), 8) == largest_singular(*_operator(a), 8)
+    @pytest.mark.parametrize("dim", [8, LANCZOS_DIM])
+    def test_deterministic(self, g, dim):
+        a = cnormal(g, dim, dim)
+        assert largest_singular(*_operator(a), dim) == largest_singular(*_operator(a), dim)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_extreme_scales(self, g, scale):
@@ -305,25 +336,32 @@ class TestLargestSingular:
         assert norm == pytest.approx(100.0, rel=1e-14)
         assert peak <= 3 * kernels.LANCZOS_ROWS * dim * 16
 
-    def test_leaves_the_operators_arrays_untouched(self, g):
+    @pytest.mark.parametrize("dim", [7, LANCZOS_DIM])
+    def test_leaves_the_operators_arrays_untouched(self, g, dim):
         # Every product is a view of the operator's one state buffer; each
         # call first checks that the kernel left the previous product as it
-        # was returned.
-        a = cnormal(g, 7, 7)
-        state = np.zeros(7, dtype=complex)
+        # was returned.  The dense route takes dim products with T, Lanczos
+        # several with each of T and T^H.
+        a = cnormal(g, dim, dim)
+        state = np.zeros(dim, dtype=complex)
         snapshot = state.copy()
-        calls = []
+        calls, rcalls = [], []
 
-        def keeping(product):
+        def keeping(product, log):
             assert np.array_equal(state, snapshot)
             state[:] = product
             snapshot[:] = product
-            calls.append(1)
+            log.append(1)
             return state[:]
 
-        norm = largest_singular(lambda x: keeping(a @ x), lambda y: keeping(a.conj().T @ y), 7)
+        norm = largest_singular(
+            lambda x: keeping(a @ x, calls), lambda y: keeping(a.conj().T @ y, rcalls), dim
+        )
         assert np.array_equal(state, snapshot)
-        assert len(calls) >= 4
+        if dim <= kernels.DENSE_OPERATOR_MAX:
+            assert len(calls) == dim and rcalls == []
+        else:
+            assert len(calls) >= 4 and len(rcalls) >= 3
         want = np.linalg.norm(a, 2)
         assert abs(norm - want) <= 1e-14 * want
 
