@@ -243,14 +243,19 @@ def eig_standard(C) -> list[tuple[complex, np.ndarray]]:
 
 
 def eigenvalues(C) -> np.ndarray:
-    """All ``k`` eigenvalues of a dense complex matrix, with multiplicity, and no eigenvectors.
+    """All ``k`` eigenvalues of a dense square matrix, with multiplicity, and no eigenvectors.
 
-    The QR iteration of ``eig_standard`` without the eigenvector work.
+    The QR iteration of ``eig_standard`` without the eigenvector work.  A
+    matrix whose imaginary parts are all zero goes to LAPACK's real solver,
+    which returns each non-real value and its conjugate exactly conjugate,
+    so a real target sits at one distance from both.
 
     Raises:
         NoConvergence: if the QR iteration exhausts its sweep budget.
     """
     C = as_square(C)
+    if not C.imag.any():
+        C = C.real
     try:
         return np.linalg.eigvals(C)
     except np.linalg.LinAlgError as exc:

@@ -6,22 +6,25 @@ storage is expanded to the full matrix.  ``pattern`` files carry no values
 and are rejected.  Everything is returned dense (complex128): this package
 targets desk-scale problems.
 
-Both formats share one size-line rule and one line scanner: a
+Both formats share one header and size-line rule and one line scanner: a
 ``coordinate`` data line is an ``array`` data line with a leading ``i j``.
-A body with fewer lines than the size line announces entries is refused
-before anything of the announced size is allocated.  An ``array`` body is
-first read in one ``np.loadtxt`` pass.  When that pass refuses the body (a
-``%`` comment, a token it cannot convert, a wrong entry count or width),
-and for every ``coordinate`` body, the line scanner reads it, which either
-raises a line-numbered ``ParseError`` or reads what ``float``/``int``
-accept but ``loadtxt`` does not (``1_0``, integers beyond int64).  A
+An ``array`` body is streamed: the header and size line are read from the
+open file, and the rest of the file goes in chunks of whole lines to one
+``np.loadtxt`` pass, so the body never exists as whole-file bytes, text or
+a list of lines.  When that pass refuses the file (a fault in the header or
+size line, a non-ASCII byte, a ``%`` comment, a token it cannot convert, a
+wrong entry count or width, a blank body), and for every ``coordinate``
+file, the file is read again whole and the line scanner reads its body,
+which either raises a line-numbered ``ParseError`` or reads what
+``float``/``int`` accept but ``loadtxt`` does not (``1_0``, integers beyond
+int64).  On that path a body with fewer lines than the size line announces
+entries is refused before anything of the announced size is allocated.  A
 repeated ``coordinate`` position keeps its last value.  The storage type
 binds the diagonal: a ``skew-symmetric`` body holds no diagonal entry and a
 ``hermitian`` diagonal entry is real; the bulk pass leaves a non-real
 Hermitian diagonal to the scanner, so either fault is a ``ParseError``
-naming its line.  The dense output is
-allocated once the body is read; a size that does not fit in memory raises
-``IoFailure``.
+naming its line.  The dense output is allocated once the body is read; a
+size that does not fit in memory raises ``IoFailure``.
 
 The writer always emits ``array complex general`` with 17 significant
 digits, which round-trips float64 exactly.  The body is column-major, so
@@ -33,6 +36,8 @@ before the file is opened.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import IoFailure, ParseError, UnsupportedField
@@ -40,6 +45,9 @@ from .errors import IoFailure, ParseError, UnsupportedField
 _FORMATS = ("array", "coordinate")
 _FIELDS = ("real", "complex", "integer")
 _SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
+
+#: Characters per chunk of a streamed array body, completed to the end of its line.
+_CHUNK = 1 << 16
 
 
 def _fail(path: str, lineno: int, msg: str):
@@ -66,14 +74,60 @@ def _parse_value(tokens: list[str], field: str, path: str, lineno: int) -> compl
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file as a dense complex matrix.
 
+    An ``array`` body is streamed from the open file into one ``np.loadtxt``
+    pass; when that pass refuses the file, it is read again whole and its
+    lines go to the line scanner, which raises every error below.
+
     Raises:
         ParseError: on malformed content, a non-ASCII byte or an integer
             beyond the float64 range; the message names the line.
         UnsupportedField: for ``pattern`` files.
-        IoFailure: if the announced dense matrix does not fit in memory.
+        IoFailure: if the announced dense matrix, or the values the
+            streamed pass reads, do not fit in memory.
         OSError: if the file cannot be opened.
     """
     path = str(path)
+    with open(path, encoding="ascii") as fh:
+        out = _read_streamed(fh, path)
+    return _read_whole(path) if out is None else out
+
+
+def _read_streamed(fh, path: str) -> np.ndarray | None:
+    r"""The matrix of an ``array`` file from the text file ``fh``, or ``None`` to refuse it.
+
+    The header and size line are read from ``fh`` a line at a time, and the
+    rest of the file goes to ``_bulk_array_values``.  A fault, a non-ASCII
+    byte, a ``coordinate`` file, a non-real Hermitian diagonal and a body
+    the bulk pass refuses are refusals: the whole-file path then reads the
+    file again and raises.  The universal newlines of ``fh`` break lines at
+    ``\n``, ``\r`` and ``\r\n``, and ``str.splitlines``, which the
+    whole-file path reads, also at ``\v``, ``\f`` and ``\x1c``-``\x1e``:
+    a preamble line that holds one ends the preamble, and each body chunk
+    is split by ``str.splitlines`` itself, so both paths see the same lines.
+    """
+    lines = itertools.takewhile(lambda line: len(line.splitlines()) == 1, iter(fh.readline, ""))
+    try:
+        fmt, field, symmetry, rows, cols, count, size_lineno = _preamble(lines, path)
+    except (ParseError, UnsupportedField, UnicodeDecodeError):
+        return None
+    if fmt != "array":
+        return None
+    try:
+        vals = _bulk_array_values(fh, count, field)
+    except MemoryError:
+        raise _no_room(path, size_lineno, rows, cols) from None
+    if vals is None:
+        return None
+    if symmetry == "general":
+        return _dense(vals, None, rows, cols, symmetry, path, size_lineno)
+    positions = ii, jj = _entry_positions_array(rows, cols, symmetry)
+    if symmetry == "hermitian" and vals[ii == jj].imag.any():
+        return None  # the scanner names the line of the non-real diagonal entry
+    return _dense(vals, positions, rows, cols, symmetry, path, size_lineno)
+
+
+def _read_whole(path: str) -> np.ndarray:
+    """Read the file whole and scan its body a line at a time; every fault raises."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -83,12 +137,32 @@ def read_matrix_market(path) -> np.ndarray:
         head = data[: exc.start].decode("ascii") + "x"
         _fail(path, len(head.splitlines()), f"non-ASCII byte 0x{data[exc.start]:02x}")
     lines = text.splitlines()
+    fmt, field, symmetry, rows, cols, count, size_lineno = _preamble(iter(lines), path)
+    body = lines[size_lineno:]
+    if count > len(body):
+        # Refuse a body too short for the size line before allocating for that size.
+        found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
+        _fail(path, len(lines), f"expected {count} entries, found {found}")
 
-    if not lines:
+    positions = _entry_positions_array(rows, cols, symmetry) if fmt == "array" else None
+    entries = _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path)
+    ii, jj = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
+    vals = np.array(list(entries.values()), dtype=np.complex128)
+    return _dense(vals, (ii, jj), rows, cols, symmetry, path, size_lineno)
+
+
+def _preamble(lines, path: str) -> tuple[str, str, str, int, int, int, int]:
+    """``(fmt, field, symmetry, rows, cols, count, size_lineno)`` from the iterator ``lines``.
+
+    Reads the header, the comment and blank lines after it and the size
+    line, and leaves ``lines`` after the size line.
+    """
+    first = next(lines, None)
+    if first is None:
         _fail(path, 1, "empty file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
-        _fail(path, 1, f"bad header {lines[0]!r}")
+        _fail(path, 1, f"bad header {first!r}")
     fmt, field, symmetry = (tok.lower() for tok in header[2:5])
     if field == "pattern":
         raise UnsupportedField(f"{path}:1: pattern matrices carry no values")
@@ -100,35 +174,33 @@ def read_matrix_market(path) -> np.ndarray:
         _fail(path, 1, f"unsupported symmetry {symmetry!r}")
 
     # Skip comment/blank lines up to the size line.
-    idx = 1
-    while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("%")):
-        idx += 1
-    if idx >= len(lines):
-        _fail(path, len(lines), "missing size line")
-    size_lineno = idx + 1
-    rows, cols, count = _size_line(lines[idx], fmt, symmetry, path, size_lineno)
-    body = lines[size_lineno:]
-    if count > len(body):
-        # Refuse a body too short for the size line before allocating for that size.
-        found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
-        _fail(path, len(lines), f"expected {count} entries, found {found}")
+    lineno = 1
+    for line in lines:
+        lineno += 1
+        if line.strip() and not line.lstrip().startswith("%"):
+            break
+    else:
+        _fail(path, lineno, "missing size line")
+    return fmt, field, symmetry, *_size_line(line, fmt, symmetry, path, lineno), lineno
 
-    positions = vals = None
-    if fmt == "array":
-        positions = ii, jj = _entry_positions_array(rows, cols, symmetry)
-        vals = _bulk_array_values(body, count, field)
-        if vals is not None and symmetry == "hermitian" and vals[ii == jj].imag.any():
-            vals = None  # the scanner names the line of the non-real diagonal entry
-    if vals is None:
-        entries = _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path)
-        ii, jj = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
-        vals = np.array(list(entries.values()), dtype=np.complex128)
+
+def _no_room(path: str, size_lineno: int, rows: int, cols: int) -> IoFailure:
+    return IoFailure(f"{path}:{size_lineno}: {rows} x {cols} dense matrix does not fit in memory")
+
+
+def _dense(vals, positions, rows, cols, symmetry, path, size_lineno) -> np.ndarray:
+    """The dense matrix with ``vals`` at ``positions = (ii, jj)``, mirrored as ``symmetry`` says.
+
+    ``positions=None`` stores every entry in column-major order.
+    """
     try:
         out = np.zeros((rows, cols), dtype=np.complex128)
     except MemoryError:
-        raise IoFailure(
-            f"{path}:{size_lineno}: {rows} x {cols} dense matrix does not fit in memory"
-        ) from None
+        raise _no_room(path, size_lineno, rows, cols) from None
+    if positions is None:
+        out.T[...] = vals.reshape(cols, rows)
+        return out
+    ii, jj = positions
     # Mirror first, so the as-read store below keeps a Hermitian or skew diagonal as read.
     if symmetry == "symmetric":
         out[jj, ii] = vals
@@ -172,26 +244,41 @@ def _entry_positions_array(rows: int, cols: int, symmetry: str) -> tuple[np.ndar
     return i[keep], j[keep]
 
 
-def _bulk_array_values(body: list[str], count: int, field: str) -> np.ndarray | None:
-    """The ``count`` values of an array body as complex128, read in one pass.
+def _bulk_array_values(fh, count: int, field: str) -> np.ndarray | None:
+    """The ``count`` values of the array body left in the text file ``fh``, as complex128.
 
-    Returns ``None`` when the body holds a ``%``, is blank, or is not
-    ``count`` rows of the field's width that ``np.loadtxt`` converts.
+    The body goes to one ``np.loadtxt`` pass in chunks of whole lines, each
+    split into its lines, so it never exists whole as one string or list.
+    Returns ``None`` when the body holds a ``%`` or a non-ASCII byte, is
+    blank, or is not ``count`` rows of the field's width that ``np.loadtxt``
+    converts.
     """
-    text = "\n".join(body)
-    if "%" in text or not text.strip():
-        return None
+    chunks = iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
     try:
+        # A blank body is refused here: loadtxt would warn on it.
+        first = next((chunk for chunk in chunks if not chunk.isspace()), None)
+        if first is None:
+            return None
         data = np.loadtxt(
-            body, dtype=np.int64 if field == "integer" else np.float64, comments=None, ndmin=2
+            itertools.chain.from_iterable(map(_chunk_lines, itertools.chain([first], chunks))),
+            dtype=np.int64 if field == "integer" else np.float64,
+            comments=None,
+            ndmin=2,
         )
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError and the refusals of _chunk_lines included
         return None
     if data.shape != (count, 2 if field == "complex" else 1):
         return None
     if field == "complex":
         return data.view(np.complex128)[:, 0]
     return data[:, 0].astype(np.complex128)
+
+
+def _chunk_lines(chunk: str) -> list[str]:
+    """The lines of a body chunk; ``ValueError`` if it holds a ``%``."""
+    if "%" in chunk:
+        raise ValueError("a body with a % goes to the line scanner")
+    return chunk.splitlines()
 
 
 def _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path) -> dict:

@@ -241,14 +241,22 @@ def companion_matrix(p: QuadraticPencil) -> np.ndarray:
     ``1e-14 ||M||`` cannot fire, and its values-only SVD of ``M`` is saved.
     Nothing is kept on ``p``: each caller owns its 2n x 2n matrix.
 
+    The matrix is built in place: ``-D`` and ``-K`` go into the top block
+    rows of one zeroed 2n x 2n array, the solve against ``M`` overwrites
+    them, and the identity block is set last, so only the solve's n x 2n
+    result coexists with it.
+
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||`` (``solve_linear``).
     """
     n = p.n
-    top = solve_linear(p.M, np.hstack([-p.D, -p.K]), certified=p.hermitian_pd)
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    return np.block([[top], [eye, zero]])
+    C = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    top = C[:n]
+    np.negative(p.D, out=top[:, :n])
+    np.negative(p.K, out=top[:, n:])
+    top[...] = solve_linear(p.M, top, certified=p.hermitian_pd)
+    np.fill_diagonal(C[n:, :n], 1.0)
+    return C
 
 
 def quadratic_vectors(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,15 +3,16 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import child_env, cnormal, graded_projection, random_pencil, rng, run_cli
-from qritz import builtin, cli
+from qritz import builtin, cli, mmio, solver
 from qritz.builtin import example31_basis, example31_pencil
 from qritz.errors import IndefiniteMass
-from qritz.kernels import orthonormalize
+from qritz.kernels import orthonormalize, solve_linear
 from qritz.mmio import write_matrix_market
 from qritz.pencil import QuadraticPencil
 from qritz.solver import nearest_first, solve_full
@@ -250,6 +251,30 @@ def test_study_builtin_deterministic_bytes(tmp_path):
     assert b"RITZ-STAGNANT" in r1.stdout
     header = csv1.decode().splitlines()[0]
     assert header.startswith("epsilon,sin_theta,ritz_value_err")
+
+
+def _block_companion(p):
+    """The companion matrix assembled from separate blocks by ``np.block``."""
+    n = p.n
+    top = solve_linear(p.M, np.hstack([-p.D, -p.K]), certified=p.hermitian_pd)
+    return np.block([[top], [np.eye(n), np.zeros((n, n))]])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_output_on_the_benchmark_files_matches_the_scanner(tmp_path, monkeypatch, seed):
+    # The benchmark's files workload: `qritz solve` on n = 160 Matrix Market
+    # files prints the same bytes with the streamed reader and the in-place
+    # companion as with the line scanner and the block-assembled companion.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    w = workloads.make("files", seed, "full", tmp_path)
+    w.setup()
+    got = [w.op(i) for i in range(2)]
+    monkeypatch.setattr(mmio, "_bulk_array_values", lambda *args: None)
+    monkeypatch.setattr(solver, "companion_matrix", _block_companion)
+    assert [w.op(i) for i in range(2)] == got
+    assert all(w.check(i, out) == [] for i, out in enumerate(got))
 
 
 def test_study_zero_epsilon_exact_row(tmp_path, run_main):

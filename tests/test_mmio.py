@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cnormal, rng
 from qritz import mmio
-from qritz.errors import ParseError, UnsupportedField
+from qritz.errors import IoFailure, ParseError, UnsupportedField
 from qritz.mmio import read_matrix_market, write_matrix_market
 
 
@@ -397,6 +397,129 @@ def test_bulk_pass_matches_the_line_scanner(text):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
         assert got.tobytes() == want.tobytes()
+
+
+# Line breaks: a text-mode file breaks lines at \n, \r and \r\n, while
+# str.splitlines, which the line scanner reads, also breaks at \v, \f and
+# \x1c-\x1e.  The streamed pass must match the scanner or leave the file to it.
+
+_UNIVERSAL_NEWLINES = ("\n", "\r\n", "\r")
+_SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+@st.composite
+def line_break_files(draw):
+    field = draw(st.sampled_from(mmio._FIELDS))
+    symmetry = draw(st.sampled_from(mmio._SYMMETRIES))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4)) if symmetry == "general" else rows
+    number = st.integers(-(2**60), 2**60).map(str) if field == "integer" else _float_tokens()
+    # Half the files break lines only where a text-mode file does too.
+    breaks = _UNIVERSAL_NEWLINES + (_SPLITLINES_BREAKS if draw(st.booleans()) else ())
+    gap = st.sampled_from((" ", "\t", " ") + breaks[3:])
+    ii, jj = mmio._entry_positions_array(rows, cols, symmetry)
+    body = []
+    for i, j in zip(ii, jj):
+        tokens = [draw(number) for _ in range(2 if field == "complex" else 1)]
+        if (field, symmetry) == ("complex", "hermitian") and i == j:
+            tokens[1] = draw(st.sampled_from(_REAL_IMAG))
+        # A break between the two tokens of a complex entry splits it for the scanner.
+        body.append(tokens[0] + "".join(draw(gap) + t for t in tokens[1:]))
+    preamble = [f"%%MatrixMarket matrix array {field} {symmetry}"]
+    preamble += ["% note"] * draw(st.integers(0, 1))
+    lines = preamble + [f"{rows} {cols}"] + body
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    ends = [draw(st.sampled_from(breaks)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("ascii")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=line_break_files())
+def test_streamed_pass_matches_the_line_scanner_across_line_breaks(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.mtx"
+        path.write_bytes(data)
+        got = _outcome(path)
+        with mock.patch.object(mmio, "_bulk_array_values", return_value=None):
+            want = _outcome(path)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_take_the_streamed_pass(tmp_path, newline, scanner_raises):
+    path = tmp_path / "crlf.mtx"
+    lines = ["%%MatrixMarket matrix array complex general", "% note", "", "2 1", "1.5 -2", "", "3 4e-3"]
+    path.write_bytes(newline.join(lines).encode("ascii"))
+    assert np.array_equal(read_matrix_market(path), [[1.5 - 2j], [3 + 4e-3j]])
+
+
+@pytest.mark.parametrize("body", ["1.0\x0b2.0", "1.0\x0c2.0", "1.0\x1e2.0"])
+def test_a_break_only_splitlines_sees_goes_to_the_scanner(tmp_path, body):
+    # A text-mode file reads "1.0<break>2.0" as one complex entry; the
+    # scanner reads two lines of one token each.
+    path = tmp_path / "vt.mtx"
+    path.write_text(f"%%MatrixMarket matrix array complex general\n1 1\n{body}\n")
+    with pytest.raises(ParseError, match=r":3: expected 2 value tokens, got 1$"):
+        read_matrix_market(path)
+    with mock.patch.object(mmio, "_scan_body", side_effect=ScannerReached):
+        with pytest.raises(ScannerReached):
+            read_matrix_market(path)
+
+
+def test_a_preamble_break_only_splitlines_sees_goes_to_the_scanner(tmp_path):
+    # Read as one line, "% note<VT>1 1" is a comment and "1 2" the size line
+    # of a 1 x 2 matrix with two entries; str.splitlines reads a 1 x 1 size
+    # line and one entry too many.
+    path = tmp_path / "vt.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n% note\x0b1 1\n1 2\n5 6\n7 8\n")
+    with pytest.raises(ParseError, match=r":5: more entries than the size line announces$"):
+        read_matrix_market(path)
+
+
+def test_streamed_read_peaks_near_the_matrix_bytes(tmp_path, g):
+    # The body streams into the bulk pass: no whole-file bytes, text or
+    # list of lines; the traced peak is the parsed values and the dense result.
+    n = 200
+    m = cnormal(g, n, n)
+    path = tmp_path / "big.mtx"
+    write_matrix_market(path, m)
+    tracemalloc.start()
+    try:
+        got = read_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == m.tobytes()
+    assert peak <= 3 * m.nbytes
+
+
+def test_streamed_pass_lets_no_warning_escape(tmp_path, recwarn):
+    # loadtxt warns on a body without rows; the scanner then raises.
+    path = tmp_path / "blank.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n1 1\n  \n\n")
+    with pytest.raises(ParseError, match=r":4: expected 1 entries, found 0$"):
+        read_matrix_market(path)
+    assert not recwarn.list
+
+
+def test_memory_error_in_the_streamed_pass_is_an_io_failure(tmp_path, monkeypatch):
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, np.ones((3, 2)))
+
+    def no_room(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "loadtxt", no_room)
+    with pytest.raises(IoFailure, match=r"m\.mtx:2: 3 x 2 dense matrix does not fit in memory$"):
+        read_matrix_market(path)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])

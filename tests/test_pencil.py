@@ -327,6 +327,25 @@ class TestCompanionMatrix:
             with pytest.raises(Singular):
                 companion_matrix(p)
 
+    @pytest.mark.parametrize("hpd", [True, False])
+    def test_built_in_place_with_the_block_bits(self, g, hpd):
+        # One 2n x 2n array and the solve's n x 2n result: the traced peak
+        # stays within twice the companion, and its bits are those of the
+        # block assembly from -D, -K, I and 0.
+        n = 200
+        p = random_pencil(g, n, hpd_mass=hpd)
+        tracemalloc.start()
+        try:
+            C = companion_matrix(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * C.nbytes
+        top = solve_linear(p.M, np.hstack([-p.D, -p.K]), certified=p.hermitian_pd)
+        eye, zero = np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)
+        assert C.flags.c_contiguous
+        assert C.tobytes() == np.block([[top], [eye, zero]]).tobytes()
+
 
 class TestCompanionOperator:
     @pytest.mark.parametrize("mu", [0.0, 1e-3, 3 + 4j, 1e6])

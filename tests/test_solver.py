@@ -252,6 +252,27 @@ class TestValueRoute:
                     ties += 1
         assert ties >= 2
 
+    def test_real_pencils_get_exactly_conjugate_values(self):
+        # A real companion goes to the real eigensolver, which returns each
+        # non-real value with its exact conjugate: at the real part of the
+        # value both are equidistant, and the smaller residual comes first.
+        checked = 0
+        for seed in range(30):
+            g = rng(9700 + seed)
+            n = int(g.integers(4, 10))
+            R, D, K = (g.standard_normal((n, n)) for _ in range(3))
+            p = QuadraticPencil(R @ R.T + n * np.eye(n), D, K)
+            values = eigenvalues(companion_matrix(p))
+            for lam in values[values.imag > 0]:
+                tau = lam.real
+                if np.sort(np.abs(values - tau))[2] <= 1.01 * lam.imag:
+                    continue  # a third value is about as near
+                first, second = solve_full(p, tau, 2)
+                assert first.value == second.value.conjugate()
+                assert first.residual_norm <= second.residual_norm
+                checked += 1
+        assert checked >= 20
+
     @pytest.mark.parametrize("seed", range(24))
     def test_each_count_is_a_prefix_of_the_largest(self, seed):
         # A value's refined vector and residual are computed from that value

@@ -13,7 +13,7 @@ from qritz.builtin import golden_checks
 from qritz.errors import NotAnEigenpair, RankDeficient
 from qritz.kernels import eigenvalues
 from qritz.mmio import write_matrix_market
-from qritz.pencil import Eigenpair, QuadraticPencil, linearize, qep_residual, stack_vector
+from qritz.pencil import Eigenpair, QuadraticPencil, companion_matrix, linearize, qep_residual, stack_vector
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
 from qritz.solver import select_eigenpair, solve_full
@@ -159,6 +159,29 @@ def test_conjugate_ties_give_the_solvers_reference(monkeypatch):
         stacked = np.column_stack([case.ref_vector, case.companions])
         assert np.linalg.matrix_rank(stacked, tol=1e-8) == dim
         complex_references += case.ref_value.imag != 0.0
+    assert complex_references >= 3
+
+
+def test_conjugate_ties_on_real_pencils_give_the_solvers_reference():
+    # The conjugate-tie scenario above without exact conjugates put in by
+    # hand: the real eigensolver of a real companion returns them itself.
+    complex_references = 0
+    for seed in range(24):
+        g = rng(9600 + seed)
+        n = int(g.integers(4, 10))
+        R, D, K = (g.standard_normal((n, n)) for _ in range(3))
+        p = QuadraticPencil(R @ R.T + n * np.eye(n), D, K)
+        tau = float(g.standard_normal())
+        dim = int(g.integers(2, n + 1))
+        case = case_from_pencil(p, tau, dim)
+        want = solve_full(p, tau, 1)[0]
+        assert np.complex128(case.ref_value).tobytes() == np.complex128(want.value).tobytes()
+        assert case.ref_vector.tobytes() == want.vector.tobytes()
+        stacked = np.column_stack([case.ref_vector, case.companions])
+        assert np.linalg.matrix_rank(stacked, tol=1e-8) == dim
+        if case.ref_value.imag:
+            assert case.ref_value.conjugate() in eigenvalues(companion_matrix(p))
+            complex_references += 1
     assert complex_references >= 3
 
 
