@@ -1,4 +1,4 @@
-"""Matrix Market reader/writer for dense complex matrices.
+r"""Matrix Market reader/writer for dense complex matrices.
 
 Reads ``array`` and ``coordinate`` formats with ``real``, ``complex`` and
 ``integer`` fields; ``symmetric``, ``hermitian`` and ``skew-symmetric``
@@ -6,25 +6,26 @@ storage is expanded to the full matrix.  ``pattern`` files carry no values
 and are rejected.  Everything is returned dense (complex128): this package
 targets desk-scale problems.
 
-Both formats share one header and size-line rule and one line scanner: a
-``coordinate`` data line is an ``array`` data line with a leading ``i j``.
-An ``array`` body is streamed: the header and size line are read from the
-open file, and the rest of the file goes in chunks of whole lines to one
-``np.loadtxt`` pass, so the body never exists as whole-file bytes, text or
-a list of lines.  When that pass refuses the file (a fault in the header or
-size line, a non-ASCII byte, a ``%`` comment, a token it cannot convert, a
-wrong entry count or width, a blank body), and for every ``coordinate``
-file, the file is read again whole and the line scanner reads its body,
-which either raises a line-numbered ``ParseError`` or reads what
-``float``/``int`` accept but ``loadtxt`` does not (``1_0``, integers beyond
-int64).  On that path a body with fewer lines than the size line announces
-entries is refused before anything of the announced size is allocated.  A
+The file is opened once, in binary mode, and every line comes from one
+source: ``_CHUNK`` bytes at a time, each chunk completed to a ``\n``,
+decoded as ASCII and split by ``str.splitlines``; a file with no ``\n``
+(CR-only line ends) is one chunk.  Both formats share one header and
+size-line rule and one line scanner: a ``coordinate`` data line is an
+``array`` data line with a leading ``i j``.  An ``array`` body goes from
+the source into one ``np.loadtxt`` pass, so the file is never held whole.
+When that pass refuses the body (a non-ASCII byte, a token it cannot
+convert such as a ``%``, a wrong entry count or width, a blank body, a
+non-real Hermitian diagonal), the file is rewound and the scanner reads
+the body, as it reads every ``coordinate`` body.  The scanner raises a
+``ParseError`` naming the first faulty line in file order, or reads what
+``float``/``int`` accept but ``loadtxt`` does not (``1_0``, integers
+beyond int64).  It takes ``array`` positions one at a time, so a short
+body is refused before anything of the announced size is allocated.  A
 repeated ``coordinate`` position keeps its last value.  The storage type
-binds the diagonal: a ``skew-symmetric`` body holds no diagonal entry and a
-``hermitian`` diagonal entry is real; the bulk pass leaves a non-real
-Hermitian diagonal to the scanner, so either fault is a ``ParseError``
-naming its line.  The dense output is allocated once the body is read; a
-size that does not fit in memory raises ``IoFailure``.
+binds the diagonal: a ``skew-symmetric`` body holds no diagonal entry and
+a ``hermitian`` diagonal entry is real.  The dense output is allocated
+once the body is read; a size that does not fit in memory raises
+``IoFailure``.
 
 The writer always emits ``array complex general`` with 17 significant
 digits, which round-trips float64 exactly.  The body is column-major, so
@@ -46,7 +47,7 @@ _FORMATS = ("array", "coordinate")
 _FIELDS = ("real", "complex", "integer")
 _SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
 
-#: Characters per chunk of a streamed array body, completed to the end of its line.
+#: Bytes per chunk of the line source, completed to the end of its line.
 _CHUNK = 1 << 16
 
 
@@ -74,81 +75,56 @@ def _parse_value(tokens: list[str], field: str, path: str, lineno: int) -> compl
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file as a dense complex matrix.
 
-    An ``array`` body is streamed from the open file into one ``np.loadtxt``
-    pass; when that pass refuses the file, it is read again whole and its
-    lines go to the line scanner, which raises every error below.
+    The file is opened once and every line comes from one source.  An
+    ``array`` body goes to one ``np.loadtxt`` pass; the line scanner reads a
+    body that pass refuses, and every ``coordinate`` body, and raises the
+    first fault in file order.
 
     Raises:
         ParseError: on malformed content, a non-ASCII byte or an integer
             beyond the float64 range; the message names the line.
         UnsupportedField: for ``pattern`` files.
         IoFailure: if the announced dense matrix, or the values the
-            streamed pass reads, do not fit in memory.
+            ``loadtxt`` pass reads, do not fit in memory.
         OSError: if the file cannot be opened.
     """
     path = str(path)
-    with open(path, encoding="ascii") as fh:
-        out = _read_streamed(fh, path)
-    return _read_whole(path) if out is None else out
-
-
-def _read_streamed(fh, path: str) -> np.ndarray | None:
-    r"""The matrix of an ``array`` file from the text file ``fh``, or ``None`` to refuse it.
-
-    The header and size line are read from ``fh`` a line at a time, and the
-    rest of the file goes to ``_bulk_array_values``.  A fault, a non-ASCII
-    byte, a ``coordinate`` file, a non-real Hermitian diagonal and a body
-    the bulk pass refuses are refusals: the whole-file path then reads the
-    file again and raises.  The universal newlines of ``fh`` break lines at
-    ``\n``, ``\r`` and ``\r\n``, and ``str.splitlines``, which the
-    whole-file path reads, also at ``\v``, ``\f`` and ``\x1c``-``\x1e``:
-    a preamble line that holds one ends the preamble, and each body chunk
-    is split by ``str.splitlines`` itself, so both paths see the same lines.
-    """
-    lines = itertools.takewhile(lambda line: len(line.splitlines()) == 1, iter(fh.readline, ""))
-    try:
-        fmt, field, symmetry, rows, cols, count, size_lineno = _preamble(lines, path)
-    except (ParseError, UnsupportedField, UnicodeDecodeError):
-        return None
-    if fmt != "array":
-        return None
-    try:
-        vals = _bulk_array_values(fh, count, field)
-    except MemoryError:
-        raise _no_room(path, size_lineno, rows, cols) from None
-    if vals is None:
-        return None
-    if symmetry == "general":
-        return _dense(vals, None, rows, cols, symmetry, path, size_lineno)
-    positions = ii, jj = _entry_positions_array(rows, cols, symmetry)
-    if symmetry == "hermitian" and vals[ii == jj].imag.any():
-        return None  # the scanner names the line of the non-real diagonal entry
-    return _dense(vals, positions, rows, cols, symmetry, path, size_lineno)
-
-
-def _read_whole(path: str) -> np.ndarray:
-    """Read the file whole and scan its body a line at a time; every fault raises."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # The sentinel puts a byte that follows a line break on a new line.
-        head = data[: exc.start].decode("ascii") + "x"
-        _fail(path, len(head.splitlines()), f"non-ASCII byte 0x{data[exc.start]:02x}")
-    lines = text.splitlines()
-    fmt, field, symmetry, rows, cols, count, size_lineno = _preamble(iter(lines), path)
-    body = lines[size_lineno:]
-    if count > len(body):
-        # Refuse a body too short for the size line before allocating for that size.
-        found = sum(1 for raw in body if raw.strip() and not raw.strip().startswith("%"))
-        _fail(path, len(lines), f"expected {count} entries, found {found}")
-
-    positions = _entry_positions_array(rows, cols, symmetry) if fmt == "array" else None
-    entries = _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path)
+        lines = itertools.chain.from_iterable(_line_chunks(fh, path))
+        fmt, field, symmetry, rows, cols, count, size_lineno = _preamble(lines, path)
+        positions = None
+        if fmt == "array":
+            out = _bulk_array(lines, field, symmetry, rows, cols, count, path, size_lineno)
+            if out is not None:
+                return out
+            fh.seek(0)
+            lines = itertools.chain.from_iterable(_line_chunks(fh, path))
+            lines = itertools.islice(lines, size_lineno, None)
+            positions = _array_positions(rows, cols, symmetry)
+        entries = _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path)
     ii, jj = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
     vals = np.array(list(entries.values()), dtype=np.complex128)
     return _dense(vals, (ii, jj), rows, cols, symmetry, path, size_lineno)
+
+
+def _line_chunks(fh, path: str):
+    r"""The lines of the binary file ``fh``, without their breaks, as one list per chunk.
+
+    A chunk is ``_CHUNK`` bytes completed to a ``\n``, so no line spans two
+    chunks.  A non-ASCII byte raises a ``ParseError`` naming its line once
+    the lines before it have been yielded.
+    """
+    lineno = 0
+    for chunk in iter(lambda: fh.read(_CHUNK) + fh.readline(), b""):
+        try:
+            lines = chunk.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            # The sentinel puts a byte that follows a line break on a line of its own.
+            *lines, _ = (chunk[: exc.start].decode("ascii") + "x").splitlines()
+            yield lines
+            _fail(path, lineno + len(lines) + 1, f"non-ASCII byte 0x{chunk[exc.start]:02x}")
+        lineno += len(lines)
+        yield lines
 
 
 def _preamble(lines, path: str) -> tuple[str, str, str, int, int, int, int]:
@@ -244,56 +220,62 @@ def _entry_positions_array(rows: int, cols: int, symmetry: str) -> tuple[np.ndar
     return i[keep], j[keep]
 
 
-def _bulk_array_values(fh, count: int, field: str) -> np.ndarray | None:
-    """The ``count`` values of the array body left in the text file ``fh``, as complex128.
+def _array_positions(rows: int, cols: int, symmetry: str):
+    """The positions of ``_entry_positions_array``, one ``(i, j)`` at a time."""
+    for j in range(cols):
+        first = 0 if symmetry == "general" else j + (symmetry == "skew-symmetric")
+        for i in range(first, rows):
+            yield i, j
 
-    The body goes to one ``np.loadtxt`` pass in chunks of whole lines, each
-    split into its lines, so it never exists whole as one string or list.
-    Returns ``None`` when the body holds a ``%`` or a non-ASCII byte, is
-    blank, or is not ``count`` rows of the field's width that ``np.loadtxt``
-    converts.
+
+def _bulk_array(lines, field, symmetry, rows, cols, count, path, size_lineno) -> np.ndarray | None:
+    """The matrix of the ``array`` body left in ``lines`` from one ``np.loadtxt`` pass, or ``None``.
+
+    ``None`` leaves the body to the line scanner: it holds a non-ASCII byte
+    or a non-real Hermitian diagonal entry, is blank, or is not ``count``
+    rows of the field's width that ``np.loadtxt`` converts (a ``%`` is a
+    token it cannot convert).
     """
-    chunks = iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
     try:
         # A blank body is refused here: loadtxt would warn on it.
-        first = next((chunk for chunk in chunks if not chunk.isspace()), None)
+        first = next((line for line in lines if line.strip()), None)
         if first is None:
             return None
         data = np.loadtxt(
-            itertools.chain.from_iterable(map(_chunk_lines, itertools.chain([first], chunks))),
+            itertools.chain([first], lines),
             dtype=np.int64 if field == "integer" else np.float64,
             comments=None,
             ndmin=2,
         )
-    except ValueError:  # UnicodeDecodeError and the refusals of _chunk_lines included
+        if data.shape != (count, 2 if field == "complex" else 1):
+            return None
+        vals = data.view(np.complex128) if field == "complex" else data.astype(np.complex128)
+    except (ValueError, ParseError):
         return None
-    if data.shape != (count, 2 if field == "complex" else 1):
-        return None
-    if field == "complex":
-        return data.view(np.complex128)[:, 0]
-    return data[:, 0].astype(np.complex128)
-
-
-def _chunk_lines(chunk: str) -> list[str]:
-    """The lines of a body chunk; ``ValueError`` if it holds a ``%``."""
-    if "%" in chunk:
-        raise ValueError("a body with a % goes to the line scanner")
-    return chunk.splitlines()
+    except MemoryError:
+        raise _no_room(path, size_lineno, rows, cols) from None
+    vals = vals[:, 0]
+    if symmetry == "general":
+        return _dense(vals, None, rows, cols, symmetry, path, size_lineno)
+    positions = ii, jj = _entry_positions_array(rows, cols, symmetry)
+    if symmetry == "hermitian" and vals[ii == jj].imag.any():
+        return None  # the scanner names the line of the non-real diagonal entry
+    return _dense(vals, positions, rows, cols, symmetry, path, size_lineno)
 
 
 def _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry, path) -> dict:
-    """Read the body after the size line one line at a time; a fault names its line.
+    """Read ``lines``, the lines after the size line, one at a time; a fault names its line.
 
     Returns the values in order of first appearance, keyed by their 0-based
     ``(i, j)``: read from a ``coordinate`` line, or, for an ``array`` body,
-    the entry's storage position in ``positions = (ii, jj)``.  A repeated
+    the next storage position from the iterator ``positions``.  A repeated
     ``(i, j)`` keeps its last value: NumPy leaves a fancy-index store with
     repeated indices unspecified.
     """
     entries = {}
     seen = 0
-    for lineno in range(size_lineno + 1, len(lines) + 1):
-        raw = lines[lineno - 1]
+    lineno = size_lineno
+    for lineno, raw in enumerate(lines, size_lineno + 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -311,7 +293,7 @@ def _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry
                 _fail(path, lineno, f"index ({i + 1}, {j + 1}) outside {rows} x {cols}")
             tokens = tokens[2:]
         else:
-            i, j = int(positions[0][seen]), int(positions[1][seen])
+            i, j = next(positions)
         if symmetry != "general" and i < j:
             _fail(path, lineno, f"{symmetry} storage must only hold the lower triangle")
         if symmetry == "skew-symmetric" and i == j:
@@ -322,7 +304,7 @@ def _scan_body(lines, size_lineno, positions, rows, cols, count, field, symmetry
         entries[i, j] = value
         seen += 1
     if seen != count:
-        _fail(path, len(lines), f"expected {count} entries, found {seen}")
+        _fail(path, lineno, f"expected {count} entries, found {seen}")
     return entries
 
 

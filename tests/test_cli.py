@@ -271,7 +271,7 @@ def test_solve_output_on_the_benchmark_files_matches_the_scanner(tmp_path, monke
     w = workloads.make("files", seed, "full", tmp_path)
     w.setup()
     got = [w.op(i) for i in range(2)]
-    monkeypatch.setattr(mmio, "_bulk_array_values", lambda *args: None)
+    monkeypatch.setattr(mmio, "_bulk_array", lambda *args: None)
     monkeypatch.setattr(solver, "companion_matrix", _block_companion)
     assert [w.op(i) for i in range(2)] == got
     assert all(w.check(i, out) == [] for i, out in enumerate(got))

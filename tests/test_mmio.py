@@ -242,6 +242,35 @@ def test_non_ascii_byte_names_its_line(tmp_path):
         read_matrix_market(path)
 
 
+def _long_real_array(newline: str, bad_at: int) -> bytes:
+    """A 5000 x 1 real array of ~115 KB whose line ``bad_at`` holds the non-ASCII byte 0xe9."""
+    lines = [b"%%MatrixMarket matrix array real general", b"5000 1"]
+    lines += [b"1.0000000000000000e+00"] * 5000
+    lines[bad_at - 1] = b"2\xe9"
+    return newline.encode("ascii").join(lines) + newline.encode("ascii")
+
+
+@pytest.mark.parametrize("chunk", [mmio._CHUNK, 3])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_non_ascii_byte_past_the_first_chunk_names_its_line(tmp_path, monkeypatch, chunk, newline):
+    # Line 4000 starts past the first 64 KiB; a CR-only file is one chunk.
+    monkeypatch.setattr(mmio, "_CHUNK", chunk)
+    path = tmp_path / "long.mtx"
+    path.write_bytes(_long_real_array(newline, 4000))
+    with pytest.raises(ParseError, match=r":4000: non-ASCII byte 0xe9$"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("bad_at", [4, 4000], ids=["same-chunk", "past-the-first-chunk"])
+def test_the_first_fault_in_file_order_is_reported(tmp_path, bad_at):
+    # A malformed token on line 3 comes before the non-ASCII byte, near or far.
+    data = _long_real_array("\n", bad_at).replace(b"1.0000000000000000e+00", b"bogus", 1)
+    path = tmp_path / "two-faults.mtx"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=r":3: malformed number 'bogus'$"):
+        read_matrix_market(path)
+
+
 @pytest.mark.parametrize(
     "symmetry, rows, cols",
     [(s, n, n) for s in mmio._SYMMETRIES for n in (1, 3)] + [("general", 4, 2)],
@@ -251,6 +280,7 @@ def test_array_positions_match_the_column_major_loop(symmetry, rows, cols):
     want = [(i, j) for j in range(cols) for i in range(first(j), rows)]
     ii, jj = mmio._entry_positions_array(rows, cols, symmetry)
     assert list(zip(ii.tolist(), jj.tolist())) == want
+    assert list(mmio._array_positions(rows, cols, symmetry)) == want
 
 
 class ScannerReached(Exception):
@@ -381,14 +411,12 @@ def _outcome(path):
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(text=array_files())
-def test_bulk_pass_matches_the_line_scanner(text):
+def _assert_matches_the_scanner(data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.mtx"
-        path.write_text(text)
+        path.write_bytes(data)
         got = _outcome(path)
-        with mock.patch.object(mmio, "_bulk_array_values", return_value=None):
+        with mock.patch.object(mmio, "_bulk_array", return_value=None):
             want = _outcome(path)
     if isinstance(want, str):
         assert isinstance(got, str) and got == want
@@ -399,9 +427,23 @@ def test_bulk_pass_matches_the_line_scanner(text):
         assert got.tobytes() == want.tobytes()
 
 
-# Line breaks: a text-mode file breaks lines at \n, \r and \r\n, while
-# str.splitlines, which the line scanner reads, also breaks at \v, \f and
-# \x1c-\x1e.  The streamed pass must match the scanner or leave the file to it.
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=array_files())
+def test_bulk_pass_matches_the_line_scanner(text):
+    _assert_matches_the_scanner(text.encode("ascii"))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=array_files())
+def test_bulk_pass_matches_the_line_scanner_in_3_byte_chunks(text):
+    # Chunks this short put a chunk boundary on nearly every line.
+    with mock.patch.object(mmio, "_CHUNK", 3):
+        _assert_matches_the_scanner(text.encode("ascii"))
+
+
+# Line breaks: str.splitlines, which splits every line the reader reads,
+# breaks at \n, \r and \r\n and also at \v, \f and \x1c-\x1e.  The bulk
+# pass must match the scanner or leave the file to it.
 
 _UNIVERSAL_NEWLINES = ("\n", "\r\n", "\r")
 _SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
@@ -414,7 +456,7 @@ def line_break_files(draw):
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4)) if symmetry == "general" else rows
     number = st.integers(-(2**60), 2**60).map(str) if field == "integer" else _float_tokens()
-    # Half the files break lines only where a text-mode file does too.
+    # Half the files break lines only at \n, \r and \r\n.
     breaks = _UNIVERSAL_NEWLINES + (_SPLITLINES_BREAKS if draw(st.booleans()) else ())
     gap = st.sampled_from((" ", "\t", " ") + breaks[3:])
     ii, jj = mmio._entry_positions_array(rows, cols, symmetry)
@@ -439,18 +481,14 @@ def line_break_files(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=line_break_files())
 def test_streamed_pass_matches_the_line_scanner_across_line_breaks(data):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "f.mtx"
-        path.write_bytes(data)
-        got = _outcome(path)
-        with mock.patch.object(mmio, "_bulk_array_values", return_value=None):
-            want = _outcome(path)
-    if isinstance(want, str):
-        assert isinstance(got, str) and got == want
-    else:
-        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    _assert_matches_the_scanner(data)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=line_break_files())
+def test_streamed_pass_matches_the_line_scanner_across_line_breaks_in_3_byte_chunks(data):
+    with mock.patch.object(mmio, "_CHUNK", 3):
+        _assert_matches_the_scanner(data)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
@@ -463,8 +501,8 @@ def test_crlf_and_cr_files_take_the_streamed_pass(tmp_path, newline, scanner_rai
 
 @pytest.mark.parametrize("body", ["1.0\x0b2.0", "1.0\x0c2.0", "1.0\x1e2.0"])
 def test_a_break_only_splitlines_sees_goes_to_the_scanner(tmp_path, body):
-    # A text-mode file reads "1.0<break>2.0" as one complex entry; the
-    # scanner reads two lines of one token each.
+    # str.splitlines reads "1.0<break>2.0" as two lines of one token each,
+    # not as one complex entry: the bulk pass refuses them.
     path = tmp_path / "vt.mtx"
     path.write_text(f"%%MatrixMarket matrix array complex general\n1 1\n{body}\n")
     with pytest.raises(ParseError, match=r":3: expected 2 value tokens, got 1$"):
@@ -475,9 +513,9 @@ def test_a_break_only_splitlines_sees_goes_to_the_scanner(tmp_path, body):
 
 
 def test_a_preamble_break_only_splitlines_sees_goes_to_the_scanner(tmp_path):
-    # Read as one line, "% note<VT>1 1" is a comment and "1 2" the size line
-    # of a 1 x 2 matrix with two entries; str.splitlines reads a 1 x 1 size
-    # line and one entry too many.
+    # Read as one line, "% note<VT>1 1" would be a comment and "1 2" the size
+    # line of a 1 x 2 matrix with two entries; str.splitlines reads a 1 x 1
+    # size line and one entry too many.
     path = tmp_path / "vt.mtx"
     path.write_text("%%MatrixMarket matrix array complex general\n% note\x0b1 1\n1 2\n5 6\n7 8\n")
     with pytest.raises(ParseError, match=r":5: more entries than the size line announces$"):
@@ -499,6 +537,32 @@ def test_streamed_read_peaks_near_the_matrix_bytes(tmp_path, g):
         tracemalloc.stop()
     assert got.tobytes() == m.tobytes()
     assert peak <= 3 * m.nbytes
+
+
+@pytest.mark.parametrize("form", ["coordinate", "array-with-a-comment"])
+def test_scanner_read_peaks_near_the_matrix_bytes(tmp_path, g, form):
+    # The scanner reads from the same line source as the bulk pass: the
+    # traced peak is the scanned entries and the dense result, not the
+    # file held whole.
+    n = 200
+    m = cnormal(g, n, n)
+    path = tmp_path / "big.mtx"
+    if form == "coordinate":
+        body = "".join(f"{i + 1} {j + 1} {z.real:.17g} {z.imag:.17g}\n" for (i, j), z in np.ndenumerate(m))
+        path.write_text(f"%%MatrixMarket matrix coordinate complex general\n{n} {n} {n * n}\n{body}")
+    else:
+        write_matrix_market(path, m)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(len(lines) // 2, "% a comment sends the body to the scanner\n")
+        path.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        got = read_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == m.tobytes()
+    assert peak <= 16 * m.nbytes
 
 
 def test_streamed_pass_lets_no_warning_escape(tmp_path, recwarn):
@@ -531,7 +595,7 @@ def test_hermitian_array_diagonal_must_be_real(tmp_path, rows):
     path.write_text(header + "\n".join(values) + "\n")
     got = read_matrix_market(path)
     assert np.array_equal(got, got.conj().T)
-    with mock.patch.object(mmio, "_bulk_array_values", return_value=None):
+    with mock.patch.object(mmio, "_bulk_array", return_value=None):
         assert np.array_equal(read_matrix_market(path), got)
     for k in np.flatnonzero(ii == jj):
         faulty = values.copy()
