@@ -73,17 +73,15 @@ class GoldenCheck:
     threshold: float
 
 
-def golden_checks(p: QuadraticPencil | None = None, Q=None) -> list[GoldenCheck]:
+def golden_checks(p: QuadraticPencil | None = None) -> list[GoldenCheck]:
     """The five exact-subspace regression checks for the built-in problem.
 
-    Accepts an alternative pencil/basis so broken inputs can be shown to
-    fail (negative controls).
+    Accepts an alternative pencil so a broken one can be shown to fail (a
+    negative control); the basis is always ``example31_basis()``.
     """
     if p is None:
         p = example31_pencil()
-    if Q is None:
-        Q = example31_basis()
-    Q = np.asarray(Q, dtype=np.complex128)
+    Q = example31_basis()
     checks = []
 
     pp = project(p, Q)

@@ -88,9 +88,9 @@ def as_matrix(a, name: str = "matrix", n: int | None = None) -> np.ndarray:
     return m
 
 
-def as_square(a, name: str = "C") -> np.ndarray:
-    """``as_matrix`` of ``a``, which must also be square."""
-    m = as_matrix(a, name)
+def as_square(a) -> np.ndarray:
+    """``as_matrix`` of ``a``, named ``C``, which must also be square."""
+    m = as_matrix(a, "C")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got {m.shape}")
     return m

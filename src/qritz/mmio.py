@@ -7,11 +7,10 @@ and are rejected.  Everything is returned dense (complex128): this package
 targets desk-scale problems.
 
 The file is opened once, in binary mode, and every line comes from one
-source: ``_CHUNK`` bytes at a time, each chunk completed to a ``\n``,
-decoded as ASCII and split by ``str.splitlines``; a file with no ``\n``
-(CR-only line ends) is one chunk.  Both formats share one header and
-size-line rule and one line scanner: a ``coordinate`` data line is an
-``array`` data line with a leading ``i j``.  An ``array`` body goes from
+source: ``_CHUNK`` bytes at a time, each chunk cut at its last line break,
+decoded as ASCII and split by ``str.splitlines``.  Both formats share one
+header and size-line rule and one line scanner: a ``coordinate`` data line
+is an ``array`` data line with a leading ``i j``.  An ``array`` body goes from
 the source into one ``np.loadtxt`` pass, so the file is never held whole.
 When that pass refuses the body (a non-ASCII byte, a token it cannot
 convert such as a ``%``, a wrong entry count or width, a blank body, a
@@ -47,8 +46,11 @@ _FORMATS = ("array", "coordinate")
 _FIELDS = ("real", "complex", "integer")
 _SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
 
-#: Bytes per chunk of the line source, completed to the end of its line.
+#: Bytes per read of the line source; a chunk ends at the last line break read.
 _CHUNK = 1 << 16
+
+#: The ASCII line breaks of ``str.splitlines``.
+_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def _fail(path: str, lineno: int, msg: str):
@@ -110,12 +112,12 @@ def read_matrix_market(path) -> np.ndarray:
 def _line_chunks(fh, path: str):
     r"""The lines of the binary file ``fh``, without their breaks, as one list per chunk.
 
-    A chunk is ``_CHUNK`` bytes completed to a ``\n``, so no line spans two
-    chunks.  A non-ASCII byte raises a ``ParseError`` naming its line once
-    the lines before it have been yielded.
+    The chunks are those of ``_chunks``, so no line spans two.  A non-ASCII
+    byte raises a ``ParseError`` naming its line once the lines before it
+    have been yielded.
     """
     lineno = 0
-    for chunk in iter(lambda: fh.read(_CHUNK) + fh.readline(), b""):
+    for chunk in _chunks(fh):
         try:
             lines = chunk.decode("ascii").splitlines()
         except UnicodeDecodeError as exc:
@@ -125,6 +127,22 @@ def _line_chunks(fh, path: str):
             _fail(path, lineno + len(lines) + 1, f"non-ASCII byte 0x{chunk[exc.start]:02x}")
         lineno += len(lines)
         yield lines
+
+
+def _chunks(fh):
+    r"""The bytes of ``fh``, cut after the last line break of ``str.splitlines`` in each read.
+
+    The bytes after the cut go to the next piece, and so does a final
+    ``\r`` with its line, since a ``\n`` may follow it.
+    """
+    parts = []
+    for block in iter(lambda: fh.read(_CHUNK), b""):
+        cut = 1 + max(block.rfind(brk, 0, len(block) - block.endswith(b"\r")) for brk in _BREAKS)
+        if cut:
+            yield b"".join([*parts, block[:cut]])
+            parts = []
+        parts.append(block[cut:])
+    yield b"".join(parts)
 
 
 def _preamble(lines, path: str) -> tuple[str, str, str, int, int, int, int]:

@@ -3,13 +3,20 @@
 Intended for desk-scale ground truth.  The eigenvalues are those of the
 companion matrix ``B^{-1} A``, formed explicitly with n solves against the
 mass matrix (``pencil.companion_matrix``).  All 2n eigenpairs take the
-companion eigenvectors; the pairs nearest a target take the companion
-eigenvalues alone and each value's whole-space refined vector
-(``refined_pairs``).  Each residual is its pair's ``qep_residual``.
+companion eigenvectors.  The pairs nearest a target come from one lazy
+walk, ``nearest_pairs``, over the companion eigenvalues alone: grouped by
+distance, nearest first, each group refined when the walk reaches it.
+``refined_pairs`` gives each value its whole-space refined vector by inverse
+iteration on ``P(lam)^H P(lam)``, two LU solves a step, stopped at the
+rounding floor or when the residual stops halving.  ``nearest_first`` is
+the one nearest-target rule, for eigenpairs and Ritz pairs alike: ties
+break on the residual, then the index.  Every route builds its pairs in
+``_pairs``, each residual the ``qep_residual`` of its own pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -104,22 +111,6 @@ def refined_pairs(p: QuadraticPencil, values) -> list[Eigenpair]:
     return _pairs(p, values, X)
 
 
-def nearest_values(values, target: complex, count: int) -> list[complex]:
-    """The values at most as far from ``target`` as the ``count``-th nearest, in their order.
-
-    These are the candidates for the first ``count`` places of
-    ``nearest_first``: values tied at the ``count``-th distance all come,
-    so a tie still breaks on the residual.  ``count`` is clamped to the
-    number of values.
-    """
-    values = [complex(lam) for lam in values]
-    # The distances of nearest_first: numpy's complex abs can differ in the
-    # last bit and split a tie that nearest_first would see.
-    dist = [abs(lam - target) for lam in values]
-    radius = sorted(dist)[min(count, len(values)) - 1]
-    return [lam for lam, d in zip(values, dist) if d <= radius]
-
-
 def warned_companion(p: QuadraticPencil) -> np.ndarray:
     """``companion_matrix(p)``, after an ``IndefiniteMass`` warning when the
     mass is not certified Hermitian positive definite; the warning names the
@@ -143,12 +134,9 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     larger of the two blocks carries it at every ``|lam|``.
 
     With ``count`` (clamped to 2n), the eigenvalues come first, without
-    eigenvectors.  The candidates are ``nearest_values``, so exact ties still
-    break on the residual; each takes its whole-space refined vector from
-    ``refined_pairs``, and the result is the first ``count`` pairs of
-    ``nearest_first`` of them.  A value's vector and residual do not depend
-    on the other candidates, so ``solve_full(p, t, k)`` is bit for bit the
-    first k pairs of ``solve_full(p, t, k + 1)``.
+    eigenvectors, and the result is the first ``count`` pairs of
+    ``nearest_pairs``, each with its whole-space refined vector, so
+    ``solve_full(p, t, k)`` is the first k pairs of ``solve_full(p, t, k + 1)``.
 
     Raises:
         Singular: if ``sigma_min(M) <= SINGULAR_TOL * ||M||``.
@@ -167,8 +155,7 @@ def solve_full(p: QuadraticPencil, target=None, count: int | None = None) -> lis
     C = warned_companion(p)
     if count is None:
         return _pairs(p, *quadratic_vectors(C, p.n))
-    candidates = nearest_values(eigenvalues(C), target, count)
-    return nearest_first(refined_pairs(p, candidates), target)[:count]
+    return list(itertools.islice(nearest_pairs(p, eigenvalues(C), target), count))
 
 
 def nearest_first(pairs: list, target: complex) -> list:
@@ -195,3 +182,22 @@ def select_eigenpair(pairs: list, target: complex):
     if not pairs:
         raise EmptyList("no eigenpairs to select from")
     return nearest_first(pairs, target)[0]
+
+
+def nearest_pairs(p: QuadraticPencil, values, target: complex):
+    """The pairs of ``values``, a sequence, in ``nearest_first`` order around ``target``, lazily.
+
+    Each distance is Python's ``abs``, as in ``nearest_first``: numpy's
+    complex abs can differ in the last bit and split a tie.  The values at
+    one distance, equal ones among them, take one ``refined_pairs`` call
+    when the walk reaches their first pair, so taking k pairs refines no
+    value beyond the k-th pair's distance, and ties break on the residual.
+
+    Raises:
+        ValueError: at the first pair, if ``target`` is not finite
+            (``nearest_first``).
+    """
+    dist = [abs(complex(lam - target)) for lam in values]
+    order = sorted(range(len(dist)), key=dist.__getitem__)
+    for _, group in itertools.groupby(order, key=dist.__getitem__):
+        yield from nearest_first(refined_pairs(p, [values[i] for i in group]), target)

@@ -2,10 +2,15 @@
 
 A study fixes a pencil, a reference eigenpair and a companion block, then
 for each perturbation size ``epsilon`` builds the noisy subspace, runs the
-full diagnostics and records one row.  Verdicts classify each row by order
-of magnitude: the projection method stagnates when the Ritz-vector angle
-exceeds 100x the subspace angle, while refined extraction is "OK" when its
-angle stays within that factor (or under an absolute floor of 1e-13).
+full diagnostics and records one row.  ``case_from_pencil`` takes the case
+from one companion eigensolve without eigenvectors and two walks of
+``solver.nearest_pairs``: the first pair around the target gives the
+reference value, and the walk around that value gives the reference pair
+and the next-nearest independent directions.  Verdicts classify each row
+by order of magnitude: the projection method stagnates when the Ritz-vector
+angle exceeds 100x the subspace angle, while refined extraction is "OK"
+when its angle stays within that factor (or under an absolute floor of
+1e-13).  Rows go to a CSV in column order with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .builtin import example31_basis, example31_eigenvector, example31_pencil, E
 from .errors import QritzError, RankDeficient
 from .kernels import as_direction, as_integer, as_matrix, as_scalar, eigenvalues
 from .pencil import QuadraticPencil
-from .solver import nearest_first, nearest_values, refined_pairs, warned_companion
+from .solver import nearest_pairs, warned_companion
 from .subspace import as_epsilon, perturbed_subspace
 from .theory import DiagnosticsReport, full_diagnostics, reference
 
@@ -130,48 +135,35 @@ def case_from_pencil(p: QuadraticPencil, target: complex, dim: int) -> StudyCase
 
     ``target`` and ``dim``, an integer in ``[1, n]``, are admitted before
     the one companion eigensolve, which takes the 2n eigenvalues and no
-    eigenvectors.  The reference value is the nearest to ``target``; values
-    tied at its distance break on the residual of their vectors.  The
-    vectors come from ``solver.refined_pairs`` in batches, in
-    ``nearest_first`` order around the reference value: first the ``dim``
-    nearest values (the reference among them), then as many more as the
-    independence test rejected, each batch with the values tied at its
-    last distance.  A vector joins the case when its component orthogonal
-    to the vectors before it has norm above ``INDEPENDENCE_TOL``.
+    eigenvectors.  The reference value is that of the first pair of
+    ``solver.nearest_pairs`` around ``target``.  The case walks
+    ``nearest_pairs`` around the reference value, the reference first: a
+    pair joins when its vector's component orthogonal to the vectors before
+    it has norm above ``INDEPENDENCE_TOL``, until ``dim`` have joined.
 
     Raises:
         RankDeficient: if fewer than ``dim`` independent directions exist.
     """
     target = as_scalar(target, "target")
     dim = as_integer(dim, "dim", 1, p.n + 1)
-    rest = [complex(lam) for lam in eigenvalues(warned_companion(p))]
-    near = nearest_values(rest, target, 1)
-    if len(set(near)) > 1:
-        near = [nearest_first(refined_pairs(p, near), target)[0].value]
-    ref_value = near[0]
+    values = eigenvalues(warned_companion(p))
+    ref_value = next(nearest_pairs(p, values, target)).value
     chosen = []
     test_basis = []
-    while len(chosen) < dim and rest:
-        batch = nearest_values(rest, ref_value, dim - len(chosen))
-        rest = [lam for lam in rest if lam not in batch]
-        for ep in nearest_first(refined_pairs(p, batch), ref_value):
-            if len(chosen) >= dim:
+    for ep in nearest_pairs(p, values, ref_value):
+        w = ep.vector.copy()
+        for b in test_basis:
+            w = w - b * np.vdot(b, w)
+        if np.linalg.norm(w) > INDEPENDENCE_TOL:
+            chosen.append(ep)
+            test_basis.append(w / np.linalg.norm(w))
+            if len(chosen) == dim:
                 break
-            w = ep.vector.copy()
-            for b in test_basis:
-                w = w - b * np.vdot(b, w)
-            if np.linalg.norm(w) > INDEPENDENCE_TOL:
-                chosen.append(ep)
-                test_basis.append(w / np.linalg.norm(w))
-    if len(chosen) < dim:
+    else:
         raise RankDeficient(f"could not find {dim - 1} independent companion directions")
-    companions = [ep.vector for ep in chosen[1:]]
-    return StudyCase(
-        pencil=p,
-        ref_value=chosen[0].value,
-        ref_vector=chosen[0].vector,
-        companions=np.column_stack(companions) if companions else np.zeros((p.n, 0)),
-    )
+    ref, *rest = chosen
+    companions = np.column_stack([ep.vector for ep in rest]) if rest else np.zeros((p.n, 0))
+    return StudyCase(pencil=p, ref_value=ref.value, ref_vector=ref.vector, companions=companions)
 
 
 def run_study(

@@ -253,7 +253,7 @@ def _long_real_array(newline: str, bad_at: int) -> bytes:
 @pytest.mark.parametrize("chunk", [mmio._CHUNK, 3])
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_non_ascii_byte_past_the_first_chunk_names_its_line(tmp_path, monkeypatch, chunk, newline):
-    # Line 4000 starts past the first 64 KiB; a CR-only file is one chunk.
+    # Line 4000 starts past the first 64 KiB.
     monkeypatch.setattr(mmio, "_CHUNK", chunk)
     path = tmp_path / "long.mtx"
     path.write_bytes(_long_real_array(newline, 4000))
@@ -522,13 +522,16 @@ def test_a_preamble_break_only_splitlines_sees_goes_to_the_scanner(tmp_path):
         read_matrix_market(path)
 
 
-def test_streamed_read_peaks_near_the_matrix_bytes(tmp_path, g):
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_streamed_read_peaks_near_the_matrix_bytes(tmp_path, g, newline):
     # The body streams into the bulk pass: no whole-file bytes, text or
-    # list of lines; the traced peak is the parsed values and the dense result.
+    # list of lines at any line end; the traced peak is the parsed values
+    # and the dense result.
     n = 200
     m = cnormal(g, n, n)
     path = tmp_path / "big.mtx"
     write_matrix_market(path, m)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode("ascii")))
     tracemalloc.start()
     try:
         got = read_matrix_market(path)

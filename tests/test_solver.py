@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -230,8 +231,8 @@ class TestValueRoute:
     def test_equidistant_conjugates_break_on_the_residual(self, monkeypatch):
         # Real pencils and real targets: the companion eigenvalues of a
         # conjugate pair are often exactly equidistant from the target.  Both
-        # are candidates for count 1, in either eigensolver order, and the
-        # one with the smaller residual comes first.
+        # are refined for count 1, in either eigensolver order, and the one
+        # with the smaller residual comes first.
         ties = 0
         for reverse in (False, True):
             if reverse:
@@ -317,7 +318,7 @@ class TestValueRoute:
         # each value stops there, within the minimality slack of the
         # companion eigenvector's residual.
         p = random_pencil(rng(9400 + seed), 60)
-        values = solver.nearest_values(eigenvalues(companion_matrix(p)), 0.3 + 0.2j, 5)
+        values = sorted(eigenvalues(companion_matrix(p)), key=lambda lam: abs(lam - (0.3 + 0.2j)))[:5]
         solve_log.clear()
         pairs = solver.refined_pairs(p, values)
         assert len(values) == 5 and len(solve_log) == 2 * len(values)
@@ -371,3 +372,56 @@ class TestValueRoute:
             monkeypatch.setattr(solver, name, refuse)
         with pytest.raises(ValueError):
             solve_full(p, target, count)
+
+
+class TestNearestPairs:
+    """``nearest_pairs``: one lazy walk, one ``refined_pairs`` call per distance."""
+
+    @pytest.fixture
+    def refined_log(self, monkeypatch):
+        """The values of each ``refined_pairs`` call, one list per call."""
+        log = []
+        refined = solver.refined_pairs
+
+        def logged(p, values):
+            log.append([complex(lam) for lam in values])
+            return refined(p, values)
+
+        monkeypatch.setattr(solver, "refined_pairs", logged)
+        return log
+
+    def test_the_first_pair_refines_the_nearest_conjugates_alone(self, refined_log):
+        # A real pencil and a real target: the real eigensolver returns each
+        # non-real value with its exact conjugate, so both sit at the nearest
+        # distance and come to refined_pairs together, and nothing else does.
+        checked = 0
+        for seed in range(10):
+            g = rng(9800 + seed)
+            n = int(g.integers(4, 10))
+            R, D, K = (g.standard_normal((n, n)) for _ in range(3))
+            p = QuadraticPencil(R @ R.T + n * np.eye(n), D, K)
+            values = eigenvalues(companion_matrix(p))
+            for lam in values[values.imag > 0]:
+                tau = lam.real
+                if np.sort(np.abs(values - tau))[2] <= 1.01 * lam.imag:
+                    continue  # a third value is about as near
+                refined_log.clear()
+                first = next(solver.nearest_pairs(p, values, tau))
+                assert len(refined_log) == 1
+                assert sorted(refined_log[0], key=lambda z: z.imag) == [lam.conjugate(), lam]
+                assert first.value in (lam, lam.conjugate())
+                checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_k_pairs_refine_nothing_beyond_the_kth_distance(self, seed, refined_log):
+        g = rng(9850 + seed)
+        p = random_pencil(g, 6)
+        tau = complex(*g.standard_normal(2))
+        values = eigenvalues(companion_matrix(p))
+        for count in range(1, 2 * p.n + 1):
+            refined_log.clear()
+            pairs = list(itertools.islice(solver.nearest_pairs(p, values, tau), count))
+            refined = [lam for call in refined_log for lam in call]
+            assert max(abs(lam - tau) for lam in refined) == abs(pairs[-1].value - tau)
+            assert len(refined_log) == len({abs(ep.value - tau) for ep in pairs})

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
-from conftest import DenseDeflation, random_pencil, rng
+from conftest import DenseDeflation, cnormal, random_pencil, random_unitary, rng
 from qritz import cli, theory
 from qritz.angles import subspace_angle, vector_angle
 from qritz.builtin import golden_checks
@@ -16,7 +16,7 @@ from qritz.mmio import write_matrix_market
 from qritz.pencil import Eigenpair, QuadraticPencil, companion_matrix, linearize, qep_residual, stack_vector
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
-from qritz.solver import select_eigenpair, solve_full
+from qritz.solver import nearest_first, refined_pairs, select_eigenpair, solve_full
 from qritz.study import (
     STUDY_COLUMNS,
     StudyCase,
@@ -141,7 +141,7 @@ def _exact_conjugates(C):
 def test_conjugate_ties_give_the_solvers_reference(monkeypatch):
     # A real pencil and a real target: a complex nearest value ties with its
     # conjugate, and a real reference value sees conjugate pairs tied in its
-    # batches.  Either way the case's reference pair is solve_full's first.
+    # walk.  Either way the case's reference pair is solve_full's first.
     monkeypatch.setattr("qritz.study.eigenvalues", _exact_conjugates)
     monkeypatch.setattr("qritz.solver.eigenvalues", _exact_conjugates)
     complex_references = 0
@@ -183,6 +183,31 @@ def test_conjugate_ties_on_real_pencils_give_the_solvers_reference():
             assert case.ref_value.conjugate() in eigenvalues(companion_matrix(p))
             complex_references += 1
     assert complex_references >= 3
+
+
+def test_a_repeated_reference_value_gives_its_second_block_vector_first(monkeypatch):
+    # U diag(P0, P0) U^H has each eigenvalue of P0 twice, with a two-dimensional
+    # null space; eigenvalues, patched, returns each of them exactly twice.
+    # Both copies of the reference value take one block iteration: the
+    # reference is one column, and the first companion the other, from the
+    # same null space.
+    g = rng(9650)
+    n0 = 4
+    U = random_unitary(g, 2 * n0)
+    M0, D0, K0 = (cnormal(g, n0, n0) for _ in range(3))
+    M0 = M0 @ M0.conj().T + n0 * np.eye(n0)
+    p = QuadraticPencil(*(U @ np.kron(np.eye(2), A) @ U.conj().T for A in (M0, D0, K0)))
+    values0 = eigenvalues(companion_matrix(QuadraticPencil(M0, D0, K0)))
+    monkeypatch.setattr("qritz.study.eigenvalues", lambda C: np.concatenate([values0, values0]))
+    case = case_from_pencil(p, 0.1 + 0.2j, dim=3)
+    lam1 = complex(case.ref_value)
+    assert abs(lam1 - (0.1 + 0.2j)) == min(abs(values0 - (0.1 + 0.2j)))
+    block = nearest_first(refined_pairs(p, [lam1, lam1]), lam1)
+    assert case.ref_vector.tobytes() == block[0].vector.tobytes()
+    companion = case.companions[:, 0]
+    assert companion.tobytes() == block[1].vector.tobytes()
+    assert abs(np.vdot(case.ref_vector, companion)) <= 1e-14
+    assert qep_residual(p, lam1, companion)[1] <= 1e-12 * p.residual_scale(lam1)
 
 
 def test_failed_row_marks_nan():
@@ -240,7 +265,7 @@ def _one_direction(p, values):
 
 
 def test_dependent_directions_are_refused_as_rank_deficient(g, monkeypatch):
-    monkeypatch.setattr("qritz.study.refined_pairs", _one_direction)
+    monkeypatch.setattr("qritz.solver.refined_pairs", _one_direction)
     with pytest.raises(RankDeficient, match="^could not find 2 independent companion directions$"):
         case_from_pencil(random_pencil(g, 5), 0.0, dim=3)
 
@@ -249,7 +274,7 @@ def test_rank_deficient_case_exits_2(tmp_path, monkeypatch, capsys):
     p = random_pencil(rng(9500), 4)
     for name, mat in (("M", p.M), ("D", p.D), ("K", p.K)):
         write_matrix_market(tmp_path / f"{name}.mtx", mat)
-    monkeypatch.setattr("qritz.study.refined_pairs", _one_direction)
+    monkeypatch.setattr("qritz.solver.refined_pairs", _one_direction)
     paths = [str(tmp_path / f"{name}.mtx") for name in "MDK"]
     code = cli.main(["study", *paths, "--dim", "2", "--out", str(tmp_path / "s.csv")])
     assert code == cli.NUMERICAL_EXIT == 2
