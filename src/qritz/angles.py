@@ -20,7 +20,6 @@ from .pencil import stack_vector
 class Angle:
     """An acute angle carried with its sine and cosine."""
 
-    radians: float
     sin: float
     cos: float
 
@@ -34,7 +33,7 @@ class Angle:
 def _angle_from_sin_cos(s: float, c: float) -> Angle:
     s = min(max(s, 0.0), 1.0)
     c = min(max(c, 0.0), 1.0)
-    return Angle(radians=math.atan2(s, c), sin=s, cos=c)
+    return Angle(sin=s, cos=c)
 
 
 def subspace_angle(Q, x) -> Angle:

@@ -3,17 +3,25 @@
 Matrices are 2-D ``complex128`` ndarrays in row-major (C) order, vectors are
 1-D.  All routines are pure functions of their arguments and safe to call
 concurrently.  Factorizations are delegated to LAPACK through numpy: the
-eigensolver is Hessenberg reduction plus implicitly shifted QR, the SVD
-is the standard bidiagonalization algorithm, and orthonormalization is
-Householder QR.  ``largest_singular`` reads an operator only through its
-products and takes the three operator norms of each diagnostics row: both
-separations and ``||A - mu B||``.  Up to order ``DENSE_OPERATOR_MAX`` it
-forms the operator one column at a time and takes the values-only SVD;
-above it, it is the one iterative kernel, running Lanczos on ``T^H T`` over
-one orthonormal basis.  ``spectral_norm``
-takes a square matrix of order ``ITERATIVE_NORM_MIN`` or more through it,
-and every other matrix through the values-only SVD.  The ``as_*`` and
-``require_*`` admissions are the one place an input's shape is refused.
+eigensolver is Hessenberg reduction plus implicitly shifted QR (a matrix
+with no imaginary part takes the real solver, so conjugate values come out
+exactly conjugate), the SVD is the standard bidiagonalization algorithm,
+orthonormalization is Householder QR with its rank test on the R factor,
+and the linear solve refuses a matrix by its ``sigma_min`` gate.
+``largest_singular`` reads an operator only through its products and takes
+the three operator norms of each diagnostics row: both separations and
+``||A - mu B||``.  Up to order ``DENSE_OPERATOR_MAX`` it forms the operator
+one column at a time and takes the values-only SVD; above it, it is the one
+iterative kernel, running Lanczos on ``T^H T`` over one orthonormal basis.
+``spectral_norm`` takes a square matrix of order ``ITERATIVE_NORM_MIN`` or
+more through it, and every other matrix through the values-only SVD.
+
+The ``as_*`` and ``require_*`` admissions are the one place an input's
+shape is refused: ``as_matrix`` and ``as_vector`` (finite entries, and the
+row count or length a caller requires), ``require_orthonormal`` (a basis
+within ``BASIS_TOL``), ``as_direction`` (a nonzero vector over its norm),
+``require_unit`` (the one unit-length gate, ``UNIT_TOL``), ``as_scalar``
+(a finite scalar) and ``as_integer`` (an integer in a half-open range).
 """
 
 from __future__ import annotations
@@ -339,15 +347,14 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
             T[:, j] = matvec(e)
         return float(np.linalg.svd(T, compute_uv=False)[0])
     v = golden_phases(dim)
-    # Row k holds the k-th Lanczos vector and conj_rows[k] its conjugate, both
-    # written once when the vector is made, so a Gram-Schmidt pass is two
-    # matrix-vector products.  The buffers start at LANCZOS_ROWS rows and
-    # double when full: a dim x dim buffer would be a fresh mapping, paged in
-    # anew on every call, for the few dozen steps the iteration takes.
+    # Row k holds the k-th Lanczos vector, the one copy of the Krylov basis; a
+    # Gram-Schmidt pass takes the coefficients as conj(rows @ conj(r)), so it
+    # is two matrix-vector products and no conjugate of the basis is kept.
+    # The buffer starts at LANCZOS_ROWS rows and doubles when full: a dim x
+    # dim buffer would be a fresh mapping, paged in anew on every call, for
+    # the few dozen steps the iteration takes.
     rows = np.empty((min(dim, LANCZOS_ROWS), dim), dtype=np.complex128)
-    conj_rows = np.empty_like(rows)
     np.divide(v, np.linalg.norm(v), out=rows[0])
-    np.conjugate(rows[0], out=conj_rows[0])
     tridiagonal = np.zeros((len(rows), len(rows)))
     scale = top = 0.0
     for k in range(dim):
@@ -366,16 +373,15 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
             break
         r = rmatvec(w) / scale
         for _ in range(2):
-            r -= rows[: k + 1].T @ (conj_rows[: k + 1] @ r)
+            r -= rows[: k + 1].T @ np.conj(rows[: k + 1] @ np.conj(r))
         beta = math.sqrt(np.vdot(r, r).real)
         if beta == 0.0:
             break
         if k + 1 == len(rows):
             extra = np.empty((min(len(rows), dim - len(rows)), dim), dtype=np.complex128)
-            rows, conj_rows = np.concatenate([rows, extra]), np.concatenate([conj_rows, extra])
+            rows = np.concatenate([rows, extra])
             tridiagonal = np.pad(tridiagonal, (0, len(extra)))
         np.divide(r, beta, out=rows[k + 1])
-        np.conjugate(rows[k + 1], out=conj_rows[k + 1])
         tridiagonal[k + 1, k] = beta
     return scale * top**0.5
 

@@ -12,9 +12,11 @@ whose eigenpairs ``(lam, [lam*x; x])`` encode the quadratic eigenpairs
 the products with ``A - mu B`` without forming it, ``linearize`` the dense
 pair itself, which no pipeline path needs (it serves dense checks), and
 ``quadratic_vectors`` reads the companion eigenpairs back as ``(lam, x)``.
-The pencil keeps one memo, the ``BasisImage`` of its last basis, and two
-norms taken on first read, ``d0`` and ``k0``; every other type here is an
-immutable value object.
+The pencil takes ``m0 = ||M||``, ``b0 = max(m0, 1) = ||B||`` and the
+``hermitian_pd`` certificate on construction, from the caller's ``M``
+before it is copied.  It keeps one memo, the ``BasisImage`` of its last
+basis, and two norms taken on first read, ``d0`` and ``k0``; every other
+type here is an immutable value object.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ class QuadraticPencil:
         M, D, K: n x n complex matrices, private copies of the validated inputs.
         n: dimension.
         m0: spectral norm of M (``kernels.spectral_norm``).
+        b0: ``max(m0, 1)``, the spectral norm ``||diag(M, I)||`` of the
+            companion pair's ``B``.
         d0, k0: spectral norms of D and K, taken on first read and kept.
         hermitian_pd: True when M is verified Hermitian positive definite
             (``||M - M^H|| <= HPD_TOL * m0`` and smallest eigenvalue of the
@@ -116,6 +120,7 @@ class QuadraticPencil:
             )
         self.n = M.shape[0]
         self.m0 = spectral_norm(M)
+        self.b0 = max(self.m0, 1.0)
         self.hermitian_pd = _detect_hpd(M, self.m0)
         self.M = M.copy()
         self.D = D.copy()

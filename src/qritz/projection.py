@@ -5,7 +5,10 @@ Projecting (M, D, K) onto span{Q} yields the m-dimensional triple
 Ritz values; their coefficient vectors lift through Q to Ritz vectors.  When
 the projected mass matrix is nonsingular there are always exactly 2m finite
 Ritz values.  Only ``kernels.solve_linear``'s ``sigma_min`` rule refuses a
-projected mass, as it refuses the full one.
+projected mass, as it refuses the full one.  A certified mass projects to
+the Hermitian part of ``Q^H M Q``, and ``ritz_pairs`` reads the pairs from
+the eigenvectors of the projected companion matrix and flags clustered
+values.
 """
 
 from __future__ import annotations

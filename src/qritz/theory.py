@@ -42,7 +42,6 @@ import numpy as np
 
 from .angles import Angle, subspace_angle, vector_angle
 from .errors import (
-    BadNorm,
     NotAnEigenpair,
     OrthogonalSubspace,
     QritzError,
@@ -81,13 +80,11 @@ SEP_FLOOR = 1e-14
 #: ``cos(theta1)`` at or below which ``x1`` counts as orthogonal to span{Q}.
 ORTHOGONAL_TOL = 1e-14
 
-#: ``||B v||`` at or below this times ``max(||M||, 1)`` counts as zero in ``deflate``.
+#: ``||B v||`` at or below this times ``||B|| = QuadraticPencil.b0`` counts as zero in ``deflate``.
 ZERO_BV_TOL = 1e-14
 
-#: Check thresholds: unit length of the angle check's lower blocks, absolute
-#: slack of that inequality, and slack of the refined-residual identity
-#: relative to ``max(1, residual_scale)``.
-UNIT_BLOCK_TOL = 1e-12
+#: Check thresholds: absolute slack of the stacked angle inequality, and
+#: slack of the refined-residual identity relative to ``max(1, residual_scale)``.
 ANGLE_SLACK = 1e-12
 IDENTITY_TOL = 1e-12
 
@@ -189,8 +186,8 @@ def deflate(p: QuadraticPencil, lam: complex, x) -> np.ndarray:
         BadNorm: if ``x`` is not unit (``kernels.require_unit``).
         NotAnEigenpair: if the backward error ``||P(lam) x|| /
             p.residual_scale(lam)`` exceeds ``EIGPAIR_TOL``.
-        ZeroBv: if ``||B v|| <= ZERO_BV_TOL ||B||``, with ``||B|| = max(||M||, 1)``
-            (no left vector available).
+        ZeroBv: if ``||B v|| <= ZERO_BV_TOL ||B||``, with ``||B||`` read from
+            ``p.b0`` (no left vector available).
     """
     lam = as_scalar(lam, "lam")
     v = stack_vector(lam, x)
@@ -201,7 +198,7 @@ def deflate(p: QuadraticPencil, lam: complex, x) -> np.ndarray:
     n = p.n
     Bv = np.concatenate([p.M @ v[:n], v[n:]])
     nb = np.linalg.norm(Bv)
-    if nb <= ZERO_BV_TOL * max(p.m0, 1.0):
+    if nb <= ZERO_BV_TOL * p.b0:
         raise ZeroBv(f"||B v|| = {nb:.3e} is numerically zero")
     return Bv / nb
 
@@ -388,17 +385,15 @@ def stacked_angle_inequality_check(u, u_tilde) -> bool:
 
     Raises:
         DimensionMismatch: if the two vectors differ in length.
-        BadNorm: if a lower block is not unit length within ``UNIT_BLOCK_TOL``.
+        BadNorm: if a lower block is not unit (``kernels.require_unit``).
     """
     u = as_vector(u, "u")
     ut = as_vector(u_tilde, "u_tilde", u.size)
     if u.size % 2:
         raise ValueError("expected stacked vectors of even dimension")
     n = u.size // 2
-    u1, ut1 = u[n:], ut[n:]
-    for blk in (u1, ut1):
-        if abs(np.linalg.norm(blk) - 1.0) > UNIT_BLOCK_TOL:
-            raise BadNorm("lower blocks must be unit length")
+    u1 = require_unit(u[n:], "lower block of u")
+    ut1 = require_unit(ut[n:], "lower block of u_tilde")
     lhs = vector_angle(u1, ut1).sin
     rhs = min(np.linalg.norm(u), np.linalg.norm(ut)) * vector_angle(u, ut).sin
     return bool(lhs <= rhs + ANGLE_SLACK)
@@ -458,10 +453,7 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     if sel is not None and ref.rejection is None:
         sep_full = sep(ref, mu1)
         norm_a_minus = largest_singular(*companion_operator(p, mu1), 2 * p.n)
-        # ||diag(M, I)|| = max(||M||, 1).
-        bound_refined = refined_vector_bound(
-            lam1, mu1, max(p.m0, 1.0), norm_a_minus, theta, sep_full
-        )
+        bound_refined = refined_vector_bound(lam1, mu1, p.b0, norm_a_minus, theta, sep_full)
 
     return DiagnosticsReport(
         ref_value=lam1,

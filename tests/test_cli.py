@@ -253,6 +253,26 @@ def test_study_builtin_deterministic_bytes(tmp_path):
     assert header.startswith("epsilon,sin_theta,ritz_value_err")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["example31"], ["study", "--builtin", "example31", "--seed", "1", "--out", "out.csv"]],
+    ids=["example31", "study"],
+)
+def test_builtin_output_does_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch, args):
+    # The README promises that the built-in example's bytes are unaffected
+    # by the BLAS thread count: run it at one thread and at two and compare.
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        r = run_cli(args, cwd=cwd)
+        assert r.returncode == 0, r.stderr
+        csv = cwd / "out.csv"
+        outputs.append((r.stdout, csv.read_bytes() if csv.exists() else None))
+    assert outputs[0] == outputs[1]
+
+
 def _block_companion(p):
     """The companion matrix assembled from separate blocks by ``np.block``."""
     n = p.n

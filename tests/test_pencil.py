@@ -45,6 +45,14 @@ class TestQuadraticPencil:
         assert p.d0 == pytest.approx(np.linalg.norm(p.D, 2), rel=1e-12)
         assert p.k0 == pytest.approx(np.linalg.norm(p.K, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_b0_is_the_norm_of_the_companion_b(self, g, scale):
+        # ||diag(M, I)|| is 1 below ||M|| = 1 and ||M|| above it.
+        p = random_pencil(g, 5)
+        p = QuadraticPencil(scale * p.M / p.m0, p.D, p.K)
+        assert p.b0 == max(p.m0, 1.0)
+        assert p.b0 == pytest.approx(np.linalg.norm(linearize(p)[1], 2), rel=1e-12)
+
     def test_large_pencil_factorizes_nothing_of_its_size(self, g, monkeypatch):
         # From ITERATIVE_NORM_MIN on, the three norms and the skew test run
         # Golub-Kahan and definiteness is one Cholesky: no SVD or Hermitian

@@ -89,7 +89,7 @@ class TestVectorAngle:
 
     def test_orthogonal_pair(self):
         a = vector_angle(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert a.radians == pytest.approx(math.pi / 2, abs=1e-14)
+        assert (a.sin, a.cos) == (1.0, 0.0)
 
     def test_printed_stagnant_vector(self):
         # Frozen digits of a stagnated lifted vector; its angle to e3.
@@ -578,7 +578,7 @@ def test_elsner_bound_matches_extended_precision_at_small_eps(seed):
 
 
 def _angle(radians):
-    return Angle(radians=radians, sin=math.sin(radians), cos=math.cos(radians))
+    return Angle(sin=math.sin(radians), cos=math.cos(radians))
 
 
 class TestClosedFormBounds:
@@ -603,7 +603,7 @@ class TestClosedFormBounds:
 
 
     def test_bounds_are_infinite_at_a_right_angle(self):
-        right = Angle(radians=math.pi / 2, sin=1.0, cos=0.0)
+        right = Angle(sin=1.0, cos=0.0)
         assert ritz_vector_bound(3.0, right, 0.5) == math.inf
         assert refined_vector_bound(1.0, 1.0, 1.0, 1.0, right, 0.5) == math.inf
 
@@ -624,6 +624,16 @@ class TestStackedInequality:
         u = np.ones(4)
         with pytest.raises(BadNorm):
             stacked_angle_inequality_check(u, u)
+
+    def test_lower_blocks_pass_the_one_unit_gate(self):
+        # A lower block off unit length by a few UNIT_TOL is refused, as
+        # kernels.require_unit refuses it anywhere else.
+        x = np.array([0.6, 0.8j])
+        u = np.concatenate([x, x])
+        ut = np.concatenate([x, x * (1.0 + 5.0 * kernels.UNIT_TOL)])
+        assert stacked_angle_inequality_check(u, u)
+        with pytest.raises(BadNorm, match="lower block of u_tilde"):
+            stacked_angle_inequality_check(u, ut)
 
     def test_many_random_pairs(self, g):
         for _ in range(200):
