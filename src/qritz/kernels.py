@@ -12,7 +12,12 @@ and the linear solve refuses a matrix by its ``sigma_min`` gate.
 the three operator norms of each diagnostics row: both separations and
 ``||A - mu B||``.  Up to order ``DENSE_OPERATOR_MAX`` it forms the operator
 one column at a time and takes the values-only SVD; above it, it is the one
-iterative kernel, running Lanczos on ``T^H T`` over one orthonormal basis.
+iterative kernel, running Lanczos on ``T^H T`` over one orthonormal basis
+from the golden phases or from a caller's ``start``.  ``top_singular_triple``
+is the same Lanczos run, cold, returning the top two Ritz values and the
+top Ritz vector: the study takes it once per case at ``mu = lambda1`` and
+starts a row's ``||A - mu1 B||`` from that vector where Weyl's bound rules
+out a change of the top (``theory.Reference.norm_a_minus``).
 ``spectral_norm`` takes a square matrix of order ``ITERATIVE_NORM_MIN`` or
 more through it, and every other matrix through the values-only SVD.
 
@@ -70,7 +75,7 @@ DENSE_OPERATOR_MAX = 16
 #: doubles the room when an iteration needs more.
 LANCZOS_ROWS = 32
 
-#: The golden ratio of ``golden_phases``, which start ``largest_singular``
+#: The golden ratio of ``golden_phases``, which start a cold Lanczos run
 #: and the solver's inverse iteration.
 GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
@@ -318,41 +323,73 @@ def golden_phases(count: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.arange(1, count + 1) * GOLDEN % 1.0))
 
 
-def largest_singular(matvec, rmatvec, dim: int) -> float:
+def largest_singular(matvec, rmatvec, dim: int, start=None) -> float:
     """``||T||`` of a square operator on ``C^dim`` given only by its products.
 
     ``matvec(x)`` returns ``T x`` and ``rmatvec(y)`` returns ``T^H y``.  For
     ``dim <= DENSE_OPERATOR_MAX``, ``T`` is formed from the ``dim`` products
     ``T e_j``, each copied into its column before the next call, and the
-    result is the first of its values-only singular values.  Above that
-    order, Lanczos on ``T^H T``, with full reorthogonalization, starts from
-    ``golden_phases(dim)``.  This is Golub-Kahan
-    bidiagonalization over one basis instead of two (Paige, 1974): each step
-    takes one product with ``T`` and one with ``T^H``.  ``T`` is divided by
-    the first ``||T v_0||`` so that squaring neither overflows nor
-    underflows; that norm is taken of ``T v_0`` over its largest modulus,
-    since numpy squares a vector's entries without scaling.  After step
-    ``k`` the top eigenvalue of the k x k tridiagonal, whose diagonal
-    entries are ``||T v_k||^2``, is a lower bound on ``||T||^2`` that only
-    grows; the iteration stops when that growth falls to ``2 STALL_TOL``
-    relative (``STALL_TOL`` relative growth of ``||T||``), when a new
-    direction is exactly zero (an invariant subspace), or after ``dim``
-    steps, and returns the square root.  The zero operator gives 0.0.  The
-    kernel never writes into an array that ``matvec`` or ``rmatvec``
-    returned, so either may return a view of the operator's own state.
+    result is the first of its values-only singular values; ``start`` is
+    not read.  Above that order, it is the top Ritz value of ``_lanczos``
+    from ``start`` (the golden phases when None): a norm-only call forms no
+    Ritz vector and takes no ``eigh``.  The zero operator gives 0.0.
     """
     if dim <= DENSE_OPERATOR_MAX:
         T = np.empty((dim, dim), dtype=np.complex128)
         for j, e in enumerate(np.eye(dim, dtype=np.complex128)):
             T[:, j] = matvec(e)
         return float(np.linalg.svd(T, compute_uv=False)[0])
-    v = golden_phases(dim)
+    scale, top, _, _ = _lanczos(matvec, rmatvec, dim, start)
+    return scale * top**0.5
+
+
+def top_singular_triple(matvec, rmatvec, dim: int) -> tuple[float, float, np.ndarray]:
+    """``(sigma1, sigma2, v1)`` of one cold ``_lanczos`` run at any order.
+
+    ``sigma1`` and ``sigma2`` are the top two Ritz values of the run (each a
+    lower bound on the singular value of its rank; ``sigma2 = sigma1`` when
+    the run stopped after one step) and ``v1`` is the unit top Ritz vector,
+    the start that lets ``largest_singular`` take the norm of a nearby
+    operator in a few steps.  The zero operator gives ``(0.0, 0.0, v0)``.
+    """
+    scale, _, basis, tridiagonal = _lanczos(matvec, rmatvec, dim, None)
+    if scale == 0.0:
+        return 0.0, 0.0, basis[0]
+    theta, s = np.linalg.eigh(tridiagonal)
+    sigma = scale * np.sqrt(np.maximum(theta[-2:], 0.0))
+    v = s[:, -1] @ basis
+    return float(sigma[-1]), float(sigma[0]), v / np.linalg.norm(v)
+
+
+def _lanczos(matvec, rmatvec, dim: int, start) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Lanczos on ``T^H T``: ``(scale, top, basis, tridiagonal)`` at the stop.
+
+    The iteration runs with full reorthogonalization from ``start`` over its
+    norm, or from ``golden_phases(dim)`` when ``start`` is None.  This is
+    Golub-Kahan bidiagonalization over one basis instead of two (Paige,
+    1974): each step takes one product with ``T`` and one with ``T^H``.
+    ``T`` is divided by the first ``||T v_0||``, ``scale``, so that squaring
+    neither overflows nor underflows; that norm is taken of ``T v_0`` over
+    its largest modulus, since numpy squares a vector's entries without
+    scaling.  After step ``k`` the top eigenvalue of the
+    k x k tridiagonal, whose diagonal entries are ``||T v_k||^2``, is a
+    lower bound on ``||T||^2`` that only grows; the iteration stops when
+    that growth falls to ``2 STALL_TOL`` relative (``STALL_TOL`` relative
+    growth of ``||T||``), when a new direction is exactly zero (an invariant
+    subspace), or after ``dim`` steps.  ``top`` is that eigenvalue, and
+    ``basis`` and ``tridiagonal`` are the Lanczos vectors (as rows) and the
+    tridiagonal of the steps taken.  When ``T v_0 = 0`` the run stops at
+    once with ``scale = top = 0.0``.  The kernel never writes into an array
+    that ``matvec`` or ``rmatvec`` returned, so either may return a view of
+    the operator's own state.
+    """
     # Row k holds the k-th Lanczos vector, the one copy of the Krylov basis; a
     # Gram-Schmidt pass takes the coefficients as conj(rows @ conj(r)), so it
     # is two matrix-vector products and no conjugate of the basis is kept.
     # The buffer starts at LANCZOS_ROWS rows and doubles when full: a dim x
     # dim buffer would be a fresh mapping, paged in anew on every call, for
     # the few dozen steps the iteration takes.
+    v = golden_phases(dim) if start is None else start
     rows = np.empty((min(dim, LANCZOS_ROWS), dim), dtype=np.complex128)
     np.divide(v, np.linalg.norm(v), out=rows[0])
     tridiagonal = np.zeros((len(rows), len(rows)))
@@ -362,7 +399,7 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
         if k == 0:
             peak = float(np.max(np.abs(w)))
             if peak == 0.0:
-                return 0.0
+                break
             scale = peak * float(np.linalg.norm(w / peak))
         # Each product is divided into a new array, never in place: the
         # operator may return a view of its own state.
@@ -383,7 +420,7 @@ def largest_singular(matvec, rmatvec, dim: int) -> float:
             tridiagonal = np.pad(tridiagonal, (0, len(extra)))
         np.divide(r, beta, out=rows[k + 1])
         tridiagonal[k + 1, k] = beta
-    return scale * top**0.5
+    return scale, top, rows[: k + 1], tridiagonal[: k + 1, : k + 1]
 
 
 def unitary_completion(v) -> np.ndarray:

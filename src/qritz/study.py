@@ -6,7 +6,12 @@ full diagnostics and records one row.  ``case_from_pencil`` takes the case
 from one companion eigensolve without eigenvectors and two walks of
 ``solver.nearest_pairs``: the first pair around the target gives the
 reference value, and the walk around that value gives the reference pair
-and the next-nearest independent directions.  Verdicts classify each row
+and the next-nearest independent directions.  Every value fixed for a
+case is computed once per case: ``StudyCase.reference`` memoizes the
+admitted reference, which deflates the pair and, on the first row that
+needs it, takes the top singular triple of ``A - lam1 B`` that starts each
+row's ``||A - mu1 B||`` wherever Weyl's bound rules out a change of the top
+(``theory.Reference.norm_a_minus``).  Verdicts classify each row
 by order of magnitude: the projection method stagnates when the Ritz-vector
 angle exceeds 100x the subspace angle, while refined extraction is "OK"
 when its angle stays within that factor (or under an absolute floor of
@@ -16,7 +21,7 @@ when its angle stays within that factor (or under an absolute floor of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .kernels import as_direction, as_integer, as_matrix, as_scalar, eigenvalues
 from .pencil import QuadraticPencil
 from .solver import nearest_pairs, warned_companion
 from .subspace import as_epsilon, perturbed_subspace
-from .theory import DiagnosticsReport, full_diagnostics, reference
+from .theory import DiagnosticsReport, Reference, full_diagnostics, reference
 
 #: Ritz-vector stagnation factor: angle > RITZ_FACTOR * sin(theta1).
 RITZ_FACTOR = 100.0
@@ -111,12 +116,34 @@ def row_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class StudyCase:
-    """A pencil with its reference eigenpair and companion directions."""
+    """A pencil with its reference eigenpair and companion directions.
+
+    The case's memo is the ``Reference`` of its admitted pair, which holds
+    the per-case triple at ``lam1`` (``theory.Reference.top``) once a row
+    has read it.  Like ``QuadraticPencil.image``, the memo is keyed on exact
+    equality with the admitted value and a private copy of the admitted
+    vector, so a ``ref_vector`` changed in place gets a fresh reference; a
+    hit and a miss give the same rows.
+    """
 
     pencil: QuadraticPencil
     ref_value: complex
     ref_vector: np.ndarray
     companions: np.ndarray
+    _reference: Reference | None = field(default=None, init=False, repr=False, compare=False)
+
+    def reference(self) -> Reference:
+        """The ``theory.reference`` of the admitted pair: ``ref_value`` by
+        ``as_scalar`` and ``ref_vector`` by ``as_direction`` (``p.n``
+        entries), memoized for the last pair admitted."""
+        value = as_scalar(self.ref_value, "ref_value")
+        x1 = as_direction(self.ref_vector, "ref_vector", self.pencil.n)
+        memo = self._reference
+        if memo is not None and memo.value == value and np.array_equal(memo.vector, x1):
+            return memo
+        memo = reference(self.pencil, value, x1)
+        object.__setattr__(self, "_reference", memo)
+        return memo
 
 
 def builtin_case() -> StudyCase:
@@ -170,26 +197,25 @@ def run_study(
     case: StudyCase, eps_list: list[float], seed: int
 ) -> tuple[list[StudyRow], list[str]]:
     """One diagnostics row and verdict per epsilon; failures mark their row
-    with NaN columns and the run continues.  The reference pair, the
-    companions (``p.n`` rows, finite entries), every epsilon
-    (``subspace.as_epsilon``) and the seed, an integer in
-    ``[0, 2**SEED_BITS)``, are admitted once, before the first row, so a
+    with NaN columns and the run continues.  The reference pair
+    (``case.reference()``), the seed, an integer in ``[0, 2**SEED_BITS)``,
+    the companions (``p.n`` rows, finite entries) and every epsilon
+    (``subspace.as_epsilon``) are admitted once, before the first row, so a
     bad input refuses the whole study instead of a row or the rows after it.
     Each row perturbs the admitted unit reference vector, so epsilon does not
-    depend on the scaling of ``case.ref_vector``."""
-    ref_value = as_scalar(case.ref_value, "ref_value")
+    depend on the scaling of ``case.ref_vector``.  The reference comes from
+    the case's memo, so repeated studies of one case deflate its pair and
+    take its triple at ``lam1`` once."""
+    ref = case.reference()
     seed = as_integer(seed, "seed", 0, 2**SEED_BITS)
-    n = case.pencil.n
-    x1 = as_direction(case.ref_vector, "ref_vector", n)
     if np.size(case.companions):
-        as_matrix(case.companions, "companions", n)
+        as_matrix(case.companions, "companions", case.pencil.n)
     eps_list = [as_epsilon(eps) for eps in eps_list]
-    ref = reference(case.pencil, ref_value, x1)
     rows = []
     verdicts = []
     for i, eps in enumerate(eps_list):
         try:
-            Q = perturbed_subspace(x1, case.companions, eps, row_seed(seed, i))
+            Q = perturbed_subspace(ref.vector, case.companions, eps, row_seed(seed, i))
             rep = full_diagnostics(ref, Q)
             row = row_from_report(eps, rep)
         except QritzError:

@@ -26,7 +26,10 @@ top-left block ``T`` of ``[[A - mu B, y1], [v^H, 0]]^{-1}``; ``sep`` splits
 the stacked unknown along the orthogonal ``[mu; 1]`` and ``[1; -conj(mu)]``,
 applies ``T`` through one (n+1) x (n+1) solve for every ``mu`` and takes
 ``||T||`` with ``kernels.largest_singular``, which also gives ``||A - mu1
-B||``, so no companion-size matrix is formed.  A vanishing ``sep`` voids the
+B||``, so no companion-size matrix is formed.  ``Reference.norm_a_minus``
+starts that last norm from the top right singular vector of ``A - lam1 B``,
+taken once per reference, wherever Weyl's bound rules out a change of the
+top, and cold everywhere else.  A vanishing ``sep`` voids the
 corresponding hypothesis, which is reported as an infinite bound rather
 than an exception so sweep tables stay rectangular.  A basis numerically
 orthogonal to ``x1`` (``cos(theta1) <= ORTHOGONAL_TOL``) voids both vector
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .kernels import (
+    DENSE_OPERATOR_MAX,
     as_direction,
     as_matrix,
     as_scalar,
@@ -57,6 +62,7 @@ from .kernels import (
     require_unit,
     solve_linear,
     spectral_norm,
+    top_singular_triple,
 )
 from .pencil import (
     QuadraticPencil,
@@ -82,6 +88,10 @@ ORTHOGONAL_TOL = 1e-14
 
 #: ``||B v||`` at or below this times ``||B|| = QuadraticPencil.b0`` counts as zero in ``deflate``.
 ZERO_BV_TOL = 1e-14
+
+#: ``Reference.norm_a_minus`` starts from the top vector at ``lam1`` when
+#: ``WEYL_MARGIN |mu - lam1| ||B||`` is at most the gap ``sigma1 - sigma2``.
+WEYL_MARGIN = 4.0
 
 #: Check thresholds: absolute slack of the stacked angle inequality, and
 #: slack of the refined-residual identity relative to ``max(1, residual_scale)``.
@@ -143,6 +153,10 @@ class Reference:
     deflation enters without being formed.  ``rejection`` is the
     ``NotAnEigenpair`` or ``ZeroBv`` that ``deflate`` raised (``y1`` is then
     None and ``sep`` raises it), or None when the pair is admitted.
+
+    ``top`` is the per-case triple ``(sigma1, sigma2, v1)`` of ``A - value
+    B`` from one cold ``kernels.top_singular_triple`` run, taken on first
+    read; ``norm_a_minus`` reads it for every row of a study.
     """
 
     pencil: QuadraticPencil
@@ -150,6 +164,37 @@ class Reference:
     vector: np.ndarray
     y1: np.ndarray | None
     rejection: QritzError | None
+
+    @cached_property
+    def top(self) -> tuple[float, float, np.ndarray]:
+        """``(sigma1, sigma2, v1)`` of ``A - value B``, taken on first read."""
+        p = self.pencil
+        return top_singular_triple(*companion_operator(p, self.value), 2 * p.n)
+
+    def norm_a_minus(self, mu: complex) -> float:
+        """``||A - mu B||`` by ``kernels.largest_singular``, warm where Weyl's bound allows.
+
+        ``A - mu B`` differs from ``A - value B`` by ``(value - mu) B``, so
+        by Weyl's inequality each singular value moves by at most ``delta =
+        |mu - value| ||B||``, with ``||B|| = p.b0``.  When ``WEYL_MARGIN
+        delta <= sigma1 - sigma2`` for the triple ``top``, no other singular
+        value can overtake the top, which stays at least ``2 delta`` apart
+        from the rest, and Wedin's theorem puts its right vector within a
+        sine of 1/3 of ``v1``: the Lanczos run starts from ``v1`` and stops
+        in a few steps.  Every other ``mu`` runs cold, as does every operator
+        of order ``DENSE_OPERATOR_MAX`` or less, which takes the dense route
+        and never reads ``top``.  ``sigma1`` and ``sigma2`` are Ritz values,
+        at most the singular values, so the gate is proved only for a
+        converged ``sigma2``; the margin of 4, twice what Weyl's bound needs,
+        is the allowance for the rest.
+        """
+        p = self.pencil
+        start = None
+        if 2 * p.n > DENSE_OPERATOR_MAX:
+            sigma1, sigma2, v1 = self.top
+            if WEYL_MARGIN * abs(mu - self.value) * p.b0 <= sigma1 - sigma2:
+                start = v1
+        return largest_singular(*companion_operator(p, mu), 2 * p.n, start=start)
 
 
 def reference(p: QuadraticPencil, value: complex, vector) -> Reference:
@@ -452,7 +497,7 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     elsner = _stage(lambda: elsner_bound(pp, perturbation_triple(p, pp, lam1, x1, theta)))
     if sel is not None and ref.rejection is None:
         sep_full = sep(ref, mu1)
-        norm_a_minus = largest_singular(*companion_operator(p, mu1), 2 * p.n)
+        norm_a_minus = ref.norm_a_minus(mu1)
         bound_refined = refined_vector_bound(lam1, mu1, p.b0, norm_a_minus, theta, sep_full)
 
     return DiagnosticsReport(

@@ -14,12 +14,14 @@ from qritz.kernels import (
     RANK_TOL,
     clustered_flags,
     eig_standard,
+    golden_phases,
     largest_singular,
     orthonormalize,
     orthonormality_defect,
     solve_linear,
     spectral_norm,
     svd,
+    top_singular_triple,
     unitary_completion,
 )
 
@@ -364,6 +366,55 @@ class TestLargestSingular:
             assert len(calls) >= 4 and len(rcalls) >= 3
         want = np.linalg.norm(a, 2)
         assert abs(norm - want) <= 1e-14 * want
+
+    def test_exact_top_vector_start_stops_at_once(self):
+        # From the exact top right singular vector, T^H T v_0 = sigma1^2 v_0:
+        # the first new direction is rounding noise, and the estimate stalls
+        # by the second step, so at most three products with T or T^H.
+        a = cnormal(rng(2800), LANCZOS_DIM, LANCZOS_DIM)
+        _, s, vh = np.linalg.svd(a)
+        calls, rcalls = [], []
+        norm = largest_singular(*_operator(a, calls, rcalls), LANCZOS_DIM, start=vh[0].conj())
+        assert abs(norm - s[0]) <= 1e-14 * s[0]
+        assert len(calls) + len(rcalls) <= 3
+
+    def test_golden_start_is_the_cold_start(self, g):
+        # start=None and an explicit golden-phase start run the same bits;
+        # on the dense route a start is not read.
+        a = cnormal(g, LANCZOS_DIM, LANCZOS_DIM)
+        cold = largest_singular(*_operator(a), LANCZOS_DIM)
+        assert largest_singular(*_operator(a), LANCZOS_DIM, start=golden_phases(LANCZOS_DIM)) == cold
+        b = a[:9, :9]
+        assert largest_singular(*_operator(b), 9, start=np.ones(9)) == largest_singular(*_operator(b), 9)
+
+
+class TestTopSingularTriple:
+    def test_top_two_values_and_the_top_vector(self):
+        # A separated top: the run's sigma1 is the norm, its vector is the
+        # top right singular vector up to a phase, and sigma2 the next value
+        # from below.
+        g = rng(2900)
+        w = np.concatenate([[3.0, 2.0], g.uniform(0.5, 1.5, 38)])
+        a = hermitian_with_spectrum(g, w)
+        sigma1, sigma2, v1 = top_singular_triple(*_operator(a), 40)
+        assert sigma1 == pytest.approx(3.0, rel=1e-14)
+        assert sigma2 <= 2.0 * (1.0 + 1e-14) and sigma2 >= 1.5
+        assert np.linalg.norm(v1) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(a @ v1 - 3.0 * v1) <= 1e-6
+
+    def test_one_step_gives_sigma2_equal_sigma1(self):
+        # The identity stops at its invariant subspace after one step: no
+        # second Ritz value exists, and the gap reads zero.
+        eye = np.eye(LANCZOS_DIM, dtype=complex)
+        sigma1, sigma2, v1 = top_singular_triple(*_operator(eye), LANCZOS_DIM)
+        assert sigma1 == sigma2 == pytest.approx(1.0, rel=1e-15)
+        assert np.linalg.norm(v1) == pytest.approx(1.0, rel=1e-15)
+
+    def test_zero_operator(self):
+        zero = np.zeros((LANCZOS_DIM, LANCZOS_DIM))
+        sigma1, sigma2, v1 = top_singular_triple(*_operator(zero), LANCZOS_DIM)
+        assert sigma1 == sigma2 == 0.0
+        assert np.linalg.norm(v1) == pytest.approx(1.0, rel=1e-15)
 
 
 def _clustered_loop(values, tol):

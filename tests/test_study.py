@@ -11,9 +11,17 @@ from qritz import cli, theory
 from qritz.angles import subspace_angle, vector_angle
 from qritz.builtin import golden_checks
 from qritz.errors import NotAnEigenpair, RankDeficient
-from qritz.kernels import eigenvalues
+from qritz.kernels import eigenvalues, largest_singular
 from qritz.mmio import write_matrix_market
-from qritz.pencil import Eigenpair, QuadraticPencil, companion_matrix, linearize, qep_residual, stack_vector
+from qritz.pencil import (
+    Eigenpair,
+    QuadraticPencil,
+    companion_matrix,
+    companion_operator,
+    linearize,
+    qep_residual,
+    stack_vector,
+)
 from qritz.projection import project, ritz_pairs
 from qritz.refined import refined_ritz
 from qritz.solver import nearest_first, refined_pairs, select_eigenpair, solve_full
@@ -451,3 +459,101 @@ def test_pencil_keeps_no_companion_sized_array():
     assert case.pencil is p and companion_sized() == []
     rows, _ = run_study(case, [1e-4], seed=1)
     assert len(rows) == 1 and companion_sized() == []
+
+
+#: Modal pencils of the warm-start test: draw i from Philox key MODAL_SEED + i.
+MODAL_SEED = 77000
+MODAL_N = 20
+
+#: 1e-1 down to 1e-12 in half decades.
+MODAL_EPS = [10.0 ** (-k / 2.0) for k in range(2, 25)]
+
+
+def _modal_case(index: int) -> StudyCase:
+    """A dimension-4 case of a modal pencil: ``n`` decoupled quadratics.
+
+    Each mode has a mass in [1, 2] and two complex normal roots.  The
+    pencil is diagonal for even ``index`` and rotated by one Haar unitary
+    for odd ``index``; the target is a complex normal draw.
+    """
+    g = rng(MODAL_SEED + index)
+    mass = g.uniform(1.0, 2.0, MODAL_N)
+    a, b = cnormal(g, 2, MODAL_N)
+    coefficients = (mass, -mass * (a + b), mass * a * b)
+    if index % 2 == 0:
+        p = QuadraticPencil(*(np.diag(c) for c in coefficients))
+    else:
+        U, R = np.linalg.qr(cnormal(g, MODAL_N, MODAL_N))
+        U = U * (np.diag(R) / np.abs(np.diag(R)))
+        p = QuadraticPencil(*((U * c) @ U.conj().T for c in coefficients))
+    return case_from_pencil(p, complex(*g.standard_normal(2)), 4)
+
+
+def test_warm_started_norms_match_the_cold_norm_on_modal_pencils(monkeypatch):
+    # Every row's ||A - mu1 B||, read as the argument refined_vector_bound
+    # takes, is the cold Lanczos norm of the same operator: bit for bit
+    # where Weyl's gate sends the row cold, within 1e-14 where it starts
+    # from the top vector at lam1.  Both routes occur.
+    seen = []
+
+    def recording(lam1, mu1, norm_b, norm_a_minus, *rest):
+        seen.append((mu1, norm_a_minus))
+        return refined_vector_bound(lam1, mu1, norm_b, norm_a_minus, *rest)
+
+    monkeypatch.setattr(theory, "refined_vector_bound", recording)
+    routes = {"warm": 0, "cold": 0}
+    for index in range(60):
+        case = _modal_case(index)
+        seen.clear()
+        rows, _ = run_study(case, MODAL_EPS, seed=index)
+        assert len(seen) == len(rows), f"pencil {index}"
+        p, ref = case.pencil, case.reference()
+        sigma1, sigma2, _ = ref.top
+        for mu1, norm in seen:
+            cold = largest_singular(*companion_operator(p, mu1), 2 * p.n)
+            warm = theory.WEYL_MARGIN * abs(mu1 - ref.value) * p.b0 <= sigma1 - sigma2
+            routes["warm" if warm else "cold"] += 1
+            if warm:
+                assert abs(norm - cold) <= 1e-14 * cold, f"pencil {index}, mu1 = {mu1}"
+            else:
+                assert norm == cold, f"pencil {index}, mu1 = {mu1}"
+    assert routes["warm"] > 0 and routes["cold"] > 0, routes
+
+
+def _row_bytes(rows) -> list[bytes]:
+    return [np.array([getattr(row, c) for c in STUDY_COLUMNS]).tobytes() for row in rows]
+
+
+def test_cached_reference_gives_the_rows_of_a_fresh_case():
+    # The first study of a case takes the triple at lam1; a second study
+    # of it reads the memo.  Both give the rows of a fresh case, byte for byte.
+    fresh, _ = run_study(_hoist_case(), HOIST_EPS, seed=HOIST_SEED)
+    case = _hoist_case()
+    run_study(case, [1e-3], seed=1)
+    ref = case.reference()
+    assert "top" in vars(ref)
+    cached, _ = run_study(case, HOIST_EPS, seed=HOIST_SEED)
+    assert case.reference() is ref
+    assert _row_bytes(cached) == _row_bytes(fresh)
+
+
+def test_a_prefix_of_the_epsilons_gives_a_prefix_of_the_rows():
+    case = _hoist_case()
+    eps = HOIST_EPS + [1e-3, 0.0, 1e-13]
+    whole, _ = run_study(case, eps, seed=HOIST_SEED)
+    for k in range(len(eps) + 1):
+        prefix, _ = run_study(_hoist_case(), eps[:k], seed=HOIST_SEED)
+        assert _row_bytes(prefix) == _row_bytes(whole[:k])
+
+
+def test_a_reference_vector_changed_in_place_gets_a_fresh_reference():
+    case = _hoist_case()
+    before = case.reference()
+    before.top
+    case.ref_vector[:] *= 1j
+    after = case.reference()
+    assert after is not before and "top" not in vars(after)
+    assert np.array_equal(after.vector, 1j * before.vector)
+    fresh = dataclasses.replace(case, ref_vector=case.ref_vector.copy())
+    rows, _ = run_study(case, HOIST_EPS, seed=HOIST_SEED)
+    assert _row_bytes(rows) == _row_bytes(run_study(fresh, HOIST_EPS, seed=HOIST_SEED)[0])

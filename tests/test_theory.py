@@ -765,26 +765,38 @@ class TestFullDiagnostics:
 
     def test_three_operator_norms_per_row(self, g, monkeypatch):
         # sep_projected (order 2m), sep_full and ||A - mu1 B|| (order 2n):
-        # the whole per-row budget of iterative norms.
+        # the whole per-row budget of iterative norms.  The triple of
+        # A - lam1 B that can start the last of them is one more run, taken
+        # once per reference: a second row on the same reference adds three.
         n, m = 10, 3
         p = random_pencil(g, n)
         ep = select_eigenpair(solve_full(p), 0.5)
         ref = reference(p, ep.value, ep.vector)
         assert ref.rejection is None
         Q = perturbed_subspace(ep.vector, cnormal(g, n, m - 1), 1e-4, seed=3)
-        dims = []
-        iterative = kernels.largest_singular
+        dims, triples = [], []
+        iterative, triple = kernels.largest_singular, kernels.top_singular_triple
 
-        def counting(matvec, rmatvec, dim):
+        def counting(matvec, rmatvec, dim, **options):
             dims.append(dim)
-            return iterative(matvec, rmatvec, dim)
+            return iterative(matvec, rmatvec, dim, **options)
+
+        def counting_triple(matvec, rmatvec, dim):
+            triples.append(dim)
+            return triple(matvec, rmatvec, dim)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "qritz" and hasattr(module, "largest_singular"):
                 monkeypatch.setattr(module, "largest_singular", counting)
+            if name.split(".")[0] == "qritz" and hasattr(module, "top_singular_triple"):
+                monkeypatch.setattr(module, "top_singular_triple", counting_triple)
         rep = full_diagnostics(ref, Q)
         assert math.isfinite(rep.sep_projected) and math.isfinite(rep.refined_vector_bound)
         assert sorted(dims) == [2 * m, 2 * n, 2 * n]
+        assert triples == [2 * n]
+        full_diagnostics(ref, Q)
+        assert sorted(dims) == [2 * m, 2 * m, 2 * n, 2 * n, 2 * n, 2 * n]
+        assert triples == [2 * n]
 
     @pytest.fixture
     def stage_case(self, g):
