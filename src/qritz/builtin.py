@@ -73,14 +73,9 @@ class GoldenCheck:
     threshold: float
 
 
-def golden_checks(p: QuadraticPencil | None = None) -> list[GoldenCheck]:
-    """The five exact-subspace regression checks for the built-in problem.
-
-    Accepts an alternative pencil so a broken one can be shown to fail (a
-    negative control); the basis is always ``example31_basis()``.
-    """
-    if p is None:
-        p = example31_pencil()
+def golden_checks() -> list[GoldenCheck]:
+    """The five exact-subspace regression checks for the built-in problem."""
+    p = example31_pencil()
     Q = example31_basis()
     checks = []
 

@@ -350,11 +350,10 @@ def top_singular_triple(matvec, rmatvec, dim: int) -> tuple[float, float, np.nda
     lower bound on the singular value of its rank; ``sigma2 = sigma1`` when
     the run stopped after one step) and ``v1`` is the unit top Ritz vector,
     the start that lets ``largest_singular`` take the norm of a nearby
-    operator in a few steps.  The zero operator gives ``(0.0, 0.0, v0)``.
+    operator in a few steps.  The zero operator stops the run after one
+    step with ``scale = 0``, so the same path gives ``(0.0, 0.0, v0)``.
     """
     scale, _, basis, tridiagonal = _lanczos(matvec, rmatvec, dim, None)
-    if scale == 0.0:
-        return 0.0, 0.0, basis[0]
     theta, s = np.linalg.eigh(tridiagonal)
     sigma = scale * np.sqrt(np.maximum(theta[-2:], 0.0))
     v = s[:, -1] @ basis

@@ -1,4 +1,4 @@
-"""Quadratic pencil data model: residuals, basis images, companion linearization.
+"""Quadratic pencil data model: residuals, projections, companion linearization.
 
 A quadratic pencil is the matrix-valued function ``P(lam) = lam^2 M + lam D + K``
 built from square complex mass/damping/stiffness matrices.  Its companion
@@ -14,9 +14,10 @@ pair itself, which no pipeline path needs (it serves dense checks), and
 ``quadratic_vectors`` reads the companion eigenpairs back as ``(lam, x)``.
 The pencil takes ``m0 = ||M||``, ``b0 = max(m0, 1) = ||B||`` and the
 ``hermitian_pd`` certificate on construction, from the caller's ``M``
-before it is copied.  It keeps one memo, the ``BasisImage`` of its last
-basis, and two norms taken on first read, ``d0`` and ``k0``; every other
-type here is an immutable value object.
+before it is copied.  It keeps one memo, the ``ProjectedPencil`` of the
+last basis passed to ``image``, whose ``basis``, ``R`` and projected triple
+are read-only, and two norms taken on first read, ``d0`` and ``k0``; every
+other type here is an immutable value object.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ def _detect_hpd(M: np.ndarray, m0: float) -> bool:
 
 
 @dataclass(frozen=True)
-class BasisImage:
-    """What an n x m basis ``Q`` leaves of its image ``W = [MQ, DQ, KQ] = U R``.
+class ProjectedPencil:
+    """The projection of a pencil onto span{Q} for an n x m basis ``Q``.
 
-    ``projected`` is the m x 3m ``Q^H W = [Q^H M Q, Q^H D Q, Q^H K Q]`` and
+    ``pencil`` is the m x m triple ``(Q^H M Q, Q^H D Q, Q^H K Q)``, read from
+    ``Q^H W`` for the image ``W = [MQ, DQ, KQ] = U R``; ``basis`` is ``Q`` and
     ``R`` (``k x 3m``, ``k = min(n, 3m)``) the R factor of the reduced QR of
     ``W``; neither ``W`` nor ``U`` is kept.  Every residual in span{Q} is
     ``P(lam) Q c = W [lam^2 c; lam c; c] = U R [lam^2 c; lam c; c]``, and
@@ -69,8 +71,8 @@ class BasisImage:
     singular values and right singular vectors of ``P(lam) Q``.
     """
 
+    pencil: QuadraticPencil
     basis: np.ndarray
-    projected: np.ndarray
     R: np.ndarray
 
     def residual_norm(self, lam: complex, c: np.ndarray) -> float:
@@ -103,9 +105,9 @@ class QuadraticPencil:
     ``m0`` and ``hermitian_pd`` are taken on construction from the caller's
     M before anything is copied, so no temporary of the certificate
     coexists with the three copies; the caller must not write its arrays
-    while the constructor runs.  The pencil's memos are the ``BasisImage``
-    of the last basis passed to ``image`` and the two norms; they never
-    change a result, only whether it is recomputed.
+    while the constructor runs.  The pencil's memos are the projection
+    returned by ``image`` and the two norms; they never change a result,
+    only whether it is recomputed.
     """
 
     def __init__(self, M, D, K):
@@ -125,7 +127,7 @@ class QuadraticPencil:
         self.M = M.copy()
         self.D = D.copy()
         self.K = K.copy()
-        self._image: BasisImage | None = None
+        self._image: ProjectedPencil | None = None
 
     @cached_property
     def d0(self) -> float:
@@ -151,22 +153,36 @@ class QuadraticPencil:
         a = abs(lam)
         return a * a * self.m0 + a * self.d0 + self.k0
 
-    def image(self, Q: np.ndarray) -> BasisImage:
-        """The ``BasisImage`` of the n x m matrix ``Q``, memoized for the last basis.
+    def image(self, Q: np.ndarray) -> ProjectedPencil:
+        """The ``ProjectedPencil`` of the n x m orthonormal ``Q``, memoized for the last basis.
 
-        The n x 3m image ``W`` lives only inside this call: the memo keeps the
-        m x 3m ``Q^H W`` and the R factor of ``W``, so nothing downstream
-        touches an n-row array but the lifts ``Q X`` and ``Q z``.  The memo
-        is keyed on exact equality with a private copy of ``Q``, so a basis
-        mutated in place or a different basis is recomputed.  A hit and a
-        miss return the same bits.  The memo is one attribute assigned whole,
-        so concurrent callers at worst recompute it.
+        The n x 3m image ``W`` lives only inside this call: the record keeps
+        the projected triple, read from the m x 3m ``Q^H W``, and the R factor
+        of ``W``, so nothing downstream touches an n-row array but the lifts
+        ``Q X`` and ``Q z``.  A certified (``hermitian_pd``) mass projects to
+        the Hermitian part of ``Q^H M Q``, which is exactly Hermitian in
+        floating point and, as ``Q^H M Q`` is in exact arithmetic, positive
+        definite.  The memo is keyed on exact equality with its read-only
+        ``basis``, a copy of ``Q``, so a basis mutated in place or a different
+        basis is recomputed.  A hit and a miss return the same bits.  The memo
+        is one attribute assigned whole, so concurrent callers at worst
+        recompute it.
         """
         memo = self._image
-        if memo is not None and memo.basis.shape == Q.shape and np.array_equal(memo.basis, Q):
+        if memo is not None and np.array_equal(memo.basis, Q):
             return memo
+        m = Q.shape[1]
         W = np.hstack([self.M @ Q, self.D @ Q, self.K @ Q])
-        memo = BasisImage(basis=Q.copy(), projected=Q.conj().T @ W, R=np.linalg.qr(W, mode="r"))
+        C = Q.conj().T @ W
+        M = C[:, :m]
+        if self.hermitian_pd:
+            M = 0.5 * (M + M.conj().T)
+        inner = QuadraticPencil(M, C[:, m : 2 * m], C[:, 2 * m :])
+        basis = Q.copy()
+        R = np.linalg.qr(W, mode="r")
+        for a in (inner.M, inner.D, inner.K, basis, R):
+            a.flags.writeable = False
+        memo = ProjectedPencil(inner, basis, R)
         self._image = memo
         return memo
 

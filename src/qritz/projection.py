@@ -5,10 +5,10 @@ Projecting (M, D, K) onto span{Q} yields the m-dimensional triple
 Ritz values; their coefficient vectors lift through Q to Ritz vectors.  When
 the projected mass matrix is nonsingular there are always exactly 2m finite
 Ritz values.  Only ``kernels.solve_linear``'s ``sigma_min`` rule refuses a
-projected mass, as it refuses the full one.  A certified mass projects to
-the Hermitian part of ``Q^H M Q``, and ``ritz_pairs`` reads the pairs from
-the eigenvectors of the projected companion matrix and flags clustered
-values.
+projected mass, as it refuses the full one.  ``project`` returns the
+pencil's memoized ``pencil.ProjectedPencil`` of the basis, the record that
+``refined_ritz`` reads too, and ``ritz_pairs`` reads the pairs from the
+eigenvectors of the projected companion matrix and flags clustered values.
 """
 
 from __future__ import annotations
@@ -20,19 +20,11 @@ import numpy as np
 
 from .errors import IndefiniteMass
 from .kernels import clustered_flags, require_orthonormal
-from .pencil import QuadraticPencil, companion_matrix, quadratic_vectors
+from .pencil import ProjectedPencil, QuadraticPencil, companion_matrix, quadratic_vectors
 
 #: Ritz values closer than this (relative to max |mu|) are flagged clustered:
 #: the associated coefficient vectors are ill-posed and essentially arbitrary.
 CLUSTER_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ProjectedPencil:
-    """The projected triple together with the basis used to build it."""
-
-    pencil: QuadraticPencil
-    basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,19 +46,15 @@ class RitzPair:
 def project(p: QuadraticPencil, Q) -> ProjectedPencil:
     """Project the pencil onto span{Q} for orthonormal ``Q``.
 
-    The projected triple is the m x 3m ``Q^H [MQ, DQ, KQ]`` that the pencil
-    memoizes with the basis image (``QuadraticPencil.image``), so a later
-    ``ritz_pairs`` or ``refined_ritz`` on the same basis reuses that image.
-    A certified (``p.hermitian_pd``) mass projects to the Hermitian part of
-    ``Q^H M Q``, which is exactly Hermitian in floating point and, as
-    ``Q^H M Q`` is in exact arithmetic, positive definite.
+    Returns the pencil's memoized projection (``QuadraticPencil.image``), so a
+    later ``ritz_pairs`` or ``refined_ritz`` on the same basis reads the same
+    record, and a second ``project`` returns it again.
 
     Raises:
         DimensionMismatch: if ``Q`` does not have ``p.n`` rows.
         NotOrthonormal: if ``||Q^H Q - I|| > kernels.BASIS_TOL``.
     """
     Q = require_orthonormal(Q, p.n)
-    m = Q.shape[1]
     if not p.hermitian_pd:
         warnings.warn(
             "mass matrix not verified Hermitian positive definite; "
@@ -74,13 +62,7 @@ def project(p: QuadraticPencil, Q) -> ProjectedPencil:
             IndefiniteMass,
             stacklevel=2,
         )
-    # The m x 3m Q^H [MQ, DQ, KQ], formed once per basis by the image memo.
-    C = p.image(Q).projected
-    M = C[:, :m]
-    if p.hermitian_pd:
-        M = 0.5 * (M + M.conj().T)
-    inner = QuadraticPencil(M, C[:, m : 2 * m], C[:, 2 * m :])
-    return ProjectedPencil(pencil=inner, basis=Q.copy())
+    return p.image(Q)
 
 
 def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
@@ -89,8 +71,8 @@ def ritz_pairs(pp: ProjectedPencil, p: QuadraticPencil) -> list[RitzPair]:
     The values and unit coefficient vectors are read from the 2m x 2m
     companion matrix of the projected pencil as ``solve_full`` reads them
     (``pencil.quadratic_vectors``), in the eigensolver's order.  The
-    residuals ``||P(mu) Q x||`` come from the image's R factor
-    (``BasisImage``), so the only n-row product is the lift ``Q X``.
+    residuals ``||P(mu) Q x||`` come from the R factor of ``p``'s projection
+    onto the same basis, so the only n-row product is the lift ``Q X``.
 
     Raises:
         Singular: if the projected mass matrix is numerically singular by

@@ -7,12 +7,13 @@ smallest singular value.  Unlike the Ritz vector, this minimizer is immune to
 clustered Ritz values: it converges whenever the search space does.
 
 The tall matrix is never formed.  With the basis image ``W = [MQ, DQ, KQ] = U R``
-of ``pencil.BasisImage``, ``(mu^2 M + mu D + K) Q = U R [mu^2 I; mu I; I]`` and
+of ``pencil.ProjectedPencil``, ``(mu^2 M + mu D + K) Q = U R [mu^2 I; mu I; I]`` and
 ``U`` has orthonormal columns, so the SVD of the small ``R [mu^2 I; mu I; I]``
 has the same singular values and right singular vectors, and the residual of
 a coefficient vector ``z`` is ``||R [mu^2 z; mu z; z]||``.  The image costs
-O(n^2 m) once per basis; each value ``mu`` then costs O(m^3) in the small
-space plus the one n-row lift ``Q z``.
+O(n^2 m) once per basis, in the projection the pencil memoizes
+(``QuadraticPencil.image``), which ``project`` returns too; each value ``mu``
+then costs O(m^3) in the small space plus the one n-row lift ``Q z``.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class RefinedRitz:
 def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
     """Residual-minimizing unit vector in span{Q} for the value ``mu``.
 
-    Refining several values for one basis reuses the basis image that the
+    Refining several values for one basis reuses the projection that the
     pencil memoizes (``QuadraticPencil.image``), as does ``project``.  The
-    minimizer and its residual are read from the image's R factor alone.
+    minimizer and its residual are read from its R factor alone.
 
     Raises:
         ValueError: if ``mu`` is not finite.
@@ -60,8 +61,8 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
     """
     mu = as_scalar(mu, "mu")
     Q = require_orthonormal(Q, p.n)
-    image = p.image(Q)
-    s, V = right_singulars(image.reduced(mu))
+    pp = p.image(Q)
+    s, V = right_singulars(pp.reduced(mu))
     m = Q.shape[1]
     if m >= 2 and s[-2] - s[-1] <= GAP_TOL * s[0]:
         warnings.warn(
@@ -77,5 +78,5 @@ def refined_ritz(p: QuadraticPencil, Q, mu: complex) -> RefinedRitz:
         coeff=z,
         vector=Q @ z,
         sigma_min=float(s[-1]),
-        residual_norm=image.residual_norm(mu, z),
+        residual_norm=pp.residual_norm(mu, z),
     )

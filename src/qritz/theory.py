@@ -65,13 +65,14 @@ from .kernels import (
     top_singular_triple,
 )
 from .pencil import (
+    ProjectedPencil,
     QuadraticPencil,
     companion_matrix,
     companion_operator,
     qep_residual,
     stack_vector,
 )
-from .projection import ProjectedPencil, project, ritz_pairs
+from .projection import project, ritz_pairs
 from .refined import refined_ritz
 from .solver import select_eigenpair
 
@@ -478,9 +479,11 @@ def _stage(run):
 def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
     """Assemble every diagnostic for the reference eigenpair ``ref`` and one basis.
 
-    The Ritz pair, its refined vector, the projected separation and the
-    Elsner bound each run through ``_stage``: a failed stage leaves the
-    fields built from it None, and the other fields are still filled.
+    The Ritz pair, its refined vector, the projected and full separations
+    and the Elsner bound each run through ``_stage``: a failed stage leaves
+    the fields built from it None, and the other fields are still filled.
+    The refined-vector bound, and the ``||A - mu1 B||`` it reads, are taken
+    only when ``sep_full`` is, so a rejected reference leaves both None.
     """
     p = ref.pencil
     lam1, x1 = ref.value, ref.vector
@@ -494,9 +497,9 @@ def full_diagnostics(ref: Reference, Q) -> DiagnosticsReport:
         mu1 = sel.value
         rr = _stage(lambda: refined_ritz(p, Q, mu1))
         sep_projected = _stage(lambda: sep(reference(pp.pencil, mu1, sel.coeff), lam1))
+        sep_full = _stage(lambda: sep(ref, mu1))
     elsner = _stage(lambda: elsner_bound(pp, perturbation_triple(p, pp, lam1, x1, theta)))
-    if sel is not None and ref.rejection is None:
-        sep_full = sep(ref, mu1)
+    if sep_full is not None:
         norm_a_minus = ref.norm_a_minus(mu1)
         bound_refined = refined_vector_bound(lam1, mu1, p.b0, norm_a_minus, theta, sep_full)
 

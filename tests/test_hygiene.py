@@ -37,8 +37,8 @@ module takes its inputs through those admissions.
 A sixth scan keeps per-value work in the small space.  ``projection.py``
 and ``refined.py`` may load no ``.M``, ``.D``, ``.K`` or ``.W`` attribute:
 after ``QuadraticPencil.image`` has formed the basis image, they read only
-its m x 3m ``projected`` block and its R factor, so no n-row matrix of the
-pencil reaches the work done for each Ritz value.
+the projected m x m pencil and the R factor it keeps, so no n-row matrix of
+the pencil reaches the work done for each Ritz value.
 
 A seventh scan keeps the package root empty.  ``src/qritz/__init__.py`` holds
 no ``import`` or ``from ... import`` statement: the modules are the API, and

@@ -13,13 +13,13 @@ from qritz.builtin import (
 )
 from qritz.errors import DimensionMismatch, IndefiniteMass, NotOrthonormal, Singular
 from qritz.kernels import orthonormalize, spectral_norm
-from qritz.pencil import BasisImage, Eigenpair, QuadraticPencil, qep_residual
+from qritz.pencil import Eigenpair, ProjectedPencil, QuadraticPencil, qep_residual
 from qritz.projection import (
-    ProjectedPencil,
     RitzPair,
     project,
     ritz_pairs,
 )
+from qritz.refined import refined_ritz
 from qritz.solver import select_eigenpair, solve_full
 from qritz.subspace import perturbed_subspace
 
@@ -219,13 +219,13 @@ class TestRitzPairs:
                 pp = project(p, Q)
                 assert pp.pencil.hermitian_pd == hpd
                 image = p.image(Q)
-                watched = BasisImage(
-                    basis=image.basis, projected=image.projected, R=counted(image.R, "R")
+                watched = ProjectedPencil(
+                    pencil=image.pencil, basis=image.basis, R=counted(image.R, "R")
                 )
                 monkeypatch.setattr(p, "image", lambda basis, watched=watched: watched)
                 for name in ("M", "D", "K"):
                     monkeypatch.setattr(p, name, counted(getattr(p, name), "pencil"))
-                lifted = ProjectedPencil(pencil=pp.pencil, basis=counted(pp.basis, "basis"))
+                lifted = ProjectedPencil(pencil=pp.pencil, basis=counted(pp.basis, "basis"), R=pp.R)
                 cases.append((pp, ritz_pairs(lifted, p)))
             assert products == {"R": 2, "basis": 2, "pencil": 0}
             assert not solves and not built
@@ -235,6 +235,47 @@ class TestRitzPairs:
                 assert len(pairs) == len(want) == 6
                 assert [rp.value for rp in pairs] == [ep.value for ep in want]
                 assert all(np.array_equal(rp.coeff, ep.vector) for rp, ep in zip(pairs, want))
+
+
+class TestProjectionMemo:
+    """The pencil's one memo is the ``ProjectedPencil`` that ``project`` returns."""
+
+    def test_the_memo_refuses_writes(self, g):
+        p = random_pencil(g, 10)
+        Q1 = orthonormalize(cnormal(g, 10, 3))
+        Q2 = orthonormalize(cnormal(g, 10, 3))
+        pp = project(p, Q1)
+        with pytest.raises(ValueError, match="read-only"):
+            pp.basis[:] = Q2
+        for a in (pp.R, pp.pencil.M, pp.pencil.D, pp.pencil.K):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 0.0
+        got = refined_ritz(p, Q2, 0.3)
+        want = refined_ritz(QuadraticPencil(p.M, p.D, p.K), Q2, 0.3)
+        assert got.residual_norm == want.residual_norm and got.sigma_min == want.sigma_min
+        assert np.array_equal(got.coeff, want.coeff) and np.array_equal(got.vector, want.vector)
+
+    def test_one_record_per_basis(self, g, monkeypatch):
+        p = random_pencil(g, 8)
+        Q = orthonormalize(cnormal(g, 8, 3))
+        built, read = [], []
+
+        def counting_init(self, *args, _init=QuadraticPencil.__init__):
+            built.append(1)
+            _init(self, *args)
+
+        def recording_reduced(self, lam, _reduced=ProjectedPencil.reduced):
+            read.append(self)
+            return _reduced(self, lam)
+
+        monkeypatch.setattr(QuadraticPencil, "__init__", counting_init)
+        monkeypatch.setattr(ProjectedPencil, "reduced", recording_reduced)
+        pp = project(p, Q)
+        assert project(p, Q) is pp
+        assert len(built) == 1
+        refined_ritz(p, Q, 0.5 - 0.2j)
+        assert len(read) == 1 and read[0] is pp
+        assert len(built) == 1
 
 
 class TestSelectRitz:
